@@ -204,6 +204,164 @@ let test_campaign_byte_identity () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The committed golden fixture: one transcript of everything the engine
+   measures, recomputed through the public entry points and compared byte
+   for byte with test/fixtures/engine_golden.txt.  Every float is printed
+   with %h, so the comparison is bit-exact.  On a mismatch the recomputed
+   transcript is written next to the test executable in the build tree;
+   after a change that legitimately alters an output, regenerate the
+   fixture by copying that file over the committed one. *)
+
+let fixture_path = Filename.concat "fixtures" "engine_golden.txt"
+let fixture_output = "engine_golden.txt"
+let golden_seeds = [ 1L; 2L; 3L ]
+let golden_fault = T.Experiment.fault_config ~seu_rate:120.0 ~watchdog_budget:140_000 ()
+
+let golden_transcript () =
+  let b = Buffer.create 16_384 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let platforms = [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ] in
+  line "# Core_sim.run_program: every kernel x DET/RAND x input seed";
+  List.iter
+    (fun (k : K.t) ->
+      let layout = Isa.Layout.sequential k.K.program in
+      List.iter
+        (fun (pname, config) ->
+          List.iter
+            (fun seed ->
+              let memory = Isa.Memory.create k.K.program in
+              k.K.load_input memory (Prng.create seed);
+              let core = P.Core_sim.create ~config ~seed:(Int64.add 1000L seed) () in
+              let m = P.Core_sim.run_program core ~program:k.K.program ~layout ~memory in
+              let ok = match k.K.check memory with Ok () -> "ok" | Error e -> e in
+              line "kernel %s %s seed %Ld: %s %s" k.K.name pname seed (pp_metrics m) ok)
+            golden_seeds)
+        platforms)
+    (K.all ());
+  line "# Executor.path_signature: every kernel x input seed";
+  List.iter
+    (fun (k : K.t) ->
+      List.iter
+        (fun seed ->
+          let memory = Isa.Memory.create k.K.program in
+          k.K.load_input memory (Prng.create seed);
+          line "path %s seed %Ld: %d" k.K.name seed
+            (Isa.Executor.path_signature ~program:k.K.program
+               ~layout:(Isa.Layout.sequential k.K.program)
+               ~memory ()))
+        golden_seeds)
+    (K.all ());
+  let det, rand = experiments () in
+  let exps = [ ("DET", det); ("RAND", rand) ] in
+  line "# Experiment.run (frames 4, base seed 2017)";
+  List.iter
+    (fun (pname, exp) ->
+      for i = 0 to 7 do
+        line "run %s %d: %s" pname i (pp_metrics (T.Experiment.run exp ~run_index:i))
+      done)
+    exps;
+  line "# Experiment.run_faulty (RAND, SEU 120 per 10^6 instructions, watchdog 140000)";
+  for i = 0 to 11 do
+    for attempt = 0 to 1 do
+      let o = T.Experiment.run_faulty rand ~fault:golden_fault ~attempt ~run_index:i () in
+      let metrics =
+        match o with
+        | T.Experiment.Completed { metrics; _ } -> " " ^ pp_metrics metrics
+        | _ -> ""
+      in
+      line "faulty %d attempt %d: %s%s" i attempt (pp_outcome o) metrics;
+      List.iter
+        (fun r -> line "  %s" (Format.asprintf "%a" P.Fault.pp_record r))
+        (T.Experiment.fault_records o)
+    done
+  done;
+  line "# Experiment.run_schedule (RAND, period 50000, jitter 2000, horizon 200000)";
+  List.iter
+    (fun policy ->
+      for i = 0 to 3 do
+        let r =
+          T.Experiment.run_schedule rand ~policy ~period:50_000 ~max_jitter:2_000
+            ~horizon:200_000 ~run_index:i ()
+        in
+        line "schedule %s %d: worst %h preemptions %d skipped %d [%s]"
+          (T.Rtos.policy_name policy) i r.T.Experiment.worst_response r.T.Experiment.preemptions
+          r.T.Experiment.skipped_releases r.T.Experiment.signature
+      done)
+    T.Rtos.all_policies;
+  line "# Rtos.run transcript (RAND core seed 11, mission seed 5, period 9000, horizon 60000)";
+  (let program = T.Experiment.program rand and layout = T.Experiment.layout rand in
+   let memory = Isa.Memory.create program in
+   T.Mission.load_memory (T.Mission.generate ~frames:4 ~seed:5L ()) memory;
+   let core = P.Core_sim.create ~config:P.Config.mbpta_compliant ~seed:11L () in
+   P.Core_sim.reset_run core;
+   let tasks =
+     T.Rtos.apply_policy T.Rtos.Offset_jitter ~seed:3L ~max_jitter:1_500
+       (T.Rtos.tvca_tasks ~period:9_000 ())
+   in
+   let r =
+     T.Rtos.run ~frames:4 ~core ~program ~layout ~memory ~tasks ~horizon:60_000 ()
+   in
+   line "rtos total %d preemptions %d idle %d" r.T.Rtos.total_cycles r.T.Rtos.preemptions
+     r.T.Rtos.idle_cycles;
+   List.iter
+     (fun (tr : T.Rtos.task_result) ->
+       line "task %s prio %d offset %d: activations %d skipped %d responses %s"
+         tr.T.Rtos.spec.T.Rtos.name tr.T.Rtos.spec.T.Rtos.priority tr.T.Rtos.spec.T.Rtos.offset
+         tr.T.Rtos.activations tr.T.Rtos.skipped_releases
+         (String.concat " "
+            (Array.to_list (Array.map (Printf.sprintf "%h") tr.T.Rtos.response_times))))
+     r.T.Rtos.per_task);
+  line "# Experiment.measure_fixed_scenario";
+  List.iter
+    (fun (pname, exp) ->
+      for scenario_index = 0 to 1 do
+        for i = 0 to 3 do
+          line "fixed %s scenario %d run %d: %h" pname scenario_index i
+            (T.Experiment.measure_fixed_scenario exp ~scenario_index ~run_index:i)
+        done
+      done)
+    exps;
+  line "# Experiment.path_signature and check_functional";
+  for i = 0 to 5 do
+    line "experiment %d: path %d functional %h" i
+      (T.Experiment.path_signature det ~run_index:i)
+      (T.Experiment.check_functional rand ~run_index:i)
+  done;
+  Buffer.contents b
+
+let read_fixture () = try Some (read_file fixture_path) with Sys_error _ -> None
+
+let test_golden_fixture () =
+  let got = golden_transcript () in
+  match read_fixture () with
+  | Some want when String.equal want got -> ()
+  | want ->
+      let oc = open_out_bin fixture_output in
+      output_string oc got;
+      close_out oc;
+      let first_diff =
+        match want with
+        | None -> "fixture missing"
+        | Some want ->
+            let rec go i = function
+              | w :: ws, g :: gs -> if String.equal w g then go (i + 1) (ws, gs) else (i, w, g)
+              | w :: _, [] -> (i, w, "<end>")
+              | [], g :: _ -> (i, "<end>", g)
+              | [], [] -> (i, "", "")
+            in
+            let i, w, g =
+              go 1 (String.split_on_char '\n' want, String.split_on_char '\n' got)
+            in
+            Printf.sprintf "line %d: fixture %S, engine %S" i w g
+      in
+      Alcotest.failf
+        "engine transcript differs from %s (%s); the recomputed transcript is in %s — copy \
+         it over test/%s if the change is intended"
+        fixture_path first_diff
+        (Filename.concat (Sys.getcwd ()) fixture_output)
+        fixture_path
+
+(* ------------------------------------------------------------------ *)
 (* Instrumentation sanity: the decode cache and batch scratches are
    actually exercised by the above (a healthy hot path reuses both). *)
 
@@ -263,6 +421,9 @@ let test_decode_cache_bounded () =
 let () =
   Alcotest.run "hotpath"
     [
+      ( "golden",
+        [ Alcotest.test_case "engine transcript = committed fixture" `Quick test_golden_fixture ]
+      );
       ( "decoded",
         [
           Alcotest.test_case "kernels DET+RAND: decoded = retired" `Quick
