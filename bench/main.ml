@@ -473,9 +473,6 @@ type perf_results = {
   throughput : throughput_row list;
   per_run_us_det : float;
   per_run_us_rand : float;
-  per_run_us_det_retired : float;  (* same-run baseline: pre-batching path *)
-  per_run_us_rand_retired : float;
-  batched_identical_to_retired : bool;
   decode_cache_hits : int;
   decode_cache_misses : int;
   batch_scratches_created : int;
@@ -632,15 +629,11 @@ let p1_parallel_perf () =
     (fun r ->
       Format.printf "%8d %12.3f %14.1f %9.2fx@." r.jobs r.seconds r.runs_per_sec r.speedup)
     throughput;
-  (* Per-run sequential cost, both platforms: the batched pre-decoded hot
-     path against its same-run retired baseline (fresh simulator, per-step
-     variant match), timed back to back on the same machine — and checked
-     bit-identical run by run while we are at it. *)
+  (* Per-run sequential cost, both platforms, on the batched pre-decoded
+     hot path. *)
   let k = Stdlib.max 20 (n / 4) in
-  let batched_identical_to_retired = ref true in
   (* Median of several repetitions: on a shared box a single k-run average
-     jitters by ±20%, which would swamp the batched-vs-retired comparison
-     (same remedy as the trace-overhead probe). *)
+     jitters by ±20% (same remedy as the trace-overhead probe). *)
   let per_run_us measure =
     let reps = if !smoke then 3 else 5 in
     let samples =
@@ -658,33 +651,9 @@ let p1_parallel_perf () =
   in
   let per_run_us_det = per_run_us measure_det in
   let per_run_us_rand = per_run_us measure_rand in
-  let per_run_us_det_retired =
-    per_run_us (fun i -> T.Experiment.measure_retired det_experiment ~run_index:i)
-  in
-  let per_run_us_rand_retired =
-    per_run_us (fun i -> T.Experiment.measure_retired rand_experiment ~run_index:i)
-  in
-  for i = 0 to Stdlib.min k 50 - 1 do
-    if
-      T.Experiment.measure det_experiment ~run_index:i
-      <> T.Experiment.measure_retired det_experiment ~run_index:i
-      || T.Experiment.measure rand_experiment ~run_index:i
-         <> T.Experiment.measure_retired rand_experiment ~run_index:i
-    then batched_identical_to_retired := false
-  done;
-  if not !batched_identical_to_retired then
-    failwith "P1: batched hot path diverged from the retired baseline";
   Format.printf
     "@.per measured run (sequential):         DET %.1f us, RAND %.1f us@."
     per_run_us_det per_run_us_rand;
-  Format.printf
-    "per measured run (retired baseline):   DET %.1f us (%.2fx), RAND %.1f us (%.2fx)@."
-    per_run_us_det_retired
-    (per_run_us_det_retired /. per_run_us_det)
-    per_run_us_rand_retired
-    (per_run_us_rand_retired /. per_run_us_rand);
-  Format.printf "batched runs bit-identical to retired: %b@."
-    !batched_identical_to_retired;
   let decode_cache_hits, decode_cache_misses = T.Experiment.decode_cache_stats () in
   let batch_scratches_created, batch_reuses = T.Experiment.batch_stats () in
   Format.printf
@@ -715,9 +684,6 @@ let p1_parallel_perf () =
     throughput;
     per_run_us_det;
     per_run_us_rand;
-    per_run_us_det_retired;
-    per_run_us_rand_retired;
-    batched_identical_to_retired = !batched_identical_to_retired;
     decode_cache_hits;
     decode_cache_misses;
     batch_scratches_created;
@@ -1605,9 +1571,6 @@ let json_of_perf r s a d sl io =
   add "  ],\n";
   add "  \"per_run_us\": {\"det\": %.2f, \"rand\": %.2f},\n" r.per_run_us_det
     r.per_run_us_rand;
-  add "  \"per_run_us_retired\": {\"det\": %.2f, \"rand\": %.2f},\n"
-    r.per_run_us_det_retired r.per_run_us_rand_retired;
-  add "  \"batched_identical_to_retired\": %b,\n" r.batched_identical_to_retired;
   add
     "  \"hotpath\": {\"decode_cache_hits\": %d, \"decode_cache_misses\": %d, \
      \"batch_scratches_created\": %d, \"batch_reuses\": %d},\n"

@@ -41,9 +41,7 @@ let () =
       let (_ : Isa.Executor.stats) =
         Isa.Executor.run ~program:kernel.K.program
           ~layout:(Isa.Layout.sequential kernel.K.program)
-          ~memory
-          ~on_retire:(fun _ -> ())
-          ()
+          ~memory ()
       in
       let golden =
         match kernel.K.check memory with Ok () -> "exact" | Error _ -> "MISMATCH"

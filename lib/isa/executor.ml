@@ -98,214 +98,12 @@ let element_index (a : raddr) regs =
          (Array.length a.values));
   idx
 
-module Stepper = struct
-  type t = {
-    code : rop array;
-    layout : Layout.t;
-    name : string;
-    max_instructions : int;
-    (* Countdown twin of [retired]: one zero test per step instead of
-       loading and comparing two fields.  Invariant: fuel =
-       max_instructions - retired. *)
-    mutable fuel : int;
-    regs : int array;
-    fregs : float array;
-    call_stack : int array;
-    mutable sp : int;
-    mutable pc : int;
-    mutable running : bool;
-    mutable retired : int;
-    mutable loads : int;
-    mutable stores : int;
-    mutable fp_long : int;
-    mutable branches : int;
-    mutable taken : int;
-  }
-
-  let create ?(max_instructions = 10_000_000) ?entry ?(init_regs = []) ~program ~layout
-      ~memory () =
-    let entry_label = match entry with Some l -> l | None -> Program.entry program in
-    let t =
-      {
-        code = resolve ~program ~layout ~memory;
-        layout;
-        name = Program.name program;
-        max_instructions;
-        fuel = max_instructions;
-        regs = Array.make Instr.register_count 0;
-        fregs = Array.make Instr.register_count 0.;
-        call_stack = Array.make max_call_depth 0;
-        sp = 0;
-        pc = Program.label_index program entry_label;
-        running = true;
-        retired = 0;
-        loads = 0;
-        stores = 0;
-        fp_long = 0;
-        branches = 0;
-        taken = 0;
-      }
-    in
-    List.iter
-      (fun (r, v) ->
-        if r < 0 || r >= Instr.register_count then
-          invalid_arg "Stepper.create: init register out of range";
-        t.regs.(r) <- v)
-      init_regs;
-    t
-
-  let finished t = not t.running
-
-  let corrupt_int_register t ~reg ~bit =
-    if reg < 0 || reg >= Instr.register_count then
-      invalid_arg "Stepper.corrupt_int_register: register out of range";
-    (* Model 32-bit architectural registers: flip one of the low 32 bits. *)
-    t.regs.(reg) <- t.regs.(reg) lxor (1 lsl (bit land 31))
-
-  let corrupt_float_register t ~reg ~bit =
-    if reg < 0 || reg >= Instr.register_count then
-      invalid_arg "Stepper.corrupt_float_register: register out of range";
-    (* Flip one bit of the IEEE-754 image; upsets in the exponent or sign
-       can turn a value into inf/NaN, exactly as on real hardware. *)
-    let bits = Int64.bits_of_float t.fregs.(reg) in
-    t.fregs.(reg) <-
-      Int64.float_of_bits (Int64.logxor bits (Int64.shift_left 1L (bit land 63)))
-
-  let stats t =
-    {
-      retired = t.retired;
-      loads = t.loads;
-      stores = t.stores;
-      fp_long_ops = t.fp_long;
-      branches = t.branches;
-      taken_branches = t.taken;
-    }
-
-  let step t =
-    if not t.running then None
-    else begin
-      if t.fuel <= 0 then raise (Runaway t.name);
-      t.fuel <- t.fuel - 1;
-      let regs = t.regs and fregs = t.fregs in
-      let fetch_addr = Layout.code_address t.layout t.pc in
-      let op = t.code.(t.pc) in
-      t.retired <- t.retired + 1;
-      let next = t.pc + 1 in
-      let simple work =
-        t.pc <- next;
-        work
-      in
-      let branch cond target =
-        t.branches <- t.branches + 1;
-        if cond then t.taken <- t.taken + 1;
-        t.pc <- (if cond then target else next);
-        Instr.Ctrl cond
-      in
-      let work =
-        match op with
-        | RLi (rd, v) ->
-            regs.(rd) <- v;
-            simple Instr.Int_alu
-        | RAdd (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) + regs.(r2);
-            simple Instr.Int_alu
-        | RAddi (rd, r1, v) ->
-            regs.(rd) <- regs.(r1) + v;
-            simple Instr.Int_alu
-        | RSub (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) - regs.(r2);
-            simple Instr.Int_alu
-        | RMul (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) * regs.(r2);
-            simple Instr.Int_mul
-        | RFli (fd, v) ->
-            fregs.(fd) <- v;
-            simple Instr.Int_alu
-        | RFld (fd, a) ->
-            let idx = element_index a regs in
-            fregs.(fd) <- a.values.(idx);
-            t.loads <- t.loads + 1;
-            simple (Instr.Mem_read (a.byte_base + (idx * Layout.element_bytes)))
-        | RFst (fs, a) ->
-            let idx = element_index a regs in
-            a.values.(idx) <- fregs.(fs);
-            t.stores <- t.stores + 1;
-            simple (Instr.Mem_write (a.byte_base + (idx * Layout.element_bytes)))
-        | RFadd (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) +. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFsub (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) -. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFmul (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) *. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fmul_op)
-        | RFdiv (fd, f1, f2) ->
-            let x = fregs.(f1) and y = fregs.(f2) in
-            fregs.(fd) <- x /. y;
-            t.fp_long <- t.fp_long + 1;
-            simple (Instr.Fp_long (Instr.Fdiv_op, x, y))
-        | RFsqrt (fd, f1) ->
-            let x = fregs.(f1) in
-            fregs.(fd) <- sqrt x;
-            t.fp_long <- t.fp_long + 1;
-            simple (Instr.Fp_long (Instr.Fsqrt_op, x, 0.))
-        | RFabs (fd, f1) ->
-            fregs.(fd) <- Float.abs fregs.(f1);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFmov (fd, f1) ->
-            fregs.(fd) <- fregs.(f1);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFcvt (rd, f1) ->
-            regs.(rd) <- int_of_float fregs.(f1);
-            simple Instr.Int_alu
-        | RIcvt (fd, r1) ->
-            fregs.(fd) <- float_of_int regs.(r1);
-            simple Instr.Int_alu
-        | RBlt (r1, r2, l) -> branch (regs.(r1) < regs.(r2)) l
-        | RBge (r1, r2, l) -> branch (regs.(r1) >= regs.(r2)) l
-        | RBeq (r1, r2, l) -> branch (regs.(r1) = regs.(r2)) l
-        | RBne (r1, r2, l) -> branch (regs.(r1) <> regs.(r2)) l
-        | RFblt (f1, f2, l) -> branch (fregs.(f1) < fregs.(f2)) l
-        | RFbge (f1, f2, l) -> branch (fregs.(f1) >= fregs.(f2)) l
-        | RJmp l ->
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            Instr.Ctrl true
-        | RCall l ->
-            if t.sp >= max_call_depth then raise (Stack_overflow_ t.name);
-            t.call_stack.(t.sp) <- next;
-            t.sp <- t.sp + 1;
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            Instr.Ctrl true
-        | RRet ->
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            if t.sp = 0 then t.running <- false
-            else begin
-              t.sp <- t.sp - 1;
-              t.pc <- t.call_stack.(t.sp)
-            end;
-            Instr.Ctrl true
-        | RNop -> simple Instr.No_op
-        | RHalt ->
-            t.running <- false;
-            Instr.No_op
-      in
-      Some { Instr.fetch_addr; work }
-    end
-end
-
-(* Timing consumer for the pre-decoded runner.  Instead of allocating one
-   {!Instr.retired} record (plus its [work] payload) per executed
-   instruction and dispatching on it, the runner calls the per-work-class
-   hook directly: [on_fetch] first for every instruction (base cycle +
-   instruction fetch), then at most one work hook.  Work classes that add
-   no latency in the platform model ([Int_alu], [No_op], not-taken
-   branches) get no hook call at all. *)
+(* Timing consumer of the runner.  Nothing is allocated per executed
+   instruction: the runner calls the per-work-class hook directly —
+   [on_fetch] first for every instruction (base cycle + instruction fetch),
+   then at most one work hook.  Work classes that add no latency in the
+   platform model (integer ALU, nop, not-taken branches) get no hook call
+   at all. *)
 type sink = {
   on_fetch : int -> unit;
   on_int_mul : unit -> unit;
@@ -315,6 +113,17 @@ type sink = {
   on_fp_long : Instr.fpu_op -> float -> float -> unit;
   on_taken : unit -> unit;
 }
+
+let no_timing =
+  {
+    on_fetch = ignore;
+    on_int_mul = ignore;
+    on_read = ignore;
+    on_write = ignore;
+    on_fp_short = ignore;
+    on_fp_long = (fun _ _ _ -> ());
+    on_taken = ignore;
+  }
 
 module Decoded = struct
   (* The memory-independent half of the decode: everything [resolve] can
@@ -401,6 +210,21 @@ module Decoded = struct
       t.branches <- 0;
       t.taken <- 0
 
+    (* A runner over the same linked code and memory image with its own
+       architectural state: how a scheduler gives each task its own
+       registers, pc and call stack without relinking the program. *)
+    let sibling t =
+      let s =
+        {
+          t with
+          regs = Array.make Instr.register_count 0;
+          fregs = Array.make Instr.register_count 0.;
+          call_stack = Array.make max_call_depth 0;
+        }
+      in
+      reset s;
+      s
+
     let corrupt_int_register t ~reg ~bit =
       if reg < 0 || reg >= Instr.register_count then
         invalid_arg "Runner.corrupt_int_register: register out of range";
@@ -424,10 +248,10 @@ module Decoded = struct
       }
 
     (* One instruction: architectural effects first (including any
-       out-of-bounds raise), then the timing hooks — exactly the
-       [Stepper.step]-then-[consume] order of the retired path, so the
-       sequence of stateful platform accesses (and hence every PRNG draw)
-       is bit-identical, even for runs that crash mid-instruction. *)
+       out-of-bounds raise), then the timing hooks.  A run that crashes
+       mid-instruction has therefore made exactly the platform accesses
+       (and PRNG draws) of the instructions before it; the committed engine
+       fixture pins this order. *)
     let[@inline] exec_one t (sink : sink) =
       let pc = t.pc in
       let op = t.code.(pc) in
@@ -634,9 +458,9 @@ module Decoded = struct
 
     (* The Runaway bound moves out of the inner loop: execute in blocks of
        at most [block] instructions, re-checking the remaining budget only
-       at block boundaries.  The raise fires at exactly the step the
-       per-instruction check would have fired on (budget exhausted while
-       still running), so oracle equality holds for runaway programs too. *)
+       at block boundaries.  The raise fires at exactly the instruction
+       {!step}'s per-instruction check fires on (budget exhausted while
+       still running). *)
     let block = 4096
 
     let run t ~sink =
@@ -652,8 +476,7 @@ module Decoded = struct
       stats t
 
     (* Supervised variant for fault-injected runs: [post] fires after every
-       retired instruction (watchdog, SEU injection), matching the retired
-       per-step loop's cadence. *)
+       retired instruction (watchdog, SEU injection). *)
     let run_supervised t ~sink ~post =
       while t.running do
         let budget = t.max_instructions - t.retired in
@@ -666,32 +489,49 @@ module Decoded = struct
         done
       done;
       stats t
+
+    let finished t = not t.running
+
+    let step t ~sink =
+      if t.running then begin
+        if t.retired >= t.max_instructions then raise (Runaway t.name);
+        exec_one t sink
+      end
+
+    (* Re-arm a runner at [pc] with fresh architectural state: how a
+       scheduler releases a new job of a task on the task's own runner. *)
+    let restart t ~pc ~regs =
+      if pc < 0 || pc >= Array.length t.code then
+        invalid_arg "Runner.restart: pc out of range";
+      reset t;
+      t.pc <- pc;
+      List.iter
+        (fun (r, v) ->
+          if r < 0 || r >= Instr.register_count then
+            invalid_arg "Runner.restart: register out of range";
+          t.regs.(r) <- v)
+        regs
+
+    (* FNV-style fold of the taken/not-taken sequence: the sink never sees
+       a not-taken branch, so step without timing and read the branch
+       counters around each instruction. *)
+    let path_signature t =
+      let h = ref 0 in
+      while t.running do
+        let branches = t.branches and taken = t.taken in
+        step t ~sink:no_timing;
+        if t.branches <> branches then
+          h := ((!h * 16777619) lxor if t.taken <> taken then 1 else 2) land max_int
+      done;
+      !h
   end
 end
 
-let run ?max_instructions ~program ~layout ~memory ~on_retire () =
-  let stepper = Stepper.create ?max_instructions ~program ~layout ~memory () in
-  let rec go () =
-    match Stepper.step stepper with
-    | Some retired ->
-        on_retire retired;
-        go ()
-    | None -> ()
-  in
-  go ();
-  Stepper.stats stepper
+let runner ?max_instructions ~program ~layout ~memory () =
+  Decoded.Runner.create ?max_instructions ~decoded:(Decoded.decode ~program ~layout) ~memory ()
+
+let run ?max_instructions ~program ~layout ~memory () =
+  Decoded.Runner.run (runner ?max_instructions ~program ~layout ~memory ()) ~sink:no_timing
 
 let path_signature ?max_instructions ~program ~layout ~memory () =
-  let h = ref 0 in
-  let on_retire (r : Instr.retired) =
-    match r.Instr.work with
-    | Instr.Ctrl taken ->
-        (* FNV-style fold of the taken/not-taken sequence. *)
-        h := (!h * 16777619) lxor (if taken then 1 else 2);
-        h := !h land max_int
-    | Instr.Int_alu | Instr.Int_mul | Instr.Mem_read _ | Instr.Mem_write _
-    | Instr.Fp_short _ | Instr.Fp_long _ | Instr.No_op ->
-        ()
-  in
-  let (_ : stats) = run ?max_instructions ~program ~layout ~memory ~on_retire () in
-  !h
+  Decoded.Runner.path_signature (runner ?max_instructions ~program ~layout ~memory ())

@@ -34,18 +34,6 @@ type t =
 
 type fpu_op = Fadd_op | Fmul_op | Fdiv_op | Fsqrt_op
 
-type work =
-  | Int_alu
-  | Int_mul
-  | Mem_read of int
-  | Mem_write of int
-  | Fp_short of fpu_op
-  | Fp_long of fpu_op * float * float
-  | Ctrl of bool
-  | No_op
-
-type retired = { fetch_addr : int; work : work }
-
 let pp_addr ppf a =
   match a.index_reg with
   | None -> Format.fprintf ppf "%s[%d]" a.base a.offset

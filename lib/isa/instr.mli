@@ -48,18 +48,4 @@ type t =
 (** Floating-point operation classes as seen by the FPU timing model. *)
 type fpu_op = Fadd_op | Fmul_op | Fdiv_op | Fsqrt_op
 
-(** What a retired instruction asks of the micro-architecture; produced by
-    {!Executor} and consumed by the pipeline timing model. *)
-type work =
-  | Int_alu
-  | Int_mul
-  | Mem_read of int  (** byte address *)
-  | Mem_write of int
-  | Fp_short of fpu_op  (** FADD/FMUL-class, fixed latency *)
-  | Fp_long of fpu_op * float * float  (** FDIV/FSQRT with operand values *)
-  | Ctrl of bool  (** branch: taken? *)
-  | No_op
-
-type retired = { fetch_addr : int; work : work }
-
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
 module Prng = Repro_rng.Prng
-module Instr = Repro_isa.Instr
+module Runner = Repro_isa.Executor.Decoded.Runner
 
 exception Budget_exceeded of { cycles : int; budget : int }
 
@@ -14,7 +14,7 @@ type t = {
   dram : Dram.t;
   mutable prng : Prng.t;  (* mutable so a reused simulator can be reseeded *)
   (* Per-access latencies hoisted out of [config.latencies] into immediate
-     fields: the consume/data_access hot path reads them once per event
+     fields: the sink/data_access hot path reads them once per event
      instead of chasing two records per memory reference. *)
   lat_l1_hit : int;
   lat_tlb_miss_walk : int;
@@ -110,26 +110,6 @@ let data_access t ~addr ~write =
       if write then t.cycles <- t.cycles + t.lat_store_buffer
       else memory_transaction t ~addr
 
-let consume t (r : Instr.retired) =
-  (* Pipelined base cost. *)
-  t.cycles <- t.cycles + 1;
-  (* Fetch: ITLB then IL1. *)
-  (match Tlb.access t.itlb ~addr:r.Instr.fetch_addr with
-  | Tlb.Hit -> ()
-  | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
-  (match Cache.access t.il1 ~addr:r.Instr.fetch_addr ~write:false with
-  | Cache.Hit -> t.cycles <- t.cycles + t.lat_l1_hit
-  | Cache.Miss -> memory_transaction t ~addr:r.Instr.fetch_addr);
-  match r.Instr.work with
-  | Instr.Int_alu -> ()
-  | Instr.Int_mul -> t.cycles <- t.cycles + t.lat_int_mul
-  | Instr.Mem_read addr -> data_access t ~addr ~write:false
-  | Instr.Mem_write addr -> data_access t ~addr ~write:true
-  | Instr.Fp_short op -> t.cycles <- t.cycles + Fpu.latency t.fpu op ~x:0. ~y:0.
-  | Instr.Fp_long (op, x, y) -> t.cycles <- t.cycles + Fpu.latency t.fpu op ~x ~y
-  | Instr.Ctrl taken -> if taken then t.cycles <- t.cycles + t.lat_branch_taken
-  | Instr.No_op -> ()
-
 let advance t n =
   if n < 0 then invalid_arg (Printf.sprintf "Core_sim.advance: negative cycles (%d)" n);
   t.cycles <- t.cycles + n
@@ -162,18 +142,11 @@ let snapshot_of_stats t (stats : Repro_isa.Executor.stats) =
     ~fp_long_ops:stats.Repro_isa.Executor.fp_long_ops
     ~taken_branches:stats.Repro_isa.Executor.taken_branches
 
-let run_program t ~program ~layout ~memory =
-  reset_run t;
-  let stats =
-    Repro_isa.Executor.run ~program ~layout ~memory ~on_retire:(consume t) ()
-  in
-  snapshot_of_stats t stats
-
-(* The [consume] pipeline split into the pre-decoded runner's per-work-class
-   hooks.  Call order per instruction (fetch first, then at most one work
-   event) mirrors [consume]'s statement order, so every stateful cache/TLB/
-   bus access — and hence every PRNG draw — happens in the same sequence. *)
-let sink_of t =
+(* The pipeline timing model as the runner's per-work-class hooks: the
+   pipelined base cycle and the fetch (ITLB then IL1) first, then at most
+   one work event.  The order of the stateful cache/TLB/bus accesses fixes
+   the order of every PRNG draw. *)
+let sink t =
   {
     Repro_isa.Executor.on_fetch =
       (fun addr ->
@@ -193,17 +166,19 @@ let sink_of t =
   }
 
 let run_decoded t ~runner =
-  let module Runner = Repro_isa.Executor.Decoded.Runner in
   Repro_profile.time Repro_profile.Flush (fun () ->
       reset_run t;
       Runner.reset runner);
   let stats =
-    Repro_profile.time Repro_profile.Execute (fun () -> Runner.run runner ~sink:(sink_of t))
+    Repro_profile.time Repro_profile.Execute (fun () -> Runner.run runner ~sink:(sink t))
   in
   snapshot_of_stats t stats
 
+let run_program t ~program ~layout ~memory =
+  let decoded = Repro_isa.Executor.Decoded.decode ~program ~layout in
+  run_decoded t ~runner:(Runner.create ~decoded ~memory ())
+
 let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
-  let module Runner = Repro_isa.Executor.Decoded.Runner in
   Repro_profile.time Repro_profile.Flush (fun () ->
       reset_run t;
       Runner.reset runner);
@@ -223,9 +198,9 @@ let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
               (fun ~reg ~bit -> Runner.corrupt_float_register runner ~reg ~bit);
           }
   in
-  (* Post-step supervision in the retired path's order: timing already
-     consumed by the sink, so count the instruction, check the watchdog,
-     then let the injector act before the next instruction. *)
+  (* Post-step supervision: the sink has already timed the instruction, so
+     count it, check the watchdog, then let the injector act before the
+     next instruction. *)
   let retired = ref 0 in
   let post () =
     incr retired;
@@ -239,46 +214,5 @@ let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
         t.faults_injected <- Fault.count inj
     | _ -> ()
   in
-  let stats = Runner.run_supervised runner ~sink:(sink_of t) ~post in
+  let stats = Runner.run_supervised runner ~sink:(sink t) ~post in
   snapshot_of_stats t stats
-
-let run_program_faulty t ?injector ?watchdog_budget ~program ~layout ~memory () =
-  reset_run t;
-  let module Stepper = Repro_isa.Executor.Stepper in
-  let stepper = Stepper.create ~program ~layout ~memory () in
-  let targets =
-    match injector with
-    | None -> None
-    | Some _ ->
-        Some
-          {
-            Fault.il1 = t.il1;
-            dl1 = t.dl1;
-            itlb = t.itlb;
-            dtlb = t.dtlb;
-            corrupt_int_register =
-              (fun ~reg ~bit -> Stepper.corrupt_int_register stepper ~reg ~bit);
-            corrupt_float_register =
-              (fun ~reg ~bit -> Stepper.corrupt_float_register stepper ~reg ~bit);
-          }
-  in
-  let retired = ref 0 in
-  let rec go () =
-    match Stepper.step stepper with
-    | None -> ()
-    | Some r ->
-        consume t r;
-        incr retired;
-        (match watchdog_budget with
-        | Some budget when t.cycles > budget ->
-            raise (Budget_exceeded { cycles = t.cycles; budget })
-        | Some _ | None -> ());
-        (match (injector, targets) with
-        | Some inj, Some tg ->
-            Fault.step inj ~retired:!retired tg;
-            t.faults_injected <- Fault.count inj
-        | _ -> ());
-        go ()
-  in
-  go ();
-  snapshot_of_stats t (Stepper.stats stepper)

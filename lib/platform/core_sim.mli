@@ -10,14 +10,25 @@
 type t
 
 exception Budget_exceeded of { cycles : int; budget : int }
-(** raised by {!run_program_faulty} when the watchdog cycle budget is
+(** raised by {!run_decoded_faulty} when the watchdog cycle budget is
     exceeded — the bounded-interference analogue of a flight computer's
     watchdog timer firing on a diverged task *)
 
 (** [create ?contenders ~config ~seed ()] — [seed] drives all platform
     randomization for this instance (placement, replacement, bus
-    interference sampling); [contenders] are co-runner bus pressures for
-    multicore experiments. *)
+    interference sampling).
+
+    The reference architecture is a 4-core LEON3 with a shared bus to the
+    DRAM controller; the analyzed application runs on this core and the
+    other three cores are co-runners.  The paper's evaluation runs TVCA alone
+    (no [contenders], the default); the multicore ablation A4 turns the
+    co-runners on.  A co-runner is modelled by its bus pressure — the
+    probability, in [[0, 1]], that it occupies a bus slot when this core
+    requests it — rather than by cycle-accurate co-simulation, so
+    [contenders] lists one pressure per active co-runner (an idle core
+    contributes nothing and is simply left out).  Round-robin arbitration
+    then bounds the per-transaction interference, which is the property
+    MBPTA needs.  {!Bus.create} rejects a pressure outside [[0, 1]]. *)
 val create : ?contenders:float list -> config:Config.t -> seed:int64 -> unit -> t
 
 val config : t -> Config.t
@@ -33,17 +44,20 @@ val reset_run : t -> unit
     what lets a batch of runs amortize simulator construction. *)
 val reseed : t -> seed:int64 -> unit
 
-(** [consume t retired] — advance time for one retired instruction.
-    Exposed so schedulers can interleave instruction streams. *)
-val consume : t -> Repro_isa.Instr.retired -> unit
+(** [sink t] — the pipeline timing model as the runner's per-work-class
+    hooks: each event advances [t]'s clock.  Exposed so schedulers can
+    interleave several runners on one core ({!Repro_isa.Executor.Decoded.Runner.step}). *)
+val sink : t -> Repro_isa.Executor.sink
 
 (** Add idle cycles (e.g. a scheduler's timer tick overhead). *)
 val advance : t -> int -> unit
 
 val cycles : t -> int
 
-(** [run_program t ~program ~layout ~memory] — [reset_run], execute to
-    completion, and return this run's metrics. *)
+(** [run_program t ~program ~layout ~memory] — decode the program, link a
+    runner against [memory], and {!run_decoded} it: [reset_run], execute to
+    completion, return this run's metrics.  Campaigns that run one program
+    many times decode once and call {!run_decoded} directly. *)
 val run_program :
   t ->
   program:Repro_isa.Program.t ->
@@ -51,34 +65,13 @@ val run_program :
   memory:Repro_isa.Memory.t ->
   Metrics.t
 
-(** [run_program_faulty t ?injector ?watchdog_budget ~program ~layout
-    ~memory ()] — like {!run_program} but steps the executor one instruction
-    at a time so that (a) the SEU [injector], when given, can strike cache
-    tags, TLB entries and executor registers between instructions, and
-    (b) the [watchdog_budget] (in cycles) is enforced, raising
-    {!Budget_exceeded} the moment it is crossed.  With no injector and no
-    budget the cycle count is identical to {!run_program} (same consume
-    sequence).  May also propagate {!Repro_isa.Executor.Runaway} or
-    [Invalid_argument] (out-of-bounds access) when an injected register
-    upset derails the program — the resilience supervisor upstream
-    classifies these. *)
-val run_program_faulty :
-  t ->
-  ?injector:Fault.t ->
-  ?watchdog_budget:int ->
-  program:Repro_isa.Program.t ->
-  layout:Repro_isa.Layout.t ->
-  memory:Repro_isa.Memory.t ->
-  unit ->
-  Metrics.t
-
 (** {2 Pre-decoded execution}
 
     The batched hot path: the caller decodes the program once
     ({!Repro_isa.Executor.Decoded}), links a runner against a reusable
     memory image, and per run calls {!reseed} (fresh platform seed) then
-    one of these.  Bit-identical to {!run_program} / {!run_program_faulty}
-    on a fresh simulator — [test_hotpath] pins it. *)
+    one of these.  {!reseed} + these on a reused simulator give the same
+    bits as a fresh simulator would. *)
 
 (** [run_decoded t ~runner] — [reset_run], reset the runner, execute to
     completion through the per-work-class timing sink, return the run's
@@ -86,9 +79,15 @@ val run_program_faulty :
     image (e.g. {!Repro_isa.Memory.clear} + scenario load). *)
 val run_decoded : t -> runner:Repro_isa.Executor.Decoded.Runner.t -> Metrics.t
 
-(** Pre-decoded twin of {!run_program_faulty}: same supervision semantics
-    (injector strikes between instructions, watchdog raises
-    {!Budget_exceeded}), on the batched runner. *)
+(** [run_decoded_faulty t ?injector ?watchdog_budget ~runner ()] — like
+    {!run_decoded}, but after every instruction (a) the SEU [injector], when
+    given, can strike cache tags, TLB entries and runner registers, and
+    (b) the [watchdog_budget] (in cycles) is enforced, raising
+    {!Budget_exceeded} the moment it is crossed.  With no injector and no
+    budget the metrics are identical to {!run_decoded}'s.  May also
+    propagate {!Repro_isa.Executor.Runaway} or [Invalid_argument]
+    (out-of-bounds access) when an injected register upset derails the
+    program — the resilience supervisor upstream classifies these. *)
 val run_decoded_faulty :
   t ->
   ?injector:Fault.t ->
@@ -98,5 +97,5 @@ val run_decoded_faulty :
   Metrics.t
 
 (** Metrics accumulated since the last [reset_run] (for callers driving
-    [consume] directly). *)
+    {!sink} directly). *)
 val snapshot : t -> instructions:int -> fp_long_ops:int -> taken_branches:int -> Metrics.t

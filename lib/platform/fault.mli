@@ -32,8 +32,8 @@ type site =
 type record = { at_instruction : int; site : site }
 
 (** The mutable state an injector strikes.  The register thunks let the
-    platform hand over executor state without this module depending on a
-    concrete stepper. *)
+    platform hand over executor state without this module depending on
+    the executor. *)
 type targets = {
   il1 : Cache.t;
   dl1 : Cache.t;

@@ -26,7 +26,7 @@
 type stage =
   | Codegen  (** TVCA program generation from scenario config *)
   | Decode  (** compiling a program into the pre-decoded executable form *)
-  | Execute  (** the simulator inner loop (decoded or stepper) *)
+  | Execute  (** the simulator inner loop ([Runner.run]) *)
   | Flush  (** [Core_sim.reset_run]: cache/TLB/DRAM flush + stats reset *)
   | Seed_derivation  (** per-run scenario/platform/fault seed expansion *)
   | Trace  (** trace event construction and flushing *)

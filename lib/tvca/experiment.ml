@@ -190,12 +190,6 @@ let schedule_seed t ~run_index = derive_schedule_seed t.base_seed run_index
 let scenario t ~run_index =
   Mission.generate ~frames:t.frames ~gains:t.gains ~seed:(scenario_seed t ~run_index) ()
 
-let prepared_memory t ~run_index =
-  let sc = scenario t ~run_index in
-  let memory = Isa.Memory.create t.program in
-  Mission.load_memory sc memory;
-  (sc, memory)
-
 (* ---- batched scratch -------------------------------------------------
 
    The unit of scheduling upstream stays the per-run closure (chunk layout,
@@ -204,8 +198,9 @@ let prepared_memory t ~run_index =
    instance, one memory image, one linked runner — amortizing simulator and
    memory construction and program decode across the whole batch.  Each run
    still gets the full per-run protocol (fresh seeds via {!Core_sim.reseed},
-   flush via [reset_run], zeroed and reloaded memory), which [test_hotpath]
-   pins bit-identical to the retired fresh-everything path.
+   flush via [reset_run], zeroed and reloaded memory), which gives the same
+   bits a fresh simulator and memory image would.  Every entry point below
+   goes through it; none builds a simulator or memory image per run.
 
    Domain-local storage means no shared mutable hot state between domains;
    the slot list is a tiny move-to-front LRU keyed by experiment identity,
@@ -260,44 +255,28 @@ let scratch_for t =
           slots := (t, s) :: kept;
           s)
 
-(* Per-run reset protocol on a scratch: derive this run's seeds, zero and
-   reload the memory image, reseed the platform streams.  The subsequent
-   [run_decoded] performs the flush cascade ([reset_run]) itself. *)
-let prepare_run t s ~run_index ~attempt =
+(* The per-run protocol on this domain's scratch: derive the run's seeds,
+   zero the memory image and load scenario [scenario_index] into it (the
+   run's own scenario except for fixed-input runs), reseed the platform
+   streams.  A timed run then calls [run_decoded], which performs the
+   flush cascade ([reset_run]) and resets the runner itself. *)
+let prepare_run t ~scenario_index ~run_index ~attempt =
+  let s = scratch_for t in
   let sc, seed =
     Profile.time Profile.Seed_derivation (fun () ->
-        (scenario t ~run_index, platform_seed t ~run_index ~attempt))
+        (scenario t ~run_index:scenario_index, platform_seed t ~run_index ~attempt))
   in
   Profile.time Profile.Flush (fun () ->
       Isa.Memory.clear s.s_memory;
       Mission.load_memory sc s.s_memory;
       Platform.Core_sim.reseed s.s_core ~seed);
-  sc
+  (s, sc)
 
 let run t ~run_index =
-  let s = scratch_for t in
-  let _sc = prepare_run t s ~run_index ~attempt:0 in
+  let s, _ = prepare_run t ~scenario_index:run_index ~run_index ~attempt:0 in
   Platform.Core_sim.run_decoded s.s_core ~runner:s.s_runner
 
 let measure t ~run_index = float_of_int (Platform.Metrics.cycles (run t ~run_index))
-
-(* ---- retired reference path ------------------------------------------
-
-   The pre-batching implementation, kept verbatim as the oracle: fresh
-   memory, fresh simulator, per-step variant-match executor.  [test_hotpath]
-   and the bench's same-run baselines pin the batched path bit-identical to
-   these. *)
-
-let run_retired t ~run_index =
-  let _, memory = prepared_memory t ~run_index in
-  let core =
-    Platform.Core_sim.create ~contenders:t.contenders ~config:t.config
-      ~seed:(platform_seed t ~run_index ~attempt:0) ()
-  in
-  Platform.Core_sim.run_program core ~program:t.program ~layout:t.layout ~memory
-
-let measure_retired t ~run_index =
-  float_of_int (Platform.Metrics.cycles (run_retired t ~run_index))
 
 (* ---- randomized-schedule runs ---------------------------------------- *)
 
@@ -314,17 +293,11 @@ let run_schedule t ?(context_switch = 40) ~policy ~period ~max_jitter ~horizon
     Rtos.apply_policy policy ~seed:(schedule_seed t ~run_index) ~max_jitter
       (Rtos.tvca_tasks ~period ())
   in
-  (* Fresh state per run, as in {!run_retired}: the RTOS sim owns the core
-     for the whole horizon, so there is no batched scratch to share. *)
-  let _, memory = prepared_memory t ~run_index in
-  let core =
-    Platform.Core_sim.create ~contenders:t.contenders ~config:t.config
-      ~seed:(platform_seed t ~run_index ~attempt:0) ()
-  in
-  Platform.Core_sim.reset_run core;
+  let s, _ = prepare_run t ~scenario_index:run_index ~run_index ~attempt:0 in
+  Platform.Core_sim.reset_run s.s_core;
   let r =
-    Rtos.run ~context_switch ~frames:t.frames ~core ~program:t.program ~layout:t.layout
-      ~memory ~tasks ~horizon ()
+    Rtos.run_linked ~context_switch ~frames:t.frames ~core:s.s_core ~program:t.program
+      ~runner:s.s_runner ~tasks ~horizon ()
   in
   let worst_response =
     List.fold_left
@@ -351,16 +324,9 @@ let measure_fixed_scenario t ~scenario_index ~run_index =
      time-randomized platform the resulting sample should be statistically
      indistinguishable from any other input's; on a deterministic platform
      the input shows through as a timing leak. *)
-  let sc = scenario t ~run_index:scenario_index in
-  let memory = Isa.Memory.create t.program in
-  Mission.load_memory sc memory;
-  let core =
-    Platform.Core_sim.create ~contenders:t.contenders ~config:t.config
-      ~seed:(platform_seed t ~run_index ~attempt:0) ()
-  in
+  let s, _ = prepare_run t ~scenario_index ~run_index ~attempt:0 in
   float_of_int
-    (Platform.Metrics.cycles
-       (Platform.Core_sim.run_program core ~program:t.program ~layout:t.layout ~memory))
+    (Platform.Metrics.cycles (Platform.Core_sim.run_decoded s.s_core ~runner:s.s_runner))
 
 (* ---- fault-injected, supervised runs ---- *)
 
@@ -415,8 +381,7 @@ let classify t ~fault ~faults ~sc ~memory outcome =
 
 let run_faulty t ~fault ?(attempt = 0) ~run_index () =
   if attempt < 0 then invalid_arg "Experiment.run_faulty: attempt must be >= 0";
-  let s = scratch_for t in
-  let sc = prepare_run t s ~run_index ~attempt in
+  let s, sc = prepare_run t ~scenario_index:run_index ~run_index ~attempt in
   let injector =
     Platform.Fault.create ~rate:fault.seu_rate ~seed:(fault_seed t ~run_index ~attempt)
   in
@@ -430,29 +395,6 @@ let run_faulty t ~fault ?(attempt = 0) ~run_index () =
     | exception e -> Error e
   in
   classify t ~fault ~faults ~sc ~memory:s.s_memory outcome
-
-(* Retired oracle twin of {!run_faulty} (fresh state, per-step loop). *)
-let run_faulty_retired t ~fault ?(attempt = 0) ~run_index () =
-  if attempt < 0 then invalid_arg "Experiment.run_faulty: attempt must be >= 0";
-  let sc, memory = prepared_memory t ~run_index in
-  let core =
-    Platform.Core_sim.create ~contenders:t.contenders ~config:t.config
-      ~seed:(platform_seed t ~run_index ~attempt) ()
-  in
-  let injector =
-    Platform.Fault.create ~rate:fault.seu_rate ~seed:(fault_seed t ~run_index ~attempt)
-  in
-  let faults () = Platform.Fault.records injector in
-  let outcome =
-    match
-      Platform.Core_sim.run_program_faulty core ~injector
-        ?watchdog_budget:fault.watchdog_budget ~program:t.program ~layout:t.layout
-        ~memory ()
-    with
-    | metrics -> Ok metrics
-    | exception e -> Error e
-  in
-  classify t ~fault ~faults ~sc ~memory outcome
 
 let fault_records = function
   | Completed { faults; _ }
@@ -479,21 +421,20 @@ let pp_fault_outcome ppf = function
 
 let collect t ~runs = Array.init runs (fun i -> measure t ~run_index:i)
 
+(* The untimed entry points: the same per-run protocol, then the scratch
+   runner from its entry without a timing sink. *)
+let untimed_runner t ~run_index =
+  let s, sc = prepare_run t ~scenario_index:run_index ~run_index ~attempt:0 in
+  Isa.Executor.Decoded.Runner.reset s.s_runner;
+  (s, sc)
+
 let path_signature t ~run_index =
-  let _, memory = prepared_memory t ~run_index in
-  Isa.Executor.path_signature ~program:t.program ~layout:t.layout ~memory ()
+  let s, _ = untimed_runner t ~run_index in
+  Isa.Executor.Decoded.Runner.path_signature s.s_runner
 
 let check_functional t ~run_index =
-  let sc, memory = prepared_memory t ~run_index in
-  let no_timing (_ : Isa.Instr.retired) = () in
+  let s, sc = untimed_runner t ~run_index in
   let (_ : Isa.Executor.stats) =
-    Isa.Executor.run ~program:t.program ~layout:t.layout ~memory ~on_retire:no_timing ()
+    Isa.Executor.Decoded.Runner.run s.s_runner ~sink:Isa.Executor.no_timing
   in
-  let got_x = Isa.Memory.read_array memory Codegen.sym_cmd_x in
-  let got_y = Isa.Memory.read_array memory Codegen.sym_cmd_y in
-  let worst = ref 0. in
-  for k = 0 to t.frames - 1 do
-    worst := Float.max !worst (Float.abs (got_x.(k) -. sc.Mission.expected_cmd_x.(k)));
-    worst := Float.max !worst (Float.abs (got_y.(k) -. sc.Mission.expected_cmd_y.(k)))
-  done;
-  !worst
+  output_error t sc s.s_memory

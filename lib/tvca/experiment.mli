@@ -55,25 +55,18 @@ val schedule_seed : t -> run_index:int -> int64
 
 (** [run t ~run_index] — one measured run; returns the full metrics.
 
-    Runs execute on the batched hot path: a per-(domain, experiment)
-    scratch (one simulator instance, one memory image, one pre-decoded
-    runner) is reused across consecutive runs, with the full per-run
-    protocol — fresh derived seeds, platform reseed, flush, zeroed and
-    reloaded memory — replayed for every run, so results are bit-identical
-    to the retired fresh-everything path ({!run_retired}). *)
+    Every per-run entry point of this module ({!run}, {!measure},
+    {!run_schedule}, {!measure_fixed_scenario}, {!run_faulty},
+    {!path_signature}, {!check_functional}) executes on the batched hot
+    path: a per-(domain, experiment) scratch (one simulator instance, one
+    memory image, one pre-decoded runner) is reused across consecutive
+    runs, with the full per-run protocol — fresh derived seeds, platform
+    reseed, flush, zeroed and reloaded memory — replayed for every run, so
+    a result depends only on its arguments, never on the runs before it. *)
 val run : t -> run_index:int -> Repro_platform.Metrics.t
 
 (** [measure t ~run_index] — execution time (cycles) only. *)
 val measure : t -> run_index:int -> float
-
-(** {2 Retired reference path}
-
-    The pre-batching implementation — fresh memory, fresh simulator,
-    per-step variant-match executor — kept as the bit-identity oracle for
-    tests and bench baselines. *)
-
-val run_retired : t -> run_index:int -> Repro_platform.Metrics.t
-val measure_retired : t -> run_index:int -> float
 
 (** {2 Randomized-schedule runs}
 
@@ -177,10 +170,6 @@ type fault_outcome =
 val run_faulty :
   t -> fault:fault_config -> ?attempt:int -> run_index:int -> unit -> fault_outcome
 
-(** Retired oracle twin of {!run_faulty} (fresh state, per-step loop). *)
-val run_faulty_retired :
-  t -> fault:fault_config -> ?attempt:int -> run_index:int -> unit -> fault_outcome
-
 val fault_records : fault_outcome -> Repro_platform.Fault.record list
 val pp_fault_outcome : Format.formatter -> fault_outcome -> unit
 
@@ -193,7 +182,8 @@ val path_signature : t -> run_index:int -> int
 
 (** [check_functional t ~run_index] — executes the generated code and
     compares its commands against the golden controller's; returns the
-    maximum absolute difference (0. means bit-identical). *)
+    maximum absolute difference (0. means bit-identical, [infinity] that a
+    command is NaN). *)
 val check_functional : t -> run_index:int -> float
 
 (** [with_layout t layout] — same experiment, different link layout (for the

@@ -1,6 +1,7 @@
 module Isa = Repro_isa
 module Platform = Repro_platform
 module Prng = Repro_rng.Prng
+module Runner = Isa.Executor.Decoded.Runner
 
 type task_spec = {
   name : string;
@@ -24,10 +25,14 @@ type t = {
   idle_cycles : int;
 }
 
-(* Mutable per-task scheduling state. *)
+(* Mutable per-task scheduling state.  Each task owns one runner (all of
+   them share one linked program) and restarts it at the task's entry for
+   every released job. *)
 type task_state = {
   spec_ : task_spec;
-  mutable job : Isa.Executor.Stepper.t option;  (* in-flight activation *)
+  runner : Runner.t;
+  entry_pc : int;
+  mutable in_flight : bool;  (* a released job has not finished yet *)
   mutable released_at : int;  (* release time of the in-flight job *)
   mutable next_release : int;
   mutable activation : int;  (* index of the next activation to release *)
@@ -35,8 +40,8 @@ type task_state = {
   mutable skipped : int;
 }
 
-let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program ~layout
-    ~memory ~tasks ~horizon () =
+let run_linked ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
+    ~runner ~tasks ~horizon () =
   (* [sort_uniq] silently merges duplicates — the length check turns that
      into a typed rejection: duplicate priorities make the fixed-priority
      order ambiguous, and shuffle policies must not inherit ambiguity. *)
@@ -46,26 +51,32 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
   | unique when List.length unique <> List.length tasks ->
       invalid_arg "Rtos.run: duplicate priorities make the schedule ambiguous"
   | _ -> ());
-  List.iter
-    (fun (s : task_spec) ->
-      if s.period <= 0 || s.offset < 0 then invalid_arg "Rtos.run: bad period/offset";
-      (* validate the entry label up front *)
-      ignore (Isa.Program.label_index program s.entry))
-    tasks;
-  let states =
+  (* validate every task, entry label included, before linking runners *)
+  let entries =
     tasks
-    |> List.sort (fun (a : task_spec) b -> Int.compare a.priority b.priority)
-    |> List.map (fun spec_ ->
-           {
-             spec_;
-             job = None;
-             released_at = 0;
-             next_release = spec_.offset;
-             activation = 0;
-             responses = [];
-             skipped = 0;
-           })
+    |> List.map (fun (s : task_spec) ->
+           if s.period <= 0 || s.offset < 0 then invalid_arg "Rtos.run: bad period/offset";
+           (s, Isa.Program.label_index program s.entry))
+    |> List.sort (fun ((a : task_spec), _) ((b : task_spec), _) ->
+           Int.compare a.priority b.priority)
   in
+  let states =
+    List.map
+      (fun (spec_, entry_pc) ->
+        {
+          spec_;
+          runner = Runner.sibling runner;
+          entry_pc;
+          in_flight = false;
+          released_at = 0;
+          next_release = spec_.offset;
+          activation = 0;
+          responses = [];
+          skipped = 0;
+        })
+      entries
+  in
+  let sink = Platform.Core_sim.sink core in
   let now () = Platform.Core_sim.cycles core in
   let preemptions = ref 0 in
   let idle_cycles = ref 0 in
@@ -76,16 +87,14 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
     List.iter
       (fun st ->
         while st.next_release <= now () do
-          (match st.job with
-          | Some _ -> st.skipped <- st.skipped + 1
-          | None ->
-              st.job <-
-                Some
-                  (Isa.Executor.Stepper.create ~entry:st.spec_.entry
-                     ~init_regs:[ (10, st.activation mod frames) ]
-                     ~program ~layout ~memory ());
-              st.released_at <- st.next_release;
-              st.activation <- st.activation + 1);
+          if st.in_flight then st.skipped <- st.skipped + 1
+          else begin
+            Runner.restart st.runner ~pc:st.entry_pc
+              ~regs:[ (10, st.activation mod frames) ];
+            st.in_flight <- true;
+            st.released_at <- st.next_release;
+            st.activation <- st.activation + 1
+          end;
           st.next_release <- st.next_release + st.spec_.period
         done)
       states
@@ -96,7 +105,7 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
   in
   let rec highest_ready = function
     | [] -> None
-    | st :: rest -> ( match st.job with Some _ -> Some st | None -> highest_ready rest)
+    | st :: rest -> if st.in_flight then Some st else highest_ready rest
   in
   let continue = ref true in
   while !continue && now () < horizon do
@@ -114,21 +123,16 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
         | Some prev when prev != st ->
             (* the running job changed: charge the context switch, and if the
                displaced job is still in flight this was a preemption *)
-            if prev.job <> None then incr preemptions;
+            if prev.in_flight then incr preemptions;
             Platform.Core_sim.advance core context_switch
         | Some _ -> ()
         | None -> Platform.Core_sim.advance core context_switch);
         last_running := Some st;
-        (match st.job with
-        | None -> assert false
-        | Some stepper -> (
-            match Isa.Executor.Stepper.step stepper with
-            | Some retired -> Platform.Core_sim.consume core retired
-            | None -> assert false);
-            if Isa.Executor.Stepper.finished stepper then begin
-              st.responses <- float_of_int (now () - st.released_at) :: st.responses;
-              st.job <- None
-            end)
+        Runner.step st.runner ~sink;
+        if Runner.finished st.runner then begin
+          st.responses <- float_of_int (now () - st.released_at) :: st.responses;
+          st.in_flight <- false
+        end
   done;
   {
     per_task =
@@ -145,6 +149,12 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
     preemptions = !preemptions;
     idle_cycles = !idle_cycles;
   }
+
+let run ?context_switch ?frames ~core ~program ~layout ~memory ~tasks ~horizon () =
+  let runner =
+    Runner.create ~decoded:(Isa.Executor.Decoded.decode ~program ~layout) ~memory ()
+  in
+  run_linked ?context_switch ?frames ~core ~program ~runner ~tasks ~horizon ()
 
 let tvca_tasks ~period ?(release_jitter = 0) () =
   [

@@ -39,14 +39,18 @@ type t = {
   idle_cycles : int;
 }
 
-(** [run ?context_switch ~core ~program ~layout ~memory ~tasks ~horizon ()]
-    — simulates until the platform clock passes [horizon] cycles (jobs in
-    flight at the horizon are abandoned).  Each activation [k] of a task
-    starts at its [entry] with register [r10] preset to
-    [k mod Mission.default_frames] (the frame index the generated code
-    expects).  [context_switch] cycles (default 40) are charged whenever
-    the running job changes.  Raises [Invalid_argument] on duplicate
-    priorities (the fixed-priority order must be total). *)
+(** [run ?context_switch ?frames ~core ~program ~layout ~memory ~tasks
+    ~horizon ()] — simulates until the platform clock passes [horizon]
+    cycles (jobs in flight at the horizon are abandoned).  Each activation
+    [k] of a task starts at its [entry] with register [r10] preset to
+    [k mod frames] (the frame index the generated code expects; [frames]
+    defaults to [Mission.default_frames] and must match the frame count the
+    program was generated for).  [context_switch] cycles (default 40) are
+    charged whenever the running job changes.  Every task runs on its own
+    {!Repro_isa.Executor.Decoded.Runner}, timed through
+    {!Repro_platform.Core_sim.sink}.  Raises [Invalid_argument] on
+    duplicate priorities (the fixed-priority order must be total), a
+    non-positive period, a negative offset or an unknown entry label. *)
 val run :
   ?context_switch:int ->
   ?frames:int ->
@@ -54,6 +58,22 @@ val run :
   program:Repro_isa.Program.t ->
   layout:Repro_isa.Layout.t ->
   memory:Repro_isa.Memory.t ->
+  tasks:task_spec list ->
+  horizon:int ->
+  unit ->
+  t
+
+(** [run_linked ?context_switch ?frames ~core ~program ~runner ~tasks
+    ~horizon ()] — {!run} on a runner already linked against the program's
+    memory image, e.g. a campaign's reused one: the tasks run on
+    {!Repro_isa.Executor.Decoded.Runner.sibling}s of [runner], so nothing
+    is decoded or relinked. *)
+val run_linked :
+  ?context_switch:int ->
+  ?frames:int ->
+  core:Repro_platform.Core_sim.t ->
+  program:Repro_isa.Program.t ->
+  runner:Repro_isa.Executor.Decoded.Runner.t ->
   tasks:task_spec list ->
   horizon:int ->
   unit ->

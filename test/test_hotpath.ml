@@ -1,9 +1,9 @@
-(* The PR 7 hot path — pre-decoded execution, batched per-(domain,
-   experiment) scratches, O(1) seed skipping — against the retired
-   implementations it replaced.  The contract everywhere is bit identity:
-   not statistically close, the same bits, on every kernel, both platform
-   configs, with and without fault injection, and through whole campaigns
-   (trace files and store records byte-identical) at any job count. *)
+(* The one execution engine — pre-decoded runners, batched per-(domain,
+   experiment) scratches, O(1) seed skipping — against a committed golden
+   fixture.  The contract everywhere is bit identity: not statistically
+   close, the same bits, on every kernel, both platform configs, with and
+   without fault injection, and through whole campaigns (trace files and
+   store records byte-identical) at any job count. *)
 
 module P = Repro_platform
 module T = Repro_tvca
@@ -22,103 +22,16 @@ let pp_metrics (m : P.Metrics.t) =
     m.itlb_misses m.dtlb_misses m.bus_transactions m.dram_row_hits m.dram_row_misses
     m.fp_long_ops m.taken_branches m.faults_injected
 
-(* ------------------------------------------------------------------ *)
-(* Core_sim: run_decoded vs run_program on every workload kernel *)
-
-let test_decoded_kernels () =
-  List.iter
-    (fun (k : K.t) ->
-      List.iter
-        (fun (pname, config) ->
-          let layout = Isa.Layout.sequential k.K.program in
-          let retired =
-            let memory = Isa.Memory.create k.K.program in
-            k.K.load_input memory (Prng.create 99L);
-            let core = P.Core_sim.create ~config ~seed:424242L () in
-            P.Core_sim.run_program core ~program:k.K.program ~layout ~memory
-          in
-          let decoded =
-            let memory = Isa.Memory.create k.K.program in
-            k.K.load_input memory (Prng.create 99L);
-            let d = Isa.Executor.Decoded.decode ~program:k.K.program ~layout in
-            let runner = Isa.Executor.Decoded.Runner.create ~decoded:d ~memory () in
-            let core = P.Core_sim.create ~config ~seed:424242L () in
-            let m = P.Core_sim.run_decoded core ~runner in
-            checkb
-              (Printf.sprintf "%s %s functional check" k.K.name pname)
-              true
-              (match k.K.check memory with Ok () -> true | Error _ -> false);
-            m
-          in
-          checks
-            (Printf.sprintf "%s %s metrics" k.K.name pname)
-            (pp_metrics retired) (pp_metrics decoded))
-        [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ])
-    (K.all ())
-
-(* ------------------------------------------------------------------ *)
-(* Experiment: batched run/measure vs the retired fresh-everything path *)
-
 let experiments () =
   ( T.Experiment.create ~frames:4 ~config:P.Config.deterministic ~base_seed:2017L (),
     T.Experiment.create ~frames:4 ~config:P.Config.mbpta_compliant ~base_seed:2017L () )
 
-let test_experiment_batched_vs_retired () =
-  let det, rand = experiments () in
-  List.iter
-    (fun (pname, exp) ->
-      for i = 0 to 11 do
-        checks
-          (Printf.sprintf "%s run %d metrics" pname i)
-          (pp_metrics (T.Experiment.run_retired exp ~run_index:i))
-          (pp_metrics (T.Experiment.run exp ~run_index:i));
-        checkb
-          (Printf.sprintf "%s measure %d" pname i)
-          true
-          (T.Experiment.measure exp ~run_index:i
-          = T.Experiment.measure_retired exp ~run_index:i)
-      done;
-      (* Interleaving retired and batched calls must not perturb either:
-         the batched scratch replays the full per-run protocol. *)
-      let a = T.Experiment.measure exp ~run_index:3 in
-      let _ = T.Experiment.measure_retired exp ~run_index:5 in
-      let b = T.Experiment.measure exp ~run_index:3 in
-      checkb (Printf.sprintf "%s batched is stateless across calls" pname) true (a = b))
-    [ ("DET", det); ("RAND", rand) ]
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection: batched supervised runner vs the retired stepper *)
-
 let pp_outcome = Format.asprintf "%a" T.Experiment.pp_fault_outcome
 
-let test_faulty_batched_vs_retired () =
-  let _, rand = experiments () in
-  let fault = T.Experiment.fault_config ~seu_rate:120.0 ~watchdog_budget:2_000_000 () in
-  for i = 0 to 7 do
-    for attempt = 0 to 1 do
-      checks
-        (Printf.sprintf "faulty run %d attempt %d" i attempt)
-        (pp_outcome (T.Experiment.run_faulty_retired rand ~fault ~attempt ~run_index:i ()))
-        (pp_outcome (T.Experiment.run_faulty rand ~fault ~attempt ~run_index:i ()))
-    done
-  done;
-  (* With injection off and no watchdog, the supervised path must be
-     bit-identical to the plain batched run. *)
-  let off = T.Experiment.fault_config () in
-  for i = 0 to 3 do
-    match T.Experiment.run_faulty rand ~fault:off ~run_index:i () with
-    | T.Experiment.Completed { metrics; faults } ->
-        checkb (Printf.sprintf "no-fault run %d has no records" i) true (faults = []);
-        checks
-          (Printf.sprintf "no-fault run %d equals run" i)
-          (pp_metrics (T.Experiment.run rand ~run_index:i))
-          (pp_metrics metrics)
-    | o -> Alcotest.failf "no-fault run %d not Completed: %s" i (pp_outcome o)
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Whole campaigns: batched vs retired measurement closures must leave
-   byte-identical trace files and store records, at jobs 1 and 4 *)
+(* Whole campaigns: the batched measurement closures must leave
+   byte-identical trace files and store records at jobs 1 and 4 (four
+   domains interleave runs on their own scratches) *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -136,12 +49,9 @@ let rec rm_rf path =
 
 let campaign_runs = 140
 
-let campaign_artifacts ~jobs ~retired =
+let campaign_artifacts ~jobs =
   let det, rand = experiments () in
-  let measure exp i =
-    if retired then T.Experiment.measure_retired exp ~run_index:i
-    else T.Experiment.measure exp ~run_index:i
-  in
+  let measure exp i = T.Experiment.measure exp ~run_index:i in
   let input =
     {
       (M.Campaign.default_input ~measure_det:(measure det) ~measure_rand:(measure rand))
@@ -190,18 +100,11 @@ let campaign_artifacts ~jobs ~retired =
   (read_file trace_path, read_file (Filename.concat dir (key ^ ".jsonl")), samples)
 
 let test_campaign_byte_identity () =
-  let ref_trace, ref_record, ref_samples = campaign_artifacts ~jobs:1 ~retired:true in
-  List.iter
-    (fun (what, jobs, retired) ->
-      let trace, record, samples = campaign_artifacts ~jobs ~retired in
-      checkb (what ^ ": samples") true (samples = ref_samples);
-      checks (what ^ ": trace file") ref_trace trace;
-      checks (what ^ ": store record") ref_record record)
-    [
-      ("batched jobs=1", 1, false);
-      ("batched jobs=4", 4, false);
-      ("retired jobs=4", 4, true);
-    ]
+  let ref_trace, ref_record, ref_samples = campaign_artifacts ~jobs:1 in
+  let trace, record, samples = campaign_artifacts ~jobs:4 in
+  checkb "jobs=4: samples" true (samples = ref_samples);
+  checks "jobs=4: trace file" ref_trace trace;
+  checks "jobs=4: store record" ref_record record
 
 (* ------------------------------------------------------------------ *)
 (* The committed golden fixture: one transcript of everything the engine
@@ -424,18 +327,6 @@ let () =
       ( "golden",
         [ Alcotest.test_case "engine transcript = committed fixture" `Quick test_golden_fixture ]
       );
-      ( "decoded",
-        [
-          Alcotest.test_case "kernels DET+RAND: decoded = retired" `Quick
-            test_decoded_kernels;
-        ] );
-      ( "experiment",
-        [
-          Alcotest.test_case "batched run/measure = retired" `Quick
-            test_experiment_batched_vs_retired;
-          Alcotest.test_case "faulty batched = retired (SEU>0)" `Quick
-            test_faulty_batched_vs_retired;
-        ] );
       ( "campaign",
         [
           Alcotest.test_case "trace+store byte identity, jobs 1 and 4" `Quick

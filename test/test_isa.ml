@@ -16,7 +16,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let run_quiet ?max_instructions program memory =
   let layout = Layout.sequential program in
-  Executor.run ?max_instructions ~program ~layout ~memory ~on_retire:(fun _ -> ()) ()
+  Executor.run ?max_instructions ~program ~layout ~memory ()
 
 (* ------------------------------------------------------------------ *)
 (* Program validation *)
@@ -388,8 +388,11 @@ let test_stats_counters () =
   checkb "branches counted" true (stats.Executor.branches >= 1);
   checkb "taken counted" true (stats.Executor.taken_branches >= 1)
 
+type event = Fetch of int | Read of int | Write of int | Other
+
 let test_retire_stream_matches () =
-  (* the retire stream reports the right work kinds in order *)
+  (* the timing sink sees one fetch per instruction, then the right work
+     events in order *)
   let b = Builder.create ~name:"stream" in
   Builder.declare_data b ~symbol:"d" ~elements:2;
   Builder.label b "main";
@@ -399,16 +402,32 @@ let test_retire_stream_matches () =
   Builder.emit b I.Halt;
   let p = Builder.build b ~entry:"main" in
   let layout = Layout.sequential p in
-  let kinds = ref [] in
-  let on_retire (r : I.retired) = kinds := r.I.work :: !kinds in
-  ignore (Executor.run ~program:p ~layout ~memory:(Memory.create p) ~on_retire ());
-  match List.rev !kinds with
-  | [ I.Int_alu; I.Mem_read a; I.Mem_write b'; I.No_op ] ->
+  let events = ref [] in
+  let record e = events := e :: !events in
+  let sink =
+    {
+      Executor.on_fetch = (fun a -> record (Fetch a));
+      on_int_mul = (fun () -> record Other);
+      on_read = (fun a -> record (Read a));
+      on_write = (fun a -> record (Write a));
+      on_fp_short = (fun _ -> record Other);
+      on_fp_long = (fun _ _ _ -> record Other);
+      on_taken = (fun () -> record Other);
+    }
+  in
+  let decoded = Executor.Decoded.decode ~program:p ~layout in
+  let runner = Executor.Decoded.Runner.create ~decoded ~memory:(Memory.create p) () in
+  ignore (Executor.Decoded.Runner.run runner ~sink);
+  let fetch pc = Fetch (Layout.code_address layout pc) in
+  match List.rev !events with
+  | [ f0; f1; Read a; f2; Write b'; f3 ] ->
+      checkb "one fetch per instruction, in order" true
+        (f0 = fetch 0 && f1 = fetch 1 && f2 = fetch 2 && f3 = fetch 3);
       checki "read addr"
         (Layout.data_address layout ~symbol:"d" ~element:0)
         a;
       checki "write addr" (Layout.data_address layout ~symbol:"d" ~element:1) b'
-  | _ -> Alcotest.fail "unexpected retire stream"
+  | _ -> Alcotest.fail "unexpected event stream"
 
 let test_layout_independence_of_semantics =
   (* results do not depend on the layout, only timing would *)
@@ -426,7 +445,7 @@ let test_layout_independence_of_semantics =
          let p = Builder.build b ~entry:"main" in
          let run layout =
            let m = Memory.create p in
-           ignore (Executor.run ~program:p ~layout ~memory:m ~on_retire:(fun _ -> ()) ());
+           ignore (Executor.run ~program:p ~layout ~memory:m ());
            Memory.get m "d" 0
          in
          run (Layout.sequential p) = run (Layout.scrambled ~seed p)))
@@ -552,11 +571,7 @@ let test_differential_straight_line =
          Memory.load_array memory "data" [| 1.; -2.; 3.5; 0.25; -7.; 8.; 0.; 42. |];
          let expected = reference_eval program memory in
          ignore
-           (Executor.run ~program
-              ~layout:(Layout.sequential program)
-              ~memory
-              ~on_retire:(fun _ -> ())
-              ());
+           (Executor.run ~program ~layout:(Layout.sequential program) ~memory ());
          let got = Memory.read_array memory "data" in
          let want = Hashtbl.find expected "data" in
          (* bitwise comparison (covers NaN) *)

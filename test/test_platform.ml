@@ -503,29 +503,20 @@ let test_advance () =
   checki "advance adds cycles" 100 (P.Core_sim.cycles core)
 
 (* ------------------------------------------------------------------ *)
-(* SoC *)
+(* SoC: co-runner cores as bus pressure on the analyzed core *)
 
 let test_soc_contention_slows () =
   let p = toy_program () in
   let layout = Layout.sequential p in
-  let run co_runners =
-    let soc = P.Soc.create ~config:P.Config.mbpta_compliant ~seed:3L ~co_runners in
-    P.Metrics.cycles (P.Soc.run_program soc ~program:p ~layout ~memory:(Memory.create p))
+  let run contenders =
+    let core = P.Core_sim.create ~contenders ~config:P.Config.mbpta_compliant ~seed:3L () in
+    P.Metrics.cycles (P.Core_sim.run_program core ~program:p ~layout ~memory:(Memory.create p))
   in
   let alone = run [] in
-  let idle = run [ P.Soc.Idle; P.Soc.Idle; P.Soc.Idle ] in
-  let contended = run [ P.Soc.Memory_hog 1.; P.Soc.Memory_hog 1.; P.Soc.Memory_hog 1. ] in
+  let idle = run [ 0.; 0.; 0. ] in
+  let contended = run [ 1.; 1.; 1. ] in
   checki "idle co-runners harmless" alone idle;
   checkb "hogs slow core 0 down" true (contended > alone)
-
-let test_soc_rejects_too_many () =
-  checkb "max 3 co-runners" true
-    (try
-       ignore
-         (P.Soc.create ~config:P.Config.deterministic ~seed:1L
-            ~co_runners:[ P.Soc.Idle; P.Soc.Idle; P.Soc.Idle; P.Soc.Idle ]);
-       false
-     with Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "repro_platform"
@@ -599,6 +590,5 @@ let () =
       ( "soc",
         [
           Alcotest.test_case "contention slows" `Quick test_soc_contention_slows;
-          Alcotest.test_case "rejects too many" `Quick test_soc_rejects_too_many;
         ] );
     ]

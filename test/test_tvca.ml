@@ -183,9 +183,7 @@ let test_variants_run () =
       let stats =
         Repro_isa.Executor.run ~program:p
           ~layout:(Repro_isa.Layout.sequential p)
-          ~memory:m
-          ~on_retire:(fun _ -> ())
-          ()
+          ~memory:m ()
       in
       checkb "variant executes" true (stats.Repro_isa.Executor.retired > 10))
     [ Codegen.Full; Codegen.Sensor_only; Codegen.Control_x_only; Codegen.Control_y_only ]

@@ -17,9 +17,7 @@ let execute kernel seed =
   kernel.K.load_input memory (Prng.create seed);
   let layout = Isa.Layout.sequential kernel.K.program in
   let (_ : Isa.Executor.stats) =
-    Isa.Executor.run ~program:kernel.K.program ~layout ~memory
-      ~on_retire:(fun _ -> ())
-      ()
+    Isa.Executor.run ~program:kernel.K.program ~layout ~memory ()
   in
   (kernel, memory)
 
