@@ -51,7 +51,7 @@ let run_linked ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~
   | unique when List.length unique <> List.length tasks ->
       invalid_arg "Rtos.run: duplicate priorities make the schedule ambiguous"
   | _ -> ());
-  (* validate every task, entry label included, before linking runners *)
+  (* validate every task and look up its entry label once *)
   let entries =
     tasks
     |> List.map (fun (s : task_spec) ->

@@ -1,6 +1,7 @@
 (* Tests for repro_isa: program validation, layout placement, memory,
    builder loops, executor semantics (arithmetic, control flow, calls,
-   loads/stores, work records), path signatures and runaway protection. *)
+   loads/stores, timing events), stepping and restarting runners, path
+   signatures and runaway protection. *)
 
 module I = Repro_isa.Instr
 module Program = Repro_isa.Program
@@ -476,6 +477,55 @@ let test_path_signature_distinguishes () =
   checkb "different inputs different paths" true (signature 0.1 <> signature 0.9);
   checki "same input same path" (signature 0.1) (signature 0.1)
 
+let test_runner_restart_and_siblings () =
+  (* two jobs of one task interleaved one instruction at a time: siblings
+     share the linked memory image but not registers, and [restart] enters
+     at the task's label with r10 preset *)
+  let module Runner = Executor.Decoded.Runner in
+  let b = Builder.create ~name:"tasks" in
+  Builder.declare_data b ~symbol:"d" ~elements:3;
+  Builder.label b "main";
+  Builder.emit b I.Halt;
+  Builder.label b "task";
+  Builder.emit b (I.Icvt (0, 10));
+  Builder.emit b (I.Fst (0, Builder.at ~index_reg:10 "d"));
+  Builder.emit b I.Halt;
+  let p = Builder.build b ~entry:"main" in
+  let memory = Memory.create p in
+  let linked =
+    Runner.create ~decoded:(Executor.Decoded.decode ~program:p ~layout:(Layout.sequential p))
+      ~memory ()
+  in
+  let pc = Program.label_index p "task" in
+  let job r10 =
+    let r = Runner.sibling linked in
+    Runner.restart r ~pc ~regs:[ (10, r10) ];
+    r
+  in
+  let j1 = job 1 and j2 = job 2 in
+  while not (Runner.finished j1 && Runner.finished j2) do
+    Runner.step j1 ~sink:Executor.no_timing;
+    Runner.step j2 ~sink:Executor.no_timing
+  done;
+  checkf "job 1 stored its r10" 1. (Memory.get memory "d" 1);
+  checkf "job 2 stored its r10" 2. (Memory.get memory "d" 2);
+  checki "each job retired its own 3 instructions" 3 (Runner.stats j1).Executor.retired;
+  Runner.step j1 ~sink:Executor.no_timing;
+  checki "step after finishing is a no-op" 3 (Runner.stats j1).Executor.retired;
+  checkb "the template runner never ran" false (Runner.finished linked);
+  List.iter
+    (fun (what, pc, regs) ->
+      checkb what true
+        (try
+           Runner.restart linked ~pc ~regs;
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("restart rejects a pc past the code", Program.length p, []);
+      ("restart rejects a negative pc", -1, []);
+      ("restart rejects an out-of-range register", pc, [ (I.register_count, 0) ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Differential testing: random straight-line programs are executed both
    by the Executor and by an independent reference evaluator written
@@ -629,6 +679,8 @@ let () =
           Alcotest.test_case "retire stream" `Quick test_retire_stream_matches;
           test_layout_independence_of_semantics;
           Alcotest.test_case "path signature" `Quick test_path_signature_distinguishes;
+          Alcotest.test_case "runner restart and siblings" `Quick
+            test_runner_restart_and_siblings;
           test_differential_straight_line;
         ] );
     ]
