@@ -280,9 +280,226 @@ let test_protocol_convergence_counter () =
       checki "analysis.convergence_steps matches the history" steps
         (try List.assoc "analysis.convergence_steps" counters with Not_found -> -1)
 
+(* ------------------------------------------------------------------ *)
+(* The committed golden fixture: one transcript of every statistic the
+   analysis computes, recomputed through the public entry points and
+   compared byte for byte with test/fixtures/analysis_golden.txt.  Every
+   float is printed with %h, so the comparison is bit-exact.  On a mismatch
+   the recomputed transcript is written next to the test executable in the
+   build tree; after a change that legitimately alters an output,
+   regenerate the fixture by copying that file over the committed one. *)
+
+let analysis_fixture_path = Filename.concat "fixtures" "analysis_golden.txt"
+let analysis_fixture_output = "analysis_golden.txt"
+
+(* A seeded Splitmix sample of integer cycle counts around 2 * 10^5 with a
+   Gumbel-shaped tail: the rounding makes ties common, as they are in
+   measured execution times.  [trend] adds a drift per run, which the
+   i.i.d. gates must reject. *)
+let splitmix_sample ?(trend = 0.) ~seed n =
+  let sm = Repro_rng.Splitmix.create seed in
+  let xs = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let bits = Int64.shift_right_logical (Repro_rng.Splitmix.next sm) 11 in
+    let u = (Int64.to_float bits +. 0.5) *. 0x1p-53 in
+    xs.(i) <- Float.round (200_000. +. (1_500. *. -.log (-.log u)) +. (trend *. float_of_int i))
+  done;
+  xs
+
+let digest_bits xs =
+  let b = Buffer.create (8 * Array.length xs) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let read_text path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let analysis_transcript () =
+  let b = Buffer.create 16_384 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let ks what (r : S.Ks.result) =
+    line "  %s: D %h p %h same %b" what r.S.Ks.statistic r.S.Ks.p_value
+      r.S.Ks.same_distribution
+  in
+  let ad what (r : S.Anderson_darling.result) =
+    line "  %s: A2 %h p %h accepted %b" what r.S.Anderson_darling.statistic
+      r.S.Anderson_darling.p_value r.S.Anderson_darling.accepted
+  in
+  let runs (r : S.Runs_test.result) =
+    line "  runs: %d expected %h z %h p %h random %b" r.S.Runs_test.runs
+      r.S.Runs_test.expected r.S.Runs_test.z r.S.Runs_test.p_value r.S.Runs_test.random
+  in
+  let iid (r : M.Iid.result) =
+    let lb = r.M.Iid.ljung_box in
+    line "  ljung-box: Q %h h %d p %h independent %b" lb.S.Ljung_box.statistic
+      lb.S.Ljung_box.lags lb.S.Ljung_box.p_value lb.S.Ljung_box.independent;
+    ks "two-sample ks" r.M.Iid.kolmogorov_smirnov;
+    runs r.M.Iid.runs_diagnostic;
+    line "  alpha %h accepted %b" r.M.Iid.alpha r.M.Iid.accepted
+  in
+  let convergence (c : E.Convergence.result) =
+    line "  convergence: converged %b runs_used %d comparisons %d steps %d last %h"
+      c.E.Convergence.converged c.E.Convergence.runs_used c.E.Convergence.comparisons
+      (List.length c.E.Convergence.history)
+      (match List.rev c.E.Convergence.history with
+      | p :: _ -> p.E.Convergence.estimate
+      | [] -> Float.nan)
+  in
+  let model = function
+    | E.Pwcet.Gumbel_tail g ->
+        line "  gumbel: mu %h beta %h" g.S.Distribution.Gumbel.mu g.S.Distribution.Gumbel.beta
+    | E.Pwcet.Gev_tail g ->
+        line "  gev: mu %h sigma %h xi %h" g.S.Distribution.Gev.mu g.S.Distribution.Gev.sigma
+          g.S.Distribution.Gev.xi
+    | E.Pwcet.Pot_tail p ->
+        line "  pot: threshold %h sigma %h xi %h rate %h exceedances %d"
+          p.E.Gpd_fit.Pot.threshold p.E.Gpd_fit.Pot.model.S.Distribution.Gpd.sigma
+          p.E.Gpd_fit.Pot.model.S.Distribution.Gpd.xi p.E.Gpd_fit.Pot.exceedance_rate
+          p.E.Gpd_fit.Pot.n_exceedances
+  in
+  let tail = function
+    | Some (v : E.Tail_test.verdict) ->
+        line "  tail: cv %h z %h p %h exponential %b" v.E.Tail_test.cv v.E.Tail_test.z
+          v.E.Tail_test.p_value v.E.Tail_test.exponential
+    | None -> line "  tail: none"
+  in
+  let analyze name ?(options = M.Protocol.default_options) xs =
+    line "# Protocol.analyze %s (n %d)" name (Array.length xs);
+    match M.Protocol.analyze ~options xs with
+    | Error (M.Protocol.Iid_rejected r) ->
+        line "  rejected: i.i.d.";
+        iid r
+    | Error (M.Protocol.Not_converged c) ->
+        line "  rejected: not converged";
+        convergence c
+    | Error f -> line "  failed: %s" (Format.asprintf "%a" M.Protocol.pp_failure f)
+    | Ok a ->
+        iid a.M.Protocol.iid;
+        Option.iter convergence a.M.Protocol.convergence;
+        line "  block size %d" a.M.Protocol.block_size;
+        model (E.Pwcet.model a.M.Protocol.curve);
+        ks "goodness of fit ks" a.M.Protocol.goodness_of_fit;
+        ad "goodness of fit ad" a.M.Protocol.goodness_of_fit_ad;
+        tail a.M.Protocol.tail_diagnostic;
+        let ecdf = E.Pwcet.sample_ecdf a.M.Protocol.curve in
+        line "  ecdf: n %d sorted %s" (S.Ecdf.size ecdf) (digest_bits (S.Ecdf.sorted ecdf));
+        line "  margin over observed at 1e-9: %h"
+          (E.Pwcet.margin_over_observed a.M.Protocol.curve ~cutoff_probability:1e-9);
+        List.iter (fun (p, v) -> line "  pwcet %h: %h" p v) (M.Protocol.pwcet_table a)
+  in
+  let small = splitmix_sample ~seed:2018L 3_000 in
+  let large = splitmix_sample ~seed:2023L 100_000 in
+  let with_tail tail = { M.Protocol.default_options with M.Protocol.tail } in
+  analyze "default" small;
+  analyze "gev" ~options:(with_tail M.Protocol.Gev) small;
+  analyze "pot" ~options:(with_tail M.Protocol.Pot) small;
+  analyze "exponential pot" ~options:(with_tail M.Protocol.Exponential_pot) small;
+  analyze "gumbel mle"
+    ~options:{ M.Protocol.default_options with M.Protocol.fit_method = `Mle }
+    small;
+  analyze "drifting" (splitmix_sample ~trend:2. ~seed:2018L 3_000);
+  analyze "default" large;
+  analyze "pot" ~options:(with_tail M.Protocol.Pot) large;
+  analyze "two-sample ks rejects" (splitmix_sample ~seed:2019L 100_000);
+  line "# Descriptive";
+  let awkward = [| 3.; Float.nan; -1.; 1e300; 0.; neg_infinity; 2.5; 0x1p-1070; 3.; 7. |] in
+  List.iter
+    (fun (name, xs) ->
+      let s = S.Descriptive.summarize xs in
+      line "  summarize %s: n %d mean %h std %h min %h q1 %h median %h q3 %h max %h cv %h" name
+        s.S.Descriptive.n s.S.Descriptive.mean s.S.Descriptive.std s.S.Descriptive.minimum
+        s.S.Descriptive.q1 s.S.Descriptive.median s.S.Descriptive.q3 s.S.Descriptive.maximum
+        s.S.Descriptive.cv;
+      List.iter
+        (fun p -> line "  quantile %s %h: %h" name p (S.Descriptive.quantile xs p))
+        [ 0.; 0.1; 0.5; 0.9; 0.999; 1. ])
+    [ ("small", small); ("large", large); ("awkward", awkward) ];
+  line "# Ks, Anderson_darling, Runs_test, Ecdf";
+  let evens, odds = S.Ks.split_halves small in
+  ks "two-sample small halves" (S.Ks.two_sample evens odds);
+  ks "two-sample small vs large" (S.Ks.two_sample small large);
+  let gumbel = S.Distribution.Gumbel.create ~mu:200_000. ~beta:1_500. in
+  ks "one-sample small vs gumbel" (S.Ks.one_sample small ~cdf:(S.Distribution.Gumbel.cdf gumbel));
+  ad "anderson-darling small vs gumbel"
+    (S.Anderson_darling.test small ~cdf:(S.Distribution.Gumbel.cdf gumbel));
+  runs (S.Runs_test.test small);
+  runs (S.Runs_test.test large);
+  let ecdf = S.Ecdf.of_sample small in
+  line "  ecdf small: cdf %h quantile %h ccdf points %d %s"
+    (S.Ecdf.cdf ecdf 201_000.) (S.Ecdf.quantile ecdf 0.95)
+    (List.length (S.Ecdf.ccdf_points ecdf))
+    (digest_bits (Array.of_list (List.concat_map (fun (x, p) -> [ x; p ]) (S.Ecdf.ccdf_points ecdf))));
+  line "# Gumbel_fit, Gev_fit, Gpd_fit, Tail_test on the small sample";
+  let maxima = E.Block_maxima.extract ~block_size:16 small in
+  List.iter
+    (fun (name, method_) ->
+      let g = E.Gumbel_fit.fit ~method_ maxima in
+      line "  gumbel %s: mu %h beta %h" name g.S.Distribution.Gumbel.mu
+        g.S.Distribution.Gumbel.beta)
+    [ ("moments", E.Gumbel_fit.Moments); ("pwm", E.Gumbel_fit.Pwm); ("mle", E.Gumbel_fit.Mle) ];
+  List.iter
+    (fun (name, method_) ->
+      let g = E.Gev_fit.fit ~method_ maxima in
+      line "  gev %s: mu %h sigma %h xi %h" name g.S.Distribution.Gev.mu
+        g.S.Distribution.Gev.sigma g.S.Distribution.Gev.xi)
+    [ ("pwm", E.Gev_fit.Pwm); ("mle", E.Gev_fit.Mle) ];
+  let lr, p = E.Gev_fit.gumbel_lr_test maxima in
+  line "  gev lr test: %h p %h" lr p;
+  List.iter
+    (fun (name, method_) ->
+      model (E.Pwcet.Pot_tail (E.Gpd_fit.Pot.analyze ~method_ small));
+      line "  (pot %s)" name)
+    [ ("pwm", E.Gpd_fit.Pwm); ("mle", E.Gpd_fit.Mle); ("exponential", E.Gpd_fit.Exponential) ];
+  tail (Some (E.Tail_test.exponentiality small));
+  line "  qq correlation %h" (E.Tail_test.qq_correlation small);
+  line "# Bootstrap";
+  let itv =
+    E.Bootstrap.pwcet_interval ~replicates:40 ~prng:(Prng.create 77L) ~sample:small
+      ~cutoff_probability:1e-9 ()
+  in
+  line "  interval: lower %h point %h upper %h" itv.E.Bootstrap.lower itv.E.Bootstrap.point
+    itv.E.Bootstrap.upper;
+  Buffer.contents b
+
+let test_analysis_golden () =
+  let got = analysis_transcript () in
+  match read_text analysis_fixture_path with
+  | want when String.equal want got -> ()
+  | exception Sys_error _ ->
+      let oc = open_out_bin analysis_fixture_output in
+      output_string oc got;
+      close_out oc;
+      Alcotest.failf "%s missing; the recomputed transcript is in %s" analysis_fixture_path
+        (Filename.concat (Sys.getcwd ()) analysis_fixture_output)
+  | want ->
+      let oc = open_out_bin analysis_fixture_output in
+      output_string oc got;
+      close_out oc;
+      let rec first_diff i = function
+        | w :: ws, g :: gs -> if String.equal w g then first_diff (i + 1) (ws, gs) else (i, w, g)
+        | w :: _, [] -> (i, w, "<end>")
+        | [], g :: _ -> (i, "<end>", g)
+        | [], [] -> (i, "", "")
+      in
+      let i, w, g = first_diff 1 (String.split_on_char '\n' want, String.split_on_char '\n' got) in
+      Alcotest.failf
+        "analysis transcript differs from %s (line %d: fixture %S, now %S); the recomputed \
+         transcript is in %s — copy it over test/%s if the change is intended"
+        analysis_fixture_path i w g
+        (Filename.concat (Sys.getcwd ()) analysis_fixture_output)
+        analysis_fixture_path
+
 let () =
   Alcotest.run "analysis_perf"
     [
+      ( "golden",
+        [
+          Alcotest.test_case "analysis transcript = committed fixture" `Quick
+            test_analysis_golden;
+        ] );
       ( "bootstrap",
         [
           Alcotest.test_case "bit-identical across jobs" `Quick
