@@ -763,46 +763,56 @@ let test_writer_lock_in_process () =
 (* Two processes racing on one key: the child takes the session and
    holds it; the parent must get the typed diagnostic, and must regain
    the key without any cleanup step once the child dies — even by
-   SIGKILL, which runs no release code at all. *)
+   SIGKILL, which runs no release code at all.  The child is this test
+   executable started afresh in child mode ([hold_lock_flag]), not a
+   fork: earlier tests may have spawned domains, and OCaml 5 forbids
+   [Unix.fork] once a domain has been created. *)
+let hold_lock_flag = "--hold-writer-lock"
+
+(* Child mode: report on stdout whether the open worked, then hold the
+   session until killed. *)
+let hold_writer_lock dir =
+  let key = Store.key ~chunk_size:8 config in
+  let verdict =
+    let root = Store.open_root ~dir in
+    match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+    | Ok _ -> "k"
+    | Error _ -> "e"
+  in
+  ignore (Unix.write_substring Unix.stdout verdict 0 1);
+  Unix.sleep 60;
+  Unix._exit 0
+
 let test_writer_lock_two_processes () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let key = Store.key ~chunk_size:8 config in
-  let r_ready, w_ready = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      (* child: report whether the open worked, then hold until killed *)
-      Unix.close r_ready;
-      let verdict =
-        let root = Store.open_root ~dir in
-        match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-        | Ok _ -> "k"
-        | Error _ -> "e"
-      in
-      ignore (Unix.write_substring w_ready verdict 0 1);
-      Unix.sleep 60;
-      Unix._exit 0
-  | child ->
-      Unix.close w_ready;
-      let b = Bytes.create 1 in
-      let n = Unix.read r_ready b 0 1 in
-      Unix.close r_ready;
-      Alcotest.(check int) "child reported" 1 n;
-      Alcotest.(check char) "child holds the session" 'k' (Bytes.get b 0);
-      let root = Store.open_root ~dir in
-      (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-      | Ok _ ->
-          Unix.kill child Sys.sigkill;
-          ignore (Unix.waitpid [] child);
-          Alcotest.fail "two live writers on one key"
-      | Error e ->
-          Alcotest.(check bool) "diagnostic names the other writer" true
-            (contains e "locked by another writer"));
+  let r_ready, w_ready = Unix.pipe ~cloexec:true () in
+  let child =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; hold_lock_flag; dir |]
+      Unix.stdin w_ready Unix.stderr
+  in
+  Unix.close w_ready;
+  let b = Bytes.create 1 in
+  let n = Unix.read r_ready b 0 1 in
+  Unix.close r_ready;
+  Alcotest.(check int) "child reported" 1 n;
+  Alcotest.(check char) "child holds the session" 'k' (Bytes.get b 0);
+  let root = Store.open_root ~dir in
+  (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+  | Ok _ ->
       Unix.kill child Sys.sigkill;
       ignore (Unix.waitpid [] child);
-      (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-      | Ok s -> Store.close s
-      | Error e -> Alcotest.failf "lock must die with its process: %s" e)
+      Alcotest.fail "two live writers on one key"
+  | Error e ->
+      Alcotest.(check bool) "diagnostic names the other writer" true
+        (contains e "locked by another writer"));
+  Unix.kill child Sys.sigkill;
+  ignore (Unix.waitpid [] child);
+  match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+  | Ok s -> Store.close s
+  | Error e -> Alcotest.failf "lock must die with its process: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* graceful shutdown (signal -> checkpoint barrier -> resume) *)
@@ -982,75 +992,78 @@ let test_batch_of_cost () =
   | exception Invalid_argument _ -> ()
 
 let () =
-  Alcotest.run "store"
-    [
-      ( "key",
-        [
-          Alcotest.test_case "canonical ordering" `Quick test_key_canonical;
-          Alcotest.test_case "hex digest shape" `Quick test_key_is_hex_digest;
-        ] );
-      ( "roundtrip",
-        [
-          Alcotest.test_case "floats bit-exact" `Quick test_roundtrip_bit_exact;
-          Alcotest.test_case "attempt trails" `Quick test_trails_roundtrip;
-          Alcotest.test_case "f64 binary codec" `Quick test_f64_codec;
-        ] );
-      ( "guards",
-        [ Alcotest.test_case "session guards" `Quick test_session_guards ] );
-      ( "locking",
-        [
-          Alcotest.test_case "in-process writer exclusion" `Quick
-            test_writer_lock_in_process;
-          Alcotest.test_case "two processes racing on one key" `Quick
-            test_writer_lock_two_processes;
-        ] );
-      ( "shutdown",
-        [
-          Alcotest.test_case "SIGINT checkpoints, resume equals cold" `Quick
-            test_sigint_checkpoint_resume;
-        ] );
-      ( "resume",
-        [
-          Alcotest.test_case "resume equals cold" `Quick test_resume_equals_cold;
-          Alcotest.test_case "no --resume discards partial" `Quick
-            test_no_resume_discards_partial;
-          Alcotest.test_case "campaign resume, jobs-invariant" `Quick
-            test_campaign_resume_jobs_invariant;
-          Alcotest.test_case "resilient campaign resume" `Quick
-            test_resilient_campaign_resume;
-        ] );
-      ( "inspect",
-        [
-          Alcotest.test_case "ls statuses and gc" `Quick test_ls_statuses_and_gc;
-          Alcotest.test_case "index sidecar" `Quick test_index_sidecar;
-          Alcotest.test_case "tail corruption keeps prefix" `Quick
-            test_tail_corruption_keeps_prefix;
-        ] );
-      ( "integrity",
-        [
-          Alcotest.test_case "bit flip detected" `Quick test_bit_flip_detected;
-          Alcotest.test_case "legacy schema read compatibility" `Quick
-            test_legacy_read_compat;
-          Alcotest.test_case "foreign record detected" `Quick
-            test_foreign_record_detected;
-          Alcotest.test_case "fsync'd session round-trips" `Quick test_sync_roundtrip;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "shard merge bit-identical" `Quick
-            test_shard_merge_bit_identical;
-          Alcotest.test_case "shard worker crash + resume" `Quick
-            test_shard_worker_crash_resume;
-          Alcotest.test_case "quarantine + graceful degradation" `Quick
-            test_merge_quarantines_and_degrades;
-          Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
-        ] );
-      ( "dispatch",
-        [
-          Alcotest.test_case "dispatch modes are sample-identical" `Quick
-            test_dispatch_identity;
-          Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
-        ] );
-      ( "export",
-        [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
-    ]
+  match Sys.argv with
+  | [| _; flag; dir |] when flag = hold_lock_flag -> hold_writer_lock dir
+  | _ ->
+    Alcotest.run "store"
+      [
+        ( "key",
+          [
+            Alcotest.test_case "canonical ordering" `Quick test_key_canonical;
+            Alcotest.test_case "hex digest shape" `Quick test_key_is_hex_digest;
+          ] );
+        ( "roundtrip",
+          [
+            Alcotest.test_case "floats bit-exact" `Quick test_roundtrip_bit_exact;
+            Alcotest.test_case "attempt trails" `Quick test_trails_roundtrip;
+            Alcotest.test_case "f64 binary codec" `Quick test_f64_codec;
+          ] );
+        ( "guards",
+          [ Alcotest.test_case "session guards" `Quick test_session_guards ] );
+        ( "locking",
+          [
+            Alcotest.test_case "in-process writer exclusion" `Quick
+              test_writer_lock_in_process;
+            Alcotest.test_case "two processes racing on one key" `Quick
+              test_writer_lock_two_processes;
+          ] );
+        ( "shutdown",
+          [
+            Alcotest.test_case "SIGINT checkpoints, resume equals cold" `Quick
+              test_sigint_checkpoint_resume;
+          ] );
+        ( "resume",
+          [
+            Alcotest.test_case "resume equals cold" `Quick test_resume_equals_cold;
+            Alcotest.test_case "no --resume discards partial" `Quick
+              test_no_resume_discards_partial;
+            Alcotest.test_case "campaign resume, jobs-invariant" `Quick
+              test_campaign_resume_jobs_invariant;
+            Alcotest.test_case "resilient campaign resume" `Quick
+              test_resilient_campaign_resume;
+          ] );
+        ( "inspect",
+          [
+            Alcotest.test_case "ls statuses and gc" `Quick test_ls_statuses_and_gc;
+            Alcotest.test_case "index sidecar" `Quick test_index_sidecar;
+            Alcotest.test_case "tail corruption keeps prefix" `Quick
+              test_tail_corruption_keeps_prefix;
+          ] );
+        ( "integrity",
+          [
+            Alcotest.test_case "bit flip detected" `Quick test_bit_flip_detected;
+            Alcotest.test_case "legacy schema read compatibility" `Quick
+              test_legacy_read_compat;
+            Alcotest.test_case "foreign record detected" `Quick
+              test_foreign_record_detected;
+            Alcotest.test_case "fsync'd session round-trips" `Quick test_sync_roundtrip;
+          ] );
+        ( "merge",
+          [
+            Alcotest.test_case "shard merge bit-identical" `Quick
+              test_shard_merge_bit_identical;
+            Alcotest.test_case "shard worker crash + resume" `Quick
+              test_shard_worker_crash_resume;
+            Alcotest.test_case "quarantine + graceful degradation" `Quick
+              test_merge_quarantines_and_degrades;
+            Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
+          ] );
+        ( "dispatch",
+          [
+            Alcotest.test_case "dispatch modes are sample-identical" `Quick
+              test_dispatch_identity;
+            Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
+          ] );
+        ( "export",
+          [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
+      ]
