@@ -64,7 +64,7 @@ let qq_plot ?(width = 64) ?(height = 20) ~data ~quantile () =
   if width < 10 then invalid_arg "Ascii_plot.qq_plot: width must be >= 10";
   if height < 5 then invalid_arg "Ascii_plot.qq_plot: height must be >= 5";
   let sorted = Array.copy data in
-  Array.sort Float.compare sorted;
+  Stats.Descriptive.sort sorted;
   let nf = float_of_int n in
   (* model quantiles at the (i+0.5)/n plotting positions *)
   let model = Array.init n (fun i -> quantile ((float_of_int i +. 0.5) /. nf)) in

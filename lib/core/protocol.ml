@@ -238,7 +238,7 @@ let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
          and block-maxima extraction keep the time-ordered [xs], where run
          order is the point. *)
       let sorted_xs = Array.copy xs in
-      Array.sort Float.compare sorted_xs;
+      Stats.Descriptive.sort sorted_xs;
       let convergence =
         if options.check_convergence then
           Some

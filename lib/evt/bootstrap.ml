@@ -84,7 +84,7 @@ let pwcet_interval ?(replicates = 200) ?(confidence = 0.95) ?(jobs = 1) ~prng ~s
     estimate_on resample ~cutoff_probability
   in
   let estimates = Parallel.init ~jobs replicates replicate in
-  Array.sort Float.compare estimates;
+  Repro_stats.Descriptive.sort estimates;
   let tail = (1. -. confidence) /. 2. in
   if Array.exists Float.is_nan estimates then
     (* A failed replicate fit must poison the interval, not silently shift

@@ -6,7 +6,7 @@ type method_ = Pwm | Mle
 (* b0, b1, b2 probability-weighted moments. *)
 let pwm xs =
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  Stats.Descriptive.sort sorted;
   let n = Array.length sorted in
   let nf = float_of_int n in
   let b0 = ref 0. and b1 = ref 0. and b2 = ref 0. in

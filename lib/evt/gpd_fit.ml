@@ -12,7 +12,7 @@ let fit_pwm ~threshold excesses =
       (Printf.sprintf "Gpd_fit.fit_pwm: %d excesses, need at least 4"
          (Array.length excesses));
   let sorted = Array.copy excesses in
-  Array.sort Float.compare sorted;
+  Stats.Descriptive.sort sorted;
   let n = Array.length sorted in
   let nf = float_of_int n in
   let a0 = ref 0. and a1 = ref 0. in

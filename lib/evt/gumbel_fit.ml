@@ -15,7 +15,7 @@ let fit_moments xs =
 (* b0, b1 probability-weighted moments with the Landwehr plotting position. *)
 let pwm_b0_b1 xs =
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  Stats.Descriptive.sort sorted;
   let n = Array.length sorted in
   let nf = float_of_int n in
   let b0 = ref 0. and b1 = ref 0. in

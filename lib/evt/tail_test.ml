@@ -27,7 +27,7 @@ let exponentiality ?(alpha = 0.05) ?(quantile = 0.75) ?(sorted = false) xs =
 
 let qq_correlation ?(quantile = 0.75) ?(sorted = false) xs =
   let es = excesses_over ~sorted xs quantile in
-  Array.sort Float.compare es;
+  Stats.Descriptive.sort es;
   let n = Array.length es in
   let nf = float_of_int n in
   (* Exponential theoretical quantiles at plotting positions i/(n+1). *)

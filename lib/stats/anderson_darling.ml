@@ -33,7 +33,7 @@ let test ?(alpha = 0.05) xs ~cdf =
   let n = Array.length xs in
   if n < 5 then invalid_arg "Anderson_darling.test: need at least 5 observations";
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  Descriptive.sort sorted;
   let nf = float_of_int n in
   (* Clamp F values away from {0,1}: an observation outside the model's
      support would otherwise produce infinities; the clamp turns it into a

@@ -5,6 +5,74 @@
 let require_nonempty fn xs =
   if Array.length xs = 0 then invalid_arg (fn ^ ": empty sample")
 
+(* The float sort kernel: a stable top-down merge sort over [float array]
+   (the structure of the Stdlib's [Array.stable_sort]), monomorphic so that
+   every load, store and comparison stays unboxed and no closure runs per
+   comparison.  [le x y] is exactly [Float.compare x y <= 0]: NaN below
+   everything, -0. equal to +0. *)
+let[@inline] le (x : float) y = x <= y || x <> x
+
+(* Runs this short are insertion-sorted. *)
+let cutoff = 8
+
+(* Insertion-sort [a.(s) .. a.(s + len - 1)] into [dst.(d) .. dst.(d + len - 1)]. *)
+let insertion_sort_to (a : float array) s (dst : float array) d len =
+  for i = 0 to len - 1 do
+    let e = Array.unsafe_get a (s + i) in
+    let j = ref (d + i - 1) in
+    while !j >= d && not (le (Array.unsafe_get dst !j) e) do
+      Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
+      decr j
+    done;
+    Array.unsafe_set dst (!j + 1) e
+  done
+
+(* Merge the ascending runs [a.(s1) ..] (length [l1]) and [b.(s2) ..]
+   (length [l2]) into [dst.(d) ..], taking from the first run on ties.
+   [dst] may hold the second run at [d + l1]: the write index never
+   overtakes the unread part of it. *)
+let merge_to (a : float array) s1 l1 (b : float array) s2 l2 (dst : float array) d =
+  let e1 = s1 + l1 and e2 = s2 + l2 in
+  let i1 = ref s1 and i2 = ref s2 and k = ref d in
+  while !i1 < e1 && !i2 < e2 do
+    let x = Array.unsafe_get a !i1 and y = Array.unsafe_get b !i2 in
+    if le x y then begin
+      Array.unsafe_set dst !k x;
+      incr i1
+    end
+    else begin
+      Array.unsafe_set dst !k y;
+      incr i2
+    end;
+    incr k
+  done;
+  if !i1 < e1 then Array.blit a !i1 dst !k (e1 - !i1)
+  else Array.blit b !i2 dst !k (e2 - !i2)
+
+(* Sort [a.(s) .. a.(s + len - 1)] into [dst.(d) ..], using the source
+   range as scratch. *)
+let rec sort_to a s dst d len =
+  if len <= cutoff then insertion_sort_to a s dst d len
+  else begin
+    let l1 = len / 2 in
+    let l2 = len - l1 in
+    sort_to a (s + l1) dst (d + l1) l2;
+    sort_to a s a (s + l2) l1;
+    merge_to a (s + l2) l1 dst (d + l1) l2 dst d
+  end
+
+let sort a =
+  let n = Array.length a in
+  if n <= cutoff then insertion_sort_to a 0 a 0 n
+  else begin
+    let l1 = n / 2 in
+    let l2 = n - l1 in
+    let t = Array.make l2 0. in
+    sort_to a l1 t 0 l2;
+    sort_to a 0 a l2 l1;
+    merge_to a l2 l1 t 0 l2 a 0
+  end
+
 let mean xs =
   require_nonempty "Descriptive.mean" xs;
   Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
@@ -68,9 +136,7 @@ let quantile xs p =
   require_nonempty "Descriptive.quantile" xs;
   if not (p >= 0. && p <= 1.) then invalid_arg "Descriptive.quantile: p outside [0, 1]";
   let sorted = Array.copy xs in
-  (* Float.compare, not polymorphic compare: a total order on floats that
-     never boxes and sorts any stray NaN deterministically. *)
-  Array.sort Float.compare sorted;
+  sort sorted;
   quantile_of_sorted sorted p
 
 let quantile_sorted sorted p =
@@ -101,7 +167,7 @@ let summarize xs =
   let n = Array.length xs in
   require_nonempty "Descriptive.summarize" xs;
   let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  sort sorted;
   let mean = mean xs in
   let std = if n >= 2 then sqrt (sample_variance_about mean xs) else 0. in
   {

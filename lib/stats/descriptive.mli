@@ -4,6 +4,17 @@
     that survives [-noassert] builds; [sample_variance] additionally
     needs at least two observations. *)
 
+(** [sort xs] sorts [xs] in place, ascending under [Float.compare]: NaNs
+    first, [-0.] and [+0.] equal.  The sort is stable, so the result is
+    bit-identical to the Stdlib's [Array.sort] under [Float.compare]
+    whenever every pair of elements that compare equal is also
+    bit-identical (it can differ only in where a [-0.] sits among [+0.]s,
+    or which NaN payload comes first).
+    No float is boxed and no closure runs per comparison; one scratch
+    array of [(length xs + 1) / 2] floats is allocated.  Every sort of a
+    float sample in the analysis goes through this kernel. *)
+val sort : float array -> unit
+
 val mean : float array -> float
 
 (** Population variance (divides by n). *)

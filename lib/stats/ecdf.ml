@@ -3,7 +3,7 @@ type t = { xs : float array }
 let of_sample xs =
   if Array.length xs = 0 then invalid_arg "Ecdf.of_sample: empty sample";
   let copy = Array.copy xs in
-  Array.sort Float.compare copy;
+  Descriptive.sort copy;
   { xs = copy }
 
 let of_sorted xs =

@@ -12,10 +12,10 @@ let two_sample ?(alpha = 0.05) xs ys =
      analysis and must survive a [-noassert] release build. *)
   if n = 0 || m = 0 then invalid_arg "Ks.two_sample: empty sample";
   let sx = Array.copy xs and sy = Array.copy ys in
-  (* Float.compare: total order, no polymorphic-compare boxing, and any
-     stray NaN sorts deterministically instead of corrupting the walk. *)
-  Array.sort Float.compare sx;
-  Array.sort Float.compare sy;
+  (* The kernel's Float.compare order: any stray NaN sorts
+     deterministically instead of corrupting the walk. *)
+  Descriptive.sort sx;
+  Descriptive.sort sy;
   (* Merge-walk both sorted samples tracking the CDF gap. *)
   let rec walk i j d =
     if i >= n && j >= m then d
@@ -43,7 +43,7 @@ let one_sample ?(alpha = 0.05) xs ~cdf =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Ks.one_sample: empty sample";
   let sx = Array.copy xs in
-  Array.sort Float.compare sx;
+  Descriptive.sort sx;
   let nf = float_of_int n in
   let d = ref 0. in
   for i = 0 to n - 1 do
