@@ -8,20 +8,30 @@ type result = {
   accepted : bool;
 }
 
-let check ?(alpha = 0.05) xs =
+let check_and_sort ?(alpha = 0.05) xs =
   let ljung_box = Stats.Ljung_box.test ~alpha xs in
+  (* The KS test needs both halves sorted; merging them is the whole
+     sample sorted, in O(n), which gives the runs test its median. *)
   let first, second = Stats.Ks.split_halves xs in
-  let kolmogorov_smirnov = Stats.Ks.two_sample ~alpha first second in
-  let runs_diagnostic = Stats.Runs_test.test ~alpha xs in
-  {
-    ljung_box;
-    kolmogorov_smirnov;
-    runs_diagnostic;
-    alpha;
-    accepted =
-      ljung_box.Stats.Ljung_box.independent
-      && kolmogorov_smirnov.Stats.Ks.same_distribution;
-  }
+  Stats.Descriptive.sort first;
+  Stats.Descriptive.sort second;
+  let kolmogorov_smirnov = Stats.Ks.two_sample_sorted ~alpha first second in
+  let sorted = Stats.Descriptive.merge_sorted first second in
+  let runs_diagnostic =
+    Stats.Runs_test.test_about ~alpha ~median:(Stats.Descriptive.quantile_sorted sorted 0.5) xs
+  in
+  ( {
+      ljung_box;
+      kolmogorov_smirnov;
+      runs_diagnostic;
+      alpha;
+      accepted =
+        ljung_box.Stats.Ljung_box.independent
+        && kolmogorov_smirnov.Stats.Ks.same_distribution;
+    },
+    sorted )
+
+let check ?alpha xs = fst (check_and_sort ?alpha xs)
 
 let pp ppf r =
   Format.fprintf ppf

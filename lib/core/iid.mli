@@ -20,4 +20,11 @@ type result = {
 (** [check ?alpha xs] — [alpha] defaults to 0.05. *)
 val check : ?alpha:float -> float array -> result
 
+(** [check_and_sort ?alpha xs] is [check ?alpha xs] together with a fresh
+    copy of [xs] sorted ascending in {!Repro_stats.Descriptive.sort}'s
+    order.  The KS test sorts the two halves and the sorted sample is
+    their O(n) merge, so a caller that needs order statistics after the
+    check gets them without sorting again. *)
+val check_and_sort : ?alpha:float -> float array -> result * float array
+
 val pp : Format.formatter -> result -> unit

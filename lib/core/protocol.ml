@@ -105,9 +105,10 @@ let validate_sample xs =
 
 (* [xs] is the sample in measurement (time) order — block maxima must be
    formed over it, a block is a window of consecutive runs.  [sorted_xs] is
-   the same multiset sorted ascending once by [analyze]; every consumer
-   that only needs order statistics (the curve's ECDF, the POT threshold
-   quantile) takes the pre-sorted array instead of re-sorting. *)
+   the same multiset sorted ascending, from the i.i.d. check; every
+   consumer that only needs order statistics (the curve's ECDF, the POT
+   threshold and the observations above it) takes it instead of
+   re-sorting. *)
 let fit_curve (options : options) ~sorted_xs xs =
   let block_size =
     match options.block_size with
@@ -155,11 +156,10 @@ let fit_curve (options : options) ~sorted_xs xs =
         Evt.Pwcet.create_sorted ~model:(Evt.Pwcet.Pot_tail pot) ~block_size:1
           ~sample:sorted_xs
       in
+      (* the observations above the threshold: a suffix of [sorted_xs] *)
       let above_threshold =
-        Array.to_list sorted_xs
-        |> List.filter_map (fun x ->
-               if x > pot.Evt.Gpd_fit.Pot.threshold then Some x else None)
-        |> Array.of_list
+        let k = pot.Evt.Gpd_fit.Pot.n_exceedances in
+        Array.sub sorted_xs (Array.length sorted_xs - k) k
       in
       let gof =
         Stats.Ks.one_sample above_threshold
@@ -228,17 +228,17 @@ let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
     | Some failure -> Error failure
     | None ->
   begin
-    let iid = Iid.check ~alpha:options.alpha xs in
+    let iid, sorted_xs = Iid.check_and_sort ~alpha:options.alpha xs in
     (match trace with None -> () | Some t -> Trace.emit t (Trace.iid_event iid));
     if options.gate_on_iid && not iid.Iid.accepted then Error (Iid_rejected iid)
     else begin
-      (* The one sort of the measurement vector: every downstream consumer
-         that needs order statistics (curve ECDF, POT threshold, tail-test
-         threshold) takes this array; the i.i.d. checks, convergence study
-         and block-maxima extraction keep the time-ordered [xs], where run
-         order is the point. *)
-      let sorted_xs = Array.copy xs in
-      Stats.Descriptive.sort sorted_xs;
+      (* [sorted_xs] is the i.i.d. check's by-product: the KS test sorts
+         the two halves and their merge is the sorted sample.  It is the
+         only full sort of the measurement vector: the runs-test median,
+         the curve's ECDF, the POT threshold and the tail-test threshold
+         all read it.  Ljung-Box, the convergence study and block-maxima
+         extraction keep the time-ordered [xs], where run order is the
+         point. *)
       let convergence =
         if options.check_convergence then
           Some

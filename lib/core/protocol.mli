@@ -97,8 +97,12 @@ val pp_failure : Format.formatter -> failure -> unit
     sample.  [jobs] (default 1) fans the bootstrap replicates (when
     {!options.bootstrap} is set) out over the domain pool — results are
     bit-identical at every job count, the analysis-side extension of the
-    campaign determinism contract.  The measurement vector is sorted exactly
-    once and threaded through the EVT fit, ECDF, and tail diagnostics.
+    campaign determinism contract.  The measurement vector is sorted once:
+    the i.i.d. check sorts the two KS halves and merges them
+    ({!Iid.check_and_sort}), and that sorted sample serves the runs-test
+    median, the curve's ECDF, the POT threshold and the tail diagnostic.
+    Only the block maxima (a 1/block_size share of the sample) and the
+    convergence study's growing prefix are sorted apart from it.
 
     With [trace] attached, every intermediate verdict is also recorded as a
     trace event ({!Trace.Iid_result}, {!Trace.Convergence}, {!Trace.Evt_fit})

@@ -3,6 +3,23 @@ module Gpd = Stats.Distribution.Gpd
 
 type method_ = Pwm | Mle | Exponential
 
+let excesses ~threshold xs =
+  let n = Array.length xs in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if xs.(i) > threshold then incr m
+  done;
+  let es = Array.make !m 0. in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let x = xs.(i) in
+    if x > threshold then begin
+      es.(!k) <- x -. threshold;
+      incr k
+    end
+  done;
+  es
+
 (* Hosking & Wallis (1987) PWM estimators from a0 = E[X] and
    a1 = E[X (1 - F(X))] of the excesses:
      xi = 2 - a0 / (a0 - 2 a1),  sigma = 2 a0 a1 / (a0 - 2 a1). *)
@@ -87,11 +104,7 @@ module Pot = struct
       if sorted then Stats.Descriptive.quantile_sorted xs quantile
       else Stats.Descriptive.quantile xs quantile
     in
-    let excesses =
-      Array.to_list xs
-      |> List.filter_map (fun x -> if x > threshold then Some (x -. threshold) else None)
-      |> Array.of_list
-    in
+    let excesses = excesses ~threshold xs in
     let n_exceedances = Array.length excesses in
     if n_exceedances < 4 then
       invalid_arg "Pot.analyze: fewer than 4 exceedances; lower the quantile";

@@ -7,6 +7,10 @@
 
 type method_ = Pwm | Mle | Exponential
 
+(** [excesses ~threshold xs] — [x - threshold] for every [x] of [xs] above
+    [threshold], in the order of [xs]. *)
+val excesses : threshold:float -> float array -> float array
+
 (** [fit ?method_ ~threshold excesses] — [excesses] are the amounts by which
     observations exceed [threshold] (all [>= 0]). *)
 val fit :

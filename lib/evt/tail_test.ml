@@ -7,11 +7,7 @@ let excesses_over ~sorted xs quantile =
     if sorted then Stats.Descriptive.quantile_sorted xs quantile
     else Stats.Descriptive.quantile xs quantile
   in
-  let es =
-    Array.to_list xs
-    |> List.filter_map (fun x -> if x > threshold then Some (x -. threshold) else None)
-    |> Array.of_list
-  in
+  let es = Gpd_fit.excesses ~threshold xs in
   if Array.length es < 10 then
     invalid_arg "Tail_test: fewer than 10 excesses; lower the quantile";
   es

@@ -73,6 +73,12 @@ let sort a =
     merge_to a l2 l1 t 0 l2 a 0
   end
 
+let merge_sorted a b =
+  let la = Array.length a and lb = Array.length b in
+  let dst = Array.make (la + lb) 0. in
+  merge_to a 0 la b 0 lb dst 0;
+  dst
+
 let mean xs =
   require_nonempty "Descriptive.mean" xs;
   Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)

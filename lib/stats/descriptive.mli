@@ -15,6 +15,12 @@
     float sample in the analysis goes through this kernel. *)
 val sort : float array -> unit
 
+(** [merge_sorted a b] is a fresh array holding the ascending arrays [a]
+    and [b] merged in {!sort}'s order, ties taken from [a] first: O(n), and
+    bit-identical to sorting the concatenation under the same condition as
+    {!sort}. *)
+val merge_sorted : float array -> float array -> float array
+
 val mean : float array -> float
 
 (** Population variance (divides by n). *)

@@ -6,21 +6,16 @@ let p_value_of_d ~n_effective d =
   let lambda = (sqrt_ne +. 0.12 +. (0.11 /. sqrt_ne)) *. d in
   Special.kolmogorov_survival lambda
 
-let two_sample ?(alpha = 0.05) xs ys =
-  let n = Array.length xs and m = Array.length ys in
+let two_sample_sorted ?(alpha = 0.05) sx sy =
+  let n = Array.length sx and m = Array.length sy in
   (* Real guards, not asserts: these feed the i.i.d. gate of the whole
      analysis and must survive a [-noassert] release build. *)
   if n = 0 || m = 0 then invalid_arg "Ks.two_sample: empty sample";
-  let sx = Array.copy xs and sy = Array.copy ys in
-  (* The kernel's Float.compare order: any stray NaN sorts
-     deterministically instead of corrupting the walk. *)
-  Descriptive.sort sx;
-  Descriptive.sort sy;
   (* Merge-walk both sorted samples tracking the CDF gap. *)
   let rec walk i j d =
     if i >= n && j >= m then d
     else if i >= n then
-      (* The rest of [ys] opens the gap |1 - j/m| at most at the current j. *)
+      (* The rest of [sy] opens the gap |1 - j/m| at most at the current j. *)
       Float.max d (1. -. (float_of_int j /. float_of_int m))
     else if j >= m then Float.max d (1. -. (float_of_int i /. float_of_int n))
     else begin
@@ -38,6 +33,14 @@ let two_sample ?(alpha = 0.05) xs ys =
   let n_effective = float_of_int n *. float_of_int m /. float_of_int (n + m) in
   let p = p_value_of_d ~n_effective d in
   { statistic = d; p_value = p; same_distribution = p >= alpha }
+
+let two_sample ?alpha xs ys =
+  let sx = Array.copy xs and sy = Array.copy ys in
+  (* The kernel's Float.compare order: any stray NaN sorts
+     deterministically instead of corrupting the walk. *)
+  Descriptive.sort sx;
+  Descriptive.sort sy;
+  two_sample_sorted ?alpha sx sy
 
 let one_sample ?(alpha = 0.05) xs ~cdf =
   let n = Array.length xs in

@@ -7,4 +7,10 @@ type result = { runs : int; expected : float; z : float; p_value : float; random
 (** @raise Invalid_argument if the series has fewer than 20 observations
     (the normal approximation is unusable below that). *)
 val test : ?alpha:float -> float array -> result
+
+(** [test_about ?alpha ~median xs] is {!test} with the dichotomizing
+    median given: [test xs] is [test_about ~median:(Descriptive.median xs)
+    xs], for callers that already hold the sorted sample.  Same guard. *)
+val test_about : ?alpha:float -> median:float -> float array -> result
+
 val pp_result : Format.formatter -> result -> unit
