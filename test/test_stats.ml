@@ -839,6 +839,95 @@ let test_summarize_bit_identity_random =
          check_summary_identical (Array.of_list l);
          true))
 
+(* ------------------------------------------------------------------ *)
+(* The float sort kernel against the Stdlib.  Inputs mix duplicates,
+   infinities, subnormals, -0. with +0. and NaNs with several payloads; the
+   lengths cover 0, 1, the kernel's insertion cutoff (8) plus and minus
+   one, and a non-power-of-two length of 10^4 and more.  The seed is
+   pinned so every run checks the same inputs. *)
+
+let nan_payloads =
+  List.map Int64.float_of_bits
+    [ 0x7FF8000000000000L; 0x7FF8000000000001L; 0xFFF8000000000000L; 0x7FFFFFFFFFFFFFFFL ]
+
+let awkward_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            ([ 0.; -0.; infinity; neg_infinity; 0x1p-1074; -0x1p-1074; 0x1.fffffffffffffp-1023;
+               Float.min_float; Float.max_float; 1.; -1. ]
+            @ nan_payloads) );
+        (3, map float_of_int (int_range (-4) 4));
+        (2, float);
+      ])
+
+let sort_input =
+  QCheck.make
+    ~print:(fun a ->
+      String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+    QCheck.Gen.(
+      frequency
+        [ (2, oneofl [ 0; 1; 7; 8; 9 ]); (4, int_range 2 200); (1, int_range 10_000 10_050) ]
+      >>= fun n -> array_size (return n) awkward_float)
+
+let bits a = Array.map Int64.bits_of_float a
+
+let kernel_sorted a =
+  let s = Array.copy a in
+  S.Descriptive.sort s;
+  s
+
+let sort_test name prop =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 14 |])
+    (QCheck.Test.make ~name ~count:300 sort_input prop)
+
+let test_sort_permutation =
+  sort_test "output is a permutation of the input bits" (fun a ->
+      let sorted_bits x =
+        let b = bits x in
+        Array.sort Int64.compare b;
+        b
+      in
+      sorted_bits (kernel_sorted a) = sorted_bits a)
+
+let test_sort_non_decreasing =
+  sort_test "output is non-decreasing under Float.compare" (fun a ->
+      let s = kernel_sorted a in
+      let ok = ref true in
+      for i = 1 to Array.length s - 1 do
+        if Float.compare s.(i - 1) s.(i) > 0 then ok := false
+      done;
+      !ok)
+
+(* The stable sorted permutation is unique, so stability is bit-identity
+   with the Stdlib's stable sort: equal-comparing elements (-0. and +0.,
+   NaNs of different payloads) keep their input order. *)
+let test_sort_stable =
+  sort_test "stable: bit-identical to Array.stable_sort Float.compare" (fun a ->
+      let s = Array.copy a in
+      Array.stable_sort Float.compare s;
+      bits (kernel_sorted a) = bits s)
+
+(* With -0. folded into +0. and every NaN into one payload, equal-comparing
+   elements are bit-identical, and the kernel must then reproduce the
+   Stdlib's unstable sort bit for bit. *)
+let test_sort_matches_stdlib =
+  sort_test "bit-identical to Array.sort Float.compare without distinct equal elements"
+    (fun a ->
+      let a = Array.map (fun x -> if Float.is_nan x then Float.nan else x +. 0.) a in
+      let s = Array.copy a in
+      Array.sort Float.compare s;
+      bits (kernel_sorted a) = bits s)
+
+let test_merge_sorted =
+  sort_test "merge_sorted of two sorted halves = sort of the whole" (fun a ->
+      let k = Array.length a / 3 in
+      let x = kernel_sorted (Array.sub a 0 k)
+      and y = kernel_sorted (Array.sub a k (Array.length a - k)) in
+      bits (S.Descriptive.merge_sorted x y) = bits (kernel_sorted a))
+
 let () =
   Alcotest.run "repro_stats"
     [
@@ -957,5 +1046,13 @@ let () =
         [
           Alcotest.test_case "bit-identity fixed vectors" `Quick test_summarize_bit_identity;
           test_summarize_bit_identity_random;
+        ] );
+      ( "sort kernel",
+        [
+          test_sort_permutation;
+          test_sort_non_decreasing;
+          test_sort_stable;
+          test_sort_matches_stdlib;
+          test_merge_sorted;
         ] );
     ]
