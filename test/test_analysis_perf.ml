@@ -1,9 +1,11 @@
-(* Tests for the parallel/incremental analysis engine: the fanned-out
-   bootstrap must be bit-identical at every job count, the incremental
-   convergence study must match the retired from-scratch implementation
-   (kept here as the oracle) bit for bit, the single-pass ACF must equal
-   the per-lag reference, and the comparison counter must stay within the
-   O(n log n) budget the retired implementation would blow. *)
+(* Tests for the parallel/incremental analysis engine: every statistic the
+   analysis computes must reproduce the committed golden fixture bit for
+   bit, the fanned-out bootstrap must be bit-identical at every job count,
+   the incremental convergence study must match the retired from-scratch
+   implementation (kept here as the oracle) bit for bit, the single-pass
+   ACF must equal the per-lag reference, and the comparison counter must
+   stay within the O(n log n) budget the retired implementation would
+   blow. *)
 
 module S = Repro_stats
 module E = Repro_evt

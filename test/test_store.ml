@@ -991,79 +991,82 @@ let test_batch_of_cost () =
   | _ -> Alcotest.fail "target_ns < 1 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* In child mode the process holds the lock and never returns. *)
 let () =
   match Sys.argv with
   | [| _; flag; dir |] when flag = hold_lock_flag -> hold_writer_lock dir
-  | _ ->
-    Alcotest.run "store"
-      [
-        ( "key",
-          [
-            Alcotest.test_case "canonical ordering" `Quick test_key_canonical;
-            Alcotest.test_case "hex digest shape" `Quick test_key_is_hex_digest;
-          ] );
-        ( "roundtrip",
-          [
-            Alcotest.test_case "floats bit-exact" `Quick test_roundtrip_bit_exact;
-            Alcotest.test_case "attempt trails" `Quick test_trails_roundtrip;
-            Alcotest.test_case "f64 binary codec" `Quick test_f64_codec;
-          ] );
-        ( "guards",
-          [ Alcotest.test_case "session guards" `Quick test_session_guards ] );
-        ( "locking",
-          [
-            Alcotest.test_case "in-process writer exclusion" `Quick
-              test_writer_lock_in_process;
-            Alcotest.test_case "two processes racing on one key" `Quick
-              test_writer_lock_two_processes;
-          ] );
-        ( "shutdown",
-          [
-            Alcotest.test_case "SIGINT checkpoints, resume equals cold" `Quick
-              test_sigint_checkpoint_resume;
-          ] );
-        ( "resume",
-          [
-            Alcotest.test_case "resume equals cold" `Quick test_resume_equals_cold;
-            Alcotest.test_case "no --resume discards partial" `Quick
-              test_no_resume_discards_partial;
-            Alcotest.test_case "campaign resume, jobs-invariant" `Quick
-              test_campaign_resume_jobs_invariant;
-            Alcotest.test_case "resilient campaign resume" `Quick
-              test_resilient_campaign_resume;
-          ] );
-        ( "inspect",
-          [
-            Alcotest.test_case "ls statuses and gc" `Quick test_ls_statuses_and_gc;
-            Alcotest.test_case "index sidecar" `Quick test_index_sidecar;
-            Alcotest.test_case "tail corruption keeps prefix" `Quick
-              test_tail_corruption_keeps_prefix;
-          ] );
-        ( "integrity",
-          [
-            Alcotest.test_case "bit flip detected" `Quick test_bit_flip_detected;
-            Alcotest.test_case "legacy schema read compatibility" `Quick
-              test_legacy_read_compat;
-            Alcotest.test_case "foreign record detected" `Quick
-              test_foreign_record_detected;
-            Alcotest.test_case "fsync'd session round-trips" `Quick test_sync_roundtrip;
-          ] );
-        ( "merge",
-          [
-            Alcotest.test_case "shard merge bit-identical" `Quick
-              test_shard_merge_bit_identical;
-            Alcotest.test_case "shard worker crash + resume" `Quick
-              test_shard_worker_crash_resume;
-            Alcotest.test_case "quarantine + graceful degradation" `Quick
-              test_merge_quarantines_and_degrades;
-            Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
-          ] );
-        ( "dispatch",
-          [
-            Alcotest.test_case "dispatch modes are sample-identical" `Quick
-              test_dispatch_identity;
-            Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
-          ] );
-        ( "export",
-          [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
-      ]
+  | _ -> ()
+
+let () =
+  Alcotest.run "store"
+    [
+      ( "key",
+        [
+          Alcotest.test_case "canonical ordering" `Quick test_key_canonical;
+          Alcotest.test_case "hex digest shape" `Quick test_key_is_hex_digest;
+        ] );
+      ( "roundtrip",
+        [
+          Alcotest.test_case "floats bit-exact" `Quick test_roundtrip_bit_exact;
+          Alcotest.test_case "attempt trails" `Quick test_trails_roundtrip;
+          Alcotest.test_case "f64 binary codec" `Quick test_f64_codec;
+        ] );
+      ( "guards",
+        [ Alcotest.test_case "session guards" `Quick test_session_guards ] );
+      ( "locking",
+        [
+          Alcotest.test_case "in-process writer exclusion" `Quick
+            test_writer_lock_in_process;
+          Alcotest.test_case "two processes racing on one key" `Quick
+            test_writer_lock_two_processes;
+        ] );
+      ( "shutdown",
+        [
+          Alcotest.test_case "SIGINT checkpoints, resume equals cold" `Quick
+            test_sigint_checkpoint_resume;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "resume equals cold" `Quick test_resume_equals_cold;
+          Alcotest.test_case "no --resume discards partial" `Quick
+            test_no_resume_discards_partial;
+          Alcotest.test_case "campaign resume, jobs-invariant" `Quick
+            test_campaign_resume_jobs_invariant;
+          Alcotest.test_case "resilient campaign resume" `Quick
+            test_resilient_campaign_resume;
+        ] );
+      ( "inspect",
+        [
+          Alcotest.test_case "ls statuses and gc" `Quick test_ls_statuses_and_gc;
+          Alcotest.test_case "index sidecar" `Quick test_index_sidecar;
+          Alcotest.test_case "tail corruption keeps prefix" `Quick
+            test_tail_corruption_keeps_prefix;
+        ] );
+      ( "integrity",
+        [
+          Alcotest.test_case "bit flip detected" `Quick test_bit_flip_detected;
+          Alcotest.test_case "legacy schema read compatibility" `Quick
+            test_legacy_read_compat;
+          Alcotest.test_case "foreign record detected" `Quick
+            test_foreign_record_detected;
+          Alcotest.test_case "fsync'd session round-trips" `Quick test_sync_roundtrip;
+        ] );
+      ( "merge",
+        [
+          Alcotest.test_case "shard merge bit-identical" `Quick
+            test_shard_merge_bit_identical;
+          Alcotest.test_case "shard worker crash + resume" `Quick
+            test_shard_worker_crash_resume;
+          Alcotest.test_case "quarantine + graceful degradation" `Quick
+            test_merge_quarantines_and_degrades;
+          Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
+        ] );
+      ( "dispatch",
+        [
+          Alcotest.test_case "dispatch modes are sample-identical" `Quick
+            test_dispatch_identity;
+          Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
+        ] );
+      ( "export",
+        [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
+    ]
