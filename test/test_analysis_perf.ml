@@ -468,31 +468,28 @@ let analysis_transcript () =
 
 let test_analysis_golden () =
   let got = analysis_transcript () in
-  match read_text analysis_fixture_path with
-  | want when String.equal want got -> ()
-  | exception Sys_error _ ->
-      let oc = open_out_bin analysis_fixture_output in
-      output_string oc got;
-      close_out oc;
-      Alcotest.failf "%s missing; the recomputed transcript is in %s" analysis_fixture_path
-        (Filename.concat (Sys.getcwd ()) analysis_fixture_output)
-  | want ->
-      let oc = open_out_bin analysis_fixture_output in
-      output_string oc got;
-      close_out oc;
-      let rec first_diff i = function
-        | w :: ws, g :: gs -> if String.equal w g then first_diff (i + 1) (ws, gs) else (i, w, g)
-        | w :: _, [] -> (i, w, "<end>")
-        | [], g :: _ -> (i, "<end>", g)
-        | [], [] -> (i, "", "")
-      in
-      let i, w, g = first_diff 1 (String.split_on_char '\n' want, String.split_on_char '\n' got) in
-      Alcotest.failf
-        "analysis transcript differs from %s (line %d: fixture %S, now %S); the recomputed \
-         transcript is in %s — copy it over test/%s if the change is intended"
-        analysis_fixture_path i w g
-        (Filename.concat (Sys.getcwd ()) analysis_fixture_output)
-        analysis_fixture_path
+  let want = try Some (read_text analysis_fixture_path) with Sys_error _ -> None in
+  if want <> Some got then begin
+    let oc = open_out_bin analysis_fixture_output in
+    output_string oc got;
+    close_out oc;
+    let rec first_diff i = function
+      | w :: ws, g :: gs -> if String.equal w g then first_diff (i + 1) (ws, gs) else (i, w, g)
+      | w :: _, [] -> (i, w, "<end>")
+      | [], g :: _ -> (i, "<end>", g)
+      | [], [] -> (i, "", "")
+    in
+    let i, w, g =
+      first_diff 1
+        (String.split_on_char '\n' (Option.value want ~default:""), String.split_on_char '\n' got)
+    in
+    Alcotest.failf
+      "analysis transcript differs from %s (line %d: fixture %S, now %S); the recomputed \
+       transcript is in %s — copy it over test/%s if the change is intended"
+      analysis_fixture_path i w g
+      (Filename.concat (Sys.getcwd ()) analysis_fixture_output)
+      analysis_fixture_path
+  end
 
 let () =
   Alcotest.run "analysis_perf"
