@@ -120,6 +120,43 @@ let fixture_output = "engine_golden.txt"
 let golden_seeds = [ 1L; 2L; 3L ]
 let golden_fault = T.Experiment.fault_config ~seu_rate:120.0 ~watchdog_budget:140_000 ()
 
+(* Platform variants the two reference configs cannot see: a 512 B 2-way
+   IL1 (conventional and randomized) behind a 2-entry ITLB on 64 B pages,
+   pages smaller than an IL1 line, a page size that is not a power of two
+   (a code line straddles a page boundary), and three bus contenders. *)
+let variant_platforms =
+  let rand = P.Config.mbpta_compliant in
+  let small_il1 placement replacement =
+    {
+      P.Config.geometry = { P.Config.size_bytes = 512; line_bytes = 32; ways = 2 };
+      placement;
+      replacement;
+    }
+  in
+  let tiny_itlb ?(il1 = rand.P.Config.il1) page_bytes =
+    { rand with P.Config.il1; itlb_entries = 2; page_bytes }
+  in
+  [
+    ("il1-512-modulo-lru", tiny_itlb ~il1:(small_il1 P.Config.Modulo P.Config.Lru) 64, []);
+    ( "il1-512-hash-rr",
+      tiny_itlb ~il1:(small_il1 P.Config.Hash_random P.Config.Round_robin) 64,
+      [] );
+    ("page-16", tiny_itlb 16, []);
+    ("page-3000", tiny_itlb 3000, []);
+    ("contenders-3", rand, [ 0.25; 0.5; 0.75 ]);
+  ]
+
+(* A rate at which IL1 and ITLB upsets land between fetches of one line. *)
+let dense_seu_rate = 2_000.0
+let dense_watchdog = 400_000
+
+(* Offset-jitter schedule configs (period, max jitter, horizon) and how
+   many runs each digest line covers: enough that releases land on the
+   cycle a running job reaches. *)
+let schedule_configs =
+  [ (50_000, 2_000, 200_000); (20_000, 5_000, 100_000); (9_000, 1_500, 60_000) ]
+let schedule_digest_runs = 300
+
 let golden_transcript () =
   let b = Buffer.create 16_384 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
@@ -230,6 +267,92 @@ let golden_transcript () =
       (T.Experiment.path_signature det ~run_index:i)
       (T.Experiment.check_functional rand ~run_index:i)
   done;
+  line "# Core_sim.run_program on platform variants: every kernel x input seed";
+  List.iter
+    (fun (vname, config, contenders) ->
+      List.iter
+        (fun (k : K.t) ->
+          let layout = Isa.Layout.sequential k.K.program in
+          List.iter
+            (fun seed ->
+              let memory = Isa.Memory.create k.K.program in
+              k.K.load_input memory (Prng.create seed);
+              let core =
+                P.Core_sim.create ~contenders ~config ~seed:(Int64.add 1000L seed) ()
+              in
+              let m = P.Core_sim.run_program core ~program:k.K.program ~layout ~memory in
+              line "variant %s kernel %s seed %Ld: %s" vname k.K.name seed (pp_metrics m))
+            golden_seeds)
+        (K.all ()))
+    variant_platforms;
+  line "# Experiment.run on platform variants (frames 4, base seed 2017)";
+  List.iter
+    (fun (vname, config, contenders) ->
+      let exp = T.Experiment.create ~frames:4 ~contenders ~config ~base_seed:2017L () in
+      for i = 0 to 3 do
+        line "variant %s run %d: %s" vname i (pp_metrics (T.Experiment.run exp ~run_index:i))
+      done)
+    variant_platforms;
+  line
+    "# Core_sim.run_decoded_faulty (TVCA frames 4) at SEU %.0f per 10^6 instructions, \
+     watchdog %d: outcome, metrics when it ended, fault records"
+    dense_seu_rate dense_watchdog;
+  (let program = T.Experiment.program rand and layout = T.Experiment.layout rand in
+   let decoded = Isa.Executor.Decoded.decode ~program ~layout in
+   List.iter
+     (fun (pname, config) ->
+       for i = 0 to 7 do
+         let seed = Int64.of_int (100 + i) in
+         let memory = Isa.Memory.create program in
+         T.Mission.load_memory (T.Mission.generate ~frames:4 ~seed ()) memory;
+         let runner = Isa.Executor.Decoded.Runner.create ~decoded ~memory () in
+         let core = P.Core_sim.create ~config ~seed () in
+         let injector = P.Fault.create ~rate:dense_seu_rate ~seed in
+         let outcome =
+           match
+             P.Core_sim.run_decoded_faulty core ~injector ~watchdog_budget:dense_watchdog
+               ~runner ()
+           with
+           | _ -> "completed"
+           | exception P.Core_sim.Budget_exceeded _ -> "watchdog"
+           | exception Isa.Executor.Runaway _ -> "runaway"
+           | exception Isa.Executor.Stack_overflow_ _ -> "stack overflow"
+           | exception Invalid_argument detail -> "crashed: " ^ detail
+         in
+         let st = Isa.Executor.Decoded.Runner.stats runner in
+         let m =
+           P.Core_sim.snapshot core ~instructions:st.Isa.Executor.retired
+             ~fp_long_ops:st.Isa.Executor.fp_long_ops
+             ~taken_branches:st.Isa.Executor.taken_branches
+         in
+         let records =
+           List.map (Format.asprintf "%a" P.Fault.pp_record) (P.Fault.records injector)
+         in
+         line "dense %s %d: %s; %s; %d records %s" pname i outcome (pp_metrics m)
+           (List.length records)
+           (Digest.to_hex (Digest.string (String.concat "\n" records)))
+       done)
+     (("RAND", P.Config.mbpta_compliant)
+     :: List.filter_map
+          (fun (vname, config, contenders) ->
+            if contenders = [] then Some (vname, config) else None)
+          variant_platforms));
+  line "# Experiment.run_schedule digests (RAND, Offset_jitter, %d runs each)"
+    schedule_digest_runs;
+  List.iter
+    (fun (period, max_jitter, horizon) ->
+      let runs = Buffer.create 65_536 in
+      for i = 0 to schedule_digest_runs - 1 do
+        let r =
+          T.Experiment.run_schedule rand ~policy:T.Rtos.Offset_jitter ~period ~max_jitter
+            ~horizon ~run_index:i ()
+        in
+        Printf.bprintf runs "%h %d %d %s\n" r.T.Experiment.worst_response
+          r.T.Experiment.preemptions r.T.Experiment.skipped_releases r.T.Experiment.signature
+      done;
+      line "schedules period %d jitter %d horizon %d: %s" period max_jitter horizon
+        (Digest.to_hex (Digest.string (Buffer.contents runs))))
+    schedule_configs;
   Buffer.contents b
 
 let read_fixture () = try Some (read_file fixture_path) with Sys_error _ -> None
