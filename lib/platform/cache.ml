@@ -172,6 +172,20 @@ let access t ~addr ~write =
     end
   end
 
+(* [k] more read hits on the MRU line, applied at once: the counters and
+   the clock advance by [k] and the line's recency stamp lands where the
+   last of [k] single [access]es would have put it.  A read hit touches
+   nothing else and draws nothing, so the state is exactly that of [k]
+   calls. *)
+let add_mru_hits t k =
+  let mru = t.mru in
+  if mru < 0 then invalid_arg "Cache.add_mru_hits: no MRU line";
+  if k < 0 then invalid_arg "Cache.add_mru_hits: negative count";
+  t.accesses <- t.accesses + k;
+  t.hits <- t.hits + k;
+  t.clock <- t.clock + k;
+  Array.unsafe_set t.recency mru t.clock
+
 let probe t ~addr =
   let line = line_of_addr t addr in
   let set = set_of_line t line in

@@ -30,6 +30,14 @@ val create : config:Config.cache_config -> prng:Repro_rng.Prng.t -> t
     dirty state). *)
 val access : t -> addr:int -> write:bool -> outcome
 
+(** [add_mru_hits t k] — the state [k] more read [access]es to the line of
+    the last hit or fill would leave: counters, clock and that line's
+    recency stamp, with no PRNG draw.  For callers that know the next [k]
+    reads hit that line (consecutive fetches of one line).  Raises
+    [Invalid_argument] when there is no such line (after a flush or an SEU
+    hook) or [k < 0]. *)
+val add_mru_hits : t -> int -> unit
+
 (** [probe t ~addr] — lookup without side effects. *)
 val probe : t -> addr:int -> outcome
 

@@ -21,9 +21,23 @@ type t = {
   lat_store_buffer : int;
   lat_branch_taken : int;
   lat_int_mul : int;
+  (* Same-line fetches (see [sink]): the IL1 line of a fetch address is
+     [addr lsr fetch_line_shift]; [fetch_line] is the line of the previous
+     fetch while the shortcut is live, -1 otherwise (always -1 when the
+     geometry gate [same_line_hits] is off); [pending_fetch_hits] counts
+     the same-line fetches not yet applied to the ITLB and IL1. *)
+  fetch_line_shift : int;
+  fetch_hit_cycles : int;
+  same_line_hits : bool;
+  mutable fetch_line : int;
+  mutable pending_fetch_hits : int;
   mutable cycles : int;
   mutable faults_injected : int;
 }
+
+let log2_exact n =
+  let rec go s = if 1 lsl s = n then s else go (s + 1) in
+  go 0
 
 let create ?(contenders = []) ~config ~seed () =
   let prng = Prng.create seed in
@@ -42,6 +56,8 @@ let create ?(contenders = []) ~config ~seed () =
   in
   let dl1 = Cache.create ~config:config.Config.dl1 ~prng:(Prng.split prng) in
   let il1 = Cache.create ~config:config.Config.il1 ~prng:(Prng.split prng) in
+  let line_bytes = config.Config.il1.Config.geometry.Config.line_bytes in
+  let page_bytes = config.Config.page_bytes in
   {
     config;
     il1;
@@ -59,6 +75,13 @@ let create ?(contenders = []) ~config ~seed () =
     lat_store_buffer = lat.Config.store_buffer;
     lat_branch_taken = lat.Config.branch_taken;
     lat_int_mul = lat.Config.int_mul;
+    fetch_line_shift = log2_exact line_bytes;
+    fetch_hit_cycles = 1 + lat.Config.l1_hit;
+    (* Exact only when one IL1 line never spans two pages: a power-of-two
+       page of at least a line holds whole, aligned lines. *)
+    same_line_hits = page_bytes land (page_bytes - 1) = 0 && page_bytes >= line_bytes;
+    fetch_line = -1;
+    pending_fetch_hits = 0;
     cycles = 0;
     faults_injected = 0;
   }
@@ -76,6 +99,8 @@ let reset_run t =
   Tlb.reset_run t.dtlb;
   Dram.reset_run t.dram;
   Bus.reset t.bus;
+  t.fetch_line <- -1;
+  t.pending_fetch_hits <- 0;
   t.cycles <- 0;
   t.faults_injected <- 0
 
@@ -116,7 +141,19 @@ let advance t n =
 
 let cycles t = t.cycles
 
+(* Apply the pending same-line fetches to the ITLB and IL1 as the hits
+   they are.  Until then the two structures lag the clock by exactly these
+   hits on their MRU entries; nothing else touches them in between. *)
+let settle_fetch_hits t =
+  let k = t.pending_fetch_hits in
+  if k > 0 then begin
+    t.pending_fetch_hits <- 0;
+    Tlb.add_mru_hits t.itlb k;
+    Cache.add_mru_hits t.il1 k
+  end
+
 let snapshot t ~instructions ~fp_long_ops ~taken_branches =
+  settle_fetch_hits t;
   let il1 = Cache.stats t.il1 and dl1 = Cache.stats t.dl1 in
   let itlb = Tlb.stats t.itlb and dtlb = Tlb.stats t.dtlb in
   let dram = Dram.stats t.dram in
@@ -142,21 +179,41 @@ let snapshot_of_stats t (stats : Repro_isa.Executor.stats) =
     ~fp_long_ops:stats.Repro_isa.Executor.fp_long_ops
     ~taken_branches:stats.Repro_isa.Executor.taken_branches
 
+(* A fetch from a line other than the previous fetch's: settle the
+   pending same-line hits, then the base cycle and the ITLB and IL1
+   probes.  Either probe leaves its MRU entry on this fetch's page and
+   line, which is what lets the next fetch of the line skip both. *)
+let fetch_probe t ~addr ~line =
+  settle_fetch_hits t;
+  t.cycles <- t.cycles + 1;
+  (match Tlb.access t.itlb ~addr with
+  | Tlb.Hit -> ()
+  | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
+  (match Cache.access t.il1 ~addr ~write:false with
+  | Cache.Hit -> t.cycles <- t.cycles + t.lat_l1_hit
+  | Cache.Miss -> memory_transaction t ~addr);
+  if t.same_line_hits then t.fetch_line <- line
+
 (* The pipeline timing model as the runner's per-work-class hooks: the
    pipelined base cycle and the fetch (ITLB then IL1) first, then at most
    one work event.  The order of the stateful cache/TLB/bus accesses fixes
-   the order of every PRNG draw. *)
+   the order of every PRNG draw.
+
+   Only fetches touch the IL1 and the ITLB, so a fetch from the previous
+   fetch's line is an MRU hit in both (the geometry gate makes the same
+   line the same page): it costs the base cycle plus an L1 hit and is
+   counted as pending, to be applied in one call per structure
+   ([settle_fetch_hits]) before anything next looks at either. *)
 let sink t =
   {
     Repro_isa.Executor.on_fetch =
       (fun addr ->
-        t.cycles <- t.cycles + 1;
-        (match Tlb.access t.itlb ~addr with
-        | Tlb.Hit -> ()
-        | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
-        match Cache.access t.il1 ~addr ~write:false with
-        | Cache.Hit -> t.cycles <- t.cycles + t.lat_l1_hit
-        | Cache.Miss -> memory_transaction t ~addr);
+        let line = addr lsr t.fetch_line_shift in
+        if line = t.fetch_line then begin
+          t.pending_fetch_hits <- t.pending_fetch_hits + 1;
+          t.cycles <- t.cycles + t.fetch_hit_cycles
+        end
+        else fetch_probe t ~addr ~line);
     on_int_mul = (fun () -> t.cycles <- t.cycles + t.lat_int_mul);
     on_read = (fun addr -> data_access t ~addr ~write:false);
     on_write = (fun addr -> data_access t ~addr ~write:true);
@@ -210,6 +267,13 @@ let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
     | Some _ | None -> ());
     match (injector, targets) with
     | Some inj, Some tg ->
+        if Fault.due inj ~retired:!retired then begin
+          (* An upset can evict or alias the hinted line: apply the pending
+             hits while it is still the MRU entry, and probe the next
+             fetch in full. *)
+          settle_fetch_hits t;
+          t.fetch_line <- -1
+        end;
         Fault.step inj ~retired:!retired tg;
         t.faults_injected <- Fault.count inj
     | _ -> ()

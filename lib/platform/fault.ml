@@ -84,6 +84,8 @@ let inject_one t ~retired targets =
   t.count <- t.count + 1;
   t.records <- { at_instruction = retired; site } :: t.records
 
+let due t ~retired = retired >= t.next_at
+
 let step t ~retired targets =
   while retired >= t.next_at do
     inject_one t ~retired targets;

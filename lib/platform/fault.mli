@@ -55,6 +55,10 @@ val rate : t -> float
     has been reached (possibly several). *)
 val step : t -> retired:int -> targets -> unit
 
+(** [due t ~retired] — whether {!step} at this retired count injects at
+    least one upset; lets a caller bring the targets up to date first. *)
+val due : t -> retired:int -> bool
+
 (** Upsets injected so far. *)
 val count : t -> int
 

@@ -115,6 +115,16 @@ let access t ~addr =
     end
   end
 
+(* [k] more hits on the MRU page at once: same counters, clock and recency
+   stamp as [k] single [access]es, none of which would draw. *)
+let add_mru_hits t k =
+  let mru = t.mru in
+  if mru < 0 then invalid_arg "Tlb.add_mru_hits: no MRU entry";
+  if k < 0 then invalid_arg "Tlb.add_mru_hits: negative count";
+  t.hits <- t.hits + k;
+  t.clock <- t.clock + k;
+  Array.unsafe_set t.recency mru t.clock
+
 let flush t =
   Array.fill t.pages 0 t.entries (-1);
   Array.fill t.recency 0 t.entries 0;
