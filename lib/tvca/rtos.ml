@@ -128,7 +128,14 @@ let run_linked ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~
         | Some _ -> ()
         | None -> Platform.Core_sim.advance core context_switch);
         last_running := Some st;
+        (* Only a release can preempt [st], so step it until it finishes
+           or the clock reaches the next release (or the horizon) instead
+           of re-scanning both lists after every instruction. *)
+        let limit = Stdlib.min horizon (earliest_release states) in
         Runner.step st.runner ~sink;
+        while (not (Runner.finished st.runner)) && now () < limit do
+          Runner.step st.runner ~sink
+        done;
         if Runner.finished st.runner then begin
           st.responses <- float_of_int (now () - st.released_at) :: st.responses;
           st.in_flight <- false
