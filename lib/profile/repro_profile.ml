@@ -1,34 +1,40 @@
 type stage =
   | Codegen
   | Decode
-  | Execute
+  | Scenario
+  | Reload
+  | Reseed
   | Flush
-  | Seed_derivation
+  | Execute
   | Trace
   | Store
   | Analysis
 
 let stages =
-  [ Codegen; Decode; Execute; Flush; Seed_derivation; Trace; Store; Analysis ]
+  [ Codegen; Decode; Scenario; Reload; Reseed; Flush; Execute; Trace; Store; Analysis ]
 
 let index = function
   | Codegen -> 0
   | Decode -> 1
-  | Execute -> 2
-  | Flush -> 3
-  | Seed_derivation -> 4
-  | Trace -> 5
-  | Store -> 6
-  | Analysis -> 7
+  | Scenario -> 2
+  | Reload -> 3
+  | Reseed -> 4
+  | Flush -> 5
+  | Execute -> 6
+  | Trace -> 7
+  | Store -> 8
+  | Analysis -> 9
 
 let n_stages = List.length stages
 
 let stage_name = function
   | Codegen -> "codegen"
   | Decode -> "decode"
-  | Execute -> "execute"
+  | Scenario -> "scenario"
+  | Reload -> "reload"
+  | Reseed -> "reseed"
   | Flush -> "flush"
-  | Seed_derivation -> "seed_derivation"
+  | Execute -> "execute"
   | Trace -> "trace"
   | Store -> "store"
   | Analysis -> "analysis"

@@ -1,7 +1,8 @@
 (** Stage-resolved micro-profiler for the campaign pipeline.
 
     Attributes wall time to the stages a run passes through — codegen,
-    decode, execute, flush, seed derivation, trace, store, analysis — so a
+    decode, scenario, reload, reseed, flush, execute, trace, store,
+    analysis — so a
     perf regression names the stage that caused it instead of hiding in a
     campaign-level total.
 
@@ -26,9 +27,11 @@
 type stage =
   | Codegen  (** TVCA program generation from scenario config *)
   | Decode  (** compiling a program into the pre-decoded executable form *)
+  | Scenario  (** a run's input: scenario seed and [Mission.generate] *)
+  | Reload  (** zeroing the memory image and loading the scenario into it *)
+  | Reseed  (** platform seed derivation and [Core_sim.reseed] *)
+  | Flush  (** [Core_sim.reset_run] + runner reset: cache/TLB/DRAM flush *)
   | Execute  (** the simulator inner loop ([Runner.run]) *)
-  | Flush  (** [Core_sim.reset_run]: cache/TLB/DRAM flush + stats reset *)
-  | Seed_derivation  (** per-run scenario/platform/fault seed expansion *)
   | Trace  (** trace event construction and flushing *)
   | Store  (** sample-store lookup, append and checkpoint barriers *)
   | Analysis  (** the MBPTA statistical pipeline *)

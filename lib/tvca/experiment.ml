@@ -255,21 +255,20 @@ let scratch_for t =
           slots := (t, s) :: kept;
           s)
 
-(* The per-run protocol on this domain's scratch: derive the run's seeds,
-   zero the memory image and load scenario [scenario_index] into it (the
-   run's own scenario except for fixed-input runs), reseed the platform
-   streams.  A timed run then calls [run_decoded], which performs the
-   flush cascade ([reset_run]) and resets the runner itself. *)
+(* The per-run protocol on this domain's scratch, one profile stage per
+   step: generate scenario [scenario_index] (the run's own scenario except
+   for fixed-input runs), zero the memory image and load the scenario into
+   it, derive the platform seed and reseed the platform streams.  A timed
+   run then calls [run_decoded], which performs the flush cascade
+   ([reset_run]) and resets the runner itself. *)
 let prepare_run t ~scenario_index ~run_index ~attempt =
   let s = scratch_for t in
-  let sc, seed =
-    Profile.time Profile.Seed_derivation (fun () ->
-        (scenario t ~run_index:scenario_index, platform_seed t ~run_index ~attempt))
-  in
-  Profile.time Profile.Flush (fun () ->
+  let sc = Profile.time Profile.Scenario (fun () -> scenario t ~run_index:scenario_index) in
+  Profile.time Profile.Reload (fun () ->
       Isa.Memory.clear s.s_memory;
-      Mission.load_memory sc s.s_memory;
-      Platform.Core_sim.reseed s.s_core ~seed);
+      Mission.load_memory sc s.s_memory);
+  Profile.time Profile.Reseed (fun () ->
+      Platform.Core_sim.reseed s.s_core ~seed:(platform_seed t ~run_index ~attempt));
   (s, sc)
 
 let run t ~run_index =
