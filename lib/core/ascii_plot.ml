@@ -31,12 +31,14 @@ let exceedance_plot ?(width = 72) ?(decades = 15) curve =
       let r = row_of p in
       Bytes.set grid.(r) (col_of x) 'o')
     observed;
-  (* Model curve: sample densely along probability. *)
+  (* Model curve: sample densely along probability, inside the model's
+     domain (a POT curve starts below its exceedance rate). *)
+  let limit = Evt.Pwcet.cutoff_probability_limit curve in
   let steps = decades * 8 in
   for i = 0 to steps - 1 do
     let exponent = float_of_int i /. 8. in
     let p = 10. ** -.exponent in
-    if p < 1. then begin
+    if p < limit then begin
       let v = Evt.Pwcet.estimate curve ~cutoff_probability:p in
       let r = row_of p in
       let c = col_of v in

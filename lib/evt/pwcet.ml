@@ -71,6 +71,13 @@ let estimate_of_model ~model ~block_size ~cutoff_probability =
 let estimate t ~cutoff_probability =
   estimate_of_model ~model:t.model ~block_size:t.block_size ~cutoff_probability
 
+(* A POT model describes only the excesses over its threshold, so it has
+   no quantile at or above its exceedance rate. *)
+let cutoff_probability_limit t =
+  match t.model with
+  | Gumbel_tail _ | Gev_tail _ -> 1.
+  | Pot_tail pot -> pot.Gpd_fit.Pot.exceedance_rate
+
 let ccdf_series t ~decades_below =
   if decades_below < 1 then invalid_arg "Pwcet.ccdf_series: decades_below must be >= 1";
   let rec go k acc =

@@ -42,6 +42,12 @@ val exceedance_probability : t -> float -> float
     exceedance probability (e.g. [1e-15]). *)
 val estimate : t -> cutoff_probability:float -> float
 
+(** [cutoff_probability_limit t] — the exclusive upper end of the
+    per-run exceedance probabilities {!estimate} accepts: [1] for a
+    block-maxima (Gumbel or GEV) model, the exceedance rate for a POT
+    model, which describes nothing above its threshold. *)
+val cutoff_probability_limit : t -> float
+
 (** [estimate_of_model ~model ~block_size ~cutoff_probability] — the same
     quantile without building a curve (no ECDF, hence no O(n log n) sort
     of the sample): the estimate is a pure function of the fitted model

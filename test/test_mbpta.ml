@@ -291,6 +291,34 @@ let test_exceedance_plot_renders () =
   let lines = String.split_on_char '\n' plot in
   checkb "15 decades plotted" true (List.length lines >= 17)
 
+(* The full report under every tail model: a POT curve is defined only
+   below its exceedance rate, and the plot must stay inside that domain. *)
+let test_report_renders_every_tail () =
+  let xs = gumbel_sample (prng 1212L) ~mu:10_000. ~beta:150. 2000 in
+  List.iter
+    (fun (name, tail) ->
+      let options = { M.Protocol.default_options with M.Protocol.tail } in
+      match M.Protocol.analyze ~options xs with
+      | Error f -> Alcotest.failf "%s: analysis failed: %a" name M.Protocol.pp_failure f
+      | Ok analysis ->
+          let comparison = M.Report.compare ~analysis ~det_sample:xs () in
+          let report = M.Report.render ~analysis ~comparison () in
+          let has sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length report && (String.sub report i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          checkb (name ^ ": plot rendered") true (has "P(exceedance)");
+          checkb (name ^ ": projection drawn") true (has "*"))
+    [
+      ("gumbel", M.Protocol.Gumbel);
+      ("gev", M.Protocol.Gev);
+      ("pot", M.Protocol.Pot);
+      ("exp", M.Protocol.Exponential_pot);
+    ]
+
 let test_budget_of_curve_matches_estimate () =
   let a = synthetic_analysis () in
   let direct = E.Pwcet.estimate a.M.Protocol.curve ~cutoff_probability:1e-9 in
@@ -454,6 +482,8 @@ let () =
       ( "plots",
         [
           Alcotest.test_case "exceedance plot" `Quick test_exceedance_plot_renders;
+          Alcotest.test_case "report under every tail model" `Quick
+            test_report_renders_every_tail;
           Alcotest.test_case "convergence plot" `Quick test_convergence_plot_renders;
         ] );
       ( "export",
