@@ -72,6 +72,7 @@ let create ~config ~prng =
 
 let sets t = t.sets
 let ways t = t.ways
+let line_shift t = t.line_shift
 
 let line_of_addr t addr = addr lsr t.line_shift
 
@@ -180,7 +181,6 @@ let access t ~addr ~write =
 let add_mru_hits t k =
   let mru = t.mru in
   if mru < 0 then invalid_arg "Cache.add_mru_hits: no MRU line";
-  if k < 0 then invalid_arg "Cache.add_mru_hits: negative count";
   t.accesses <- t.accesses + k;
   t.hits <- t.hits + k;
   t.clock <- t.clock + k;

@@ -33,9 +33,9 @@ val access : t -> addr:int -> write:bool -> outcome
 (** [add_mru_hits t k] — the state [k] more read [access]es to the line of
     the last hit or fill would leave: counters, clock and that line's
     recency stamp, with no PRNG draw.  For callers that know the next [k]
-    reads hit that line (consecutive fetches of one line).  Raises
-    [Invalid_argument] when there is no such line (after a flush or an SEU
-    hook) or [k < 0]. *)
+    reads hit that line (consecutive fetches of one line); [k >= 0].
+    Raises [Invalid_argument] when there is no such line (after a flush or
+    an SEU hook). *)
 val add_mru_hits : t -> int -> unit
 
 (** [probe t ~addr] — lookup without side effects. *)
@@ -50,6 +50,10 @@ val set_of_addr : t -> int -> int
 
 val sets : t -> int
 val ways : t -> int
+
+(** [addr lsr line_shift t] is the line number of byte [addr]: the unit
+    the cache allocates, tags and hits on. *)
+val line_shift : t -> int
 
 (** {2 SEU injection hooks}
 

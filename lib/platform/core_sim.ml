@@ -27,17 +27,12 @@ type t = {
      geometry gate [same_line_hits] is off); [pending_fetch_hits] counts
      the same-line fetches not yet applied to the ITLB and IL1. *)
   fetch_line_shift : int;
-  fetch_hit_cycles : int;
   same_line_hits : bool;
   mutable fetch_line : int;
   mutable pending_fetch_hits : int;
   mutable cycles : int;
   mutable faults_injected : int;
 }
-
-let log2_exact n =
-  let rec go s = if 1 lsl s = n then s else go (s + 1) in
-  go 0
 
 let create ?(contenders = []) ~config ~seed () =
   let prng = Prng.create seed in
@@ -56,8 +51,7 @@ let create ?(contenders = []) ~config ~seed () =
   in
   let dl1 = Cache.create ~config:config.Config.dl1 ~prng:(Prng.split prng) in
   let il1 = Cache.create ~config:config.Config.il1 ~prng:(Prng.split prng) in
-  let line_bytes = config.Config.il1.Config.geometry.Config.line_bytes in
-  let page_bytes = config.Config.page_bytes in
+  let line_shift = Cache.line_shift il1 and page_bytes = config.Config.page_bytes in
   {
     config;
     il1;
@@ -75,11 +69,11 @@ let create ?(contenders = []) ~config ~seed () =
     lat_store_buffer = lat.Config.store_buffer;
     lat_branch_taken = lat.Config.branch_taken;
     lat_int_mul = lat.Config.int_mul;
-    fetch_line_shift = log2_exact line_bytes;
-    fetch_hit_cycles = 1 + lat.Config.l1_hit;
+    fetch_line_shift = line_shift;
     (* Exact only when one IL1 line never spans two pages: a power-of-two
        page of at least a line holds whole, aligned lines. *)
-    same_line_hits = page_bytes land (page_bytes - 1) = 0 && page_bytes >= line_bytes;
+    same_line_hits =
+      page_bytes land (page_bytes - 1) = 0 && page_bytes >= 1 lsl line_shift;
     fetch_line = -1;
     pending_fetch_hits = 0;
     cycles = 0;
@@ -211,7 +205,7 @@ let sink t =
         let line = addr lsr t.fetch_line_shift in
         if line = t.fetch_line then begin
           t.pending_fetch_hits <- t.pending_fetch_hits + 1;
-          t.cycles <- t.cycles + t.fetch_hit_cycles
+          t.cycles <- t.cycles + 1 + t.lat_l1_hit
         end
         else fetch_probe t ~addr ~line);
     on_int_mul = (fun () -> t.cycles <- t.cycles + t.lat_int_mul);

@@ -120,7 +120,6 @@ let access t ~addr =
 let add_mru_hits t k =
   let mru = t.mru in
   if mru < 0 then invalid_arg "Tlb.add_mru_hits: no MRU entry";
-  if k < 0 then invalid_arg "Tlb.add_mru_hits: negative count";
   t.hits <- t.hits + k;
   t.clock <- t.clock + k;
   Array.unsafe_set t.recency mru t.clock

@@ -18,9 +18,9 @@ val create :
 val access : t -> addr:int -> outcome
 
 (** [add_mru_hits t k] — the state [k] more [access]es to the page of the
-    last access would leave (hits, clock, recency stamp; no PRNG draw).
-    Raises [Invalid_argument] when there is no such entry (after a flush
-    or an SEU hook) or [k < 0]. *)
+    last access would leave (hits, clock, recency stamp; no PRNG draw);
+    [k >= 0].  Raises [Invalid_argument] when there is no such entry
+    (after a flush or an SEU hook). *)
 val add_mru_hits : t -> int -> unit
 
 val flush : t -> unit

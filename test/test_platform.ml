@@ -268,6 +268,62 @@ let test_cache_hit_after_access_any_policy =
 let make_tlb ?(entries = 4) ?(replacement = P.Config.Lru) () =
   P.Tlb.create ~entries ~page_bytes:4096 ~replacement ~prng:(Prng.create 9L)
 
+(* [add_mru_hits k] against [k] real hits on twin structures: a shared
+   warm-up ending on one address, [k] more reads of it on one twin and the
+   bulk call on the other, then an evicting stream; outcomes and counters
+   must agree at every step.  With no MRU entry the bulk call raises. *)
+let bulk_hit_stream = Array.init 300 (fun i -> (i * 7919) mod 48 * 96)
+
+let test_cache_bulk_mru_hits () =
+  List.iter
+    (fun placement ->
+      List.iter
+        (fun replacement ->
+          let single = make_cache ~placement ~replacement ()
+          and bulk = make_cache ~placement ~replacement () in
+          Array.iteri
+            (fun i addr ->
+              checkb "same outcome" true
+                (P.Cache.access single ~addr ~write:false
+                = P.Cache.access bulk ~addr ~write:false);
+              if i = 100 then begin
+                for _ = 1 to 5 do
+                  ignore (P.Cache.access single ~addr:(addr + 4) ~write:false)
+                done;
+                P.Cache.add_mru_hits bulk 5
+              end)
+            bulk_hit_stream;
+          checkb "same stats" true (P.Cache.stats single = P.Cache.stats bulk);
+          P.Cache.flush bulk;
+          Alcotest.check_raises "no MRU line after a flush"
+            (Invalid_argument "Cache.add_mru_hits: no MRU line") (fun () ->
+              P.Cache.add_mru_hits bulk 1))
+        all_replacements)
+    all_placements
+
+let test_tlb_bulk_mru_hits () =
+  List.iter
+    (fun replacement ->
+      let single = make_tlb ~entries:3 ~replacement ()
+      and bulk = make_tlb ~entries:3 ~replacement () in
+      Array.iteri
+        (fun i addr ->
+          let addr = addr * 64 in
+          checkb "same outcome" true (P.Tlb.access single ~addr = P.Tlb.access bulk ~addr);
+          if i = 100 then begin
+            for _ = 1 to 5 do
+              ignore (P.Tlb.access single ~addr)
+            done;
+            P.Tlb.add_mru_hits bulk 5
+          end)
+        bulk_hit_stream;
+      checkb "same stats" true (P.Tlb.stats single = P.Tlb.stats bulk);
+      P.Tlb.flush bulk;
+      Alcotest.check_raises "no MRU entry after a flush"
+        (Invalid_argument "Tlb.add_mru_hits: no MRU entry") (fun () ->
+          P.Tlb.add_mru_hits bulk 1))
+    all_replacements
+
 let test_tlb_hit_after_miss () =
   let t = make_tlb () in
   checkb "miss" true (P.Tlb.access t ~addr:0x5000 = P.Tlb.Miss);
@@ -545,6 +601,7 @@ let () =
             test_replacement_random_eventually_evicts_any_way;
           test_cache_differential_lru;
           test_cache_hit_after_access_any_policy;
+          Alcotest.test_case "bulk MRU hits = single hits" `Quick test_cache_bulk_mru_hits;
         ] );
       ( "tlb",
         [
@@ -552,6 +609,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_tlb_lru_eviction;
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stats" `Quick test_tlb_stats;
+          Alcotest.test_case "bulk MRU hits = single hits" `Quick test_tlb_bulk_mru_hits;
         ] );
       ( "fpu",
         [
