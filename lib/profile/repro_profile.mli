@@ -2,9 +2,8 @@
 
     Attributes wall time to the stages a run passes through — codegen,
     decode, scenario, reload, reseed, flush, execute, trace, store,
-    analysis — so a
-    perf regression names the stage that caused it instead of hiding in a
-    campaign-level total.
+    analysis — so a perf regression names the stage that caused it
+    instead of hiding in a campaign-level total.
 
     Design constraints, in order:
 
