@@ -21,15 +21,19 @@ type t = {
   lat_store_buffer : int;
   lat_branch_taken : int;
   lat_int_mul : int;
-  (* Same-line fetches (see [sink]): the IL1 line of a fetch address is
-     [addr lsr fetch_line_shift]; [fetch_line] is the line of the previous
-     fetch while the shortcut is live, -1 otherwise (always -1 when the
-     geometry gate [same_line_hits] is off); [pending_fetch_hits] counts
-     the same-line fetches not yet applied to the ITLB and IL1. *)
+  (* Fetch hints (see [sink]): [fetch_line] and [fetch_page] are the IL1
+     line ([addr lsr fetch_line_shift]) and the page of the previous fetch
+     while the hints are live, -1 otherwise (always -1 when the geometry
+     gate [fetch_hints] is off).  [pending_line_hits] counts same-line
+     fetches not yet applied to the IL1 nor the ITLB; [pending_page_hits]
+     counts fetches already applied to the IL1 but not yet to the ITLB. *)
   fetch_line_shift : int;
-  same_line_hits : bool;
+  fetch_page_shift : int;
+  fetch_hints : bool;
   mutable fetch_line : int;
-  mutable pending_fetch_hits : int;
+  mutable fetch_page : int;
+  mutable pending_line_hits : int;
+  mutable pending_page_hits : int;
   mutable cycles : int;
   mutable faults_injected : int;
 }
@@ -51,7 +55,7 @@ let create ?(contenders = []) ~config ~seed () =
   in
   let dl1 = Cache.create ~config:config.Config.dl1 ~prng:(Prng.split prng) in
   let il1 = Cache.create ~config:config.Config.il1 ~prng:(Prng.split prng) in
-  let line_shift = Cache.line_shift il1 and page_bytes = config.Config.page_bytes in
+  let line_shift = Cache.line_shift il1 and page_shift = Tlb.page_shift itlb in
   {
     config;
     il1;
@@ -70,12 +74,15 @@ let create ?(contenders = []) ~config ~seed () =
     lat_branch_taken = lat.Config.branch_taken;
     lat_int_mul = lat.Config.int_mul;
     fetch_line_shift = line_shift;
+    (* any valid shift when the gate is off: the hints then stay -1 *)
+    fetch_page_shift = Stdlib.max page_shift 0;
     (* Exact only when one IL1 line never spans two pages: a power-of-two
        page of at least a line holds whole, aligned lines. *)
-    same_line_hits =
-      page_bytes land (page_bytes - 1) = 0 && page_bytes >= 1 lsl line_shift;
+    fetch_hints = page_shift >= line_shift;
     fetch_line = -1;
-    pending_fetch_hits = 0;
+    fetch_page = -1;
+    pending_line_hits = 0;
+    pending_page_hits = 0;
     cycles = 0;
     faults_injected = 0;
   }
@@ -94,7 +101,9 @@ let reset_run t =
   Dram.reset_run t.dram;
   Bus.reset t.bus;
   t.fetch_line <- -1;
-  t.pending_fetch_hits <- 0;
+  t.fetch_page <- -1;
+  t.pending_line_hits <- 0;
+  t.pending_page_hits <- 0;
   t.cycles <- 0;
   t.faults_injected <- 0
 
@@ -135,16 +144,28 @@ let advance t n =
 
 let cycles t = t.cycles
 
-(* Apply the pending same-line fetches to the ITLB and IL1 as the hits
-   they are.  Until then the two structures lag the clock by exactly these
-   hits on their MRU entries; nothing else touches them in between. *)
-let settle_fetch_hits t =
-  let k = t.pending_fetch_hits in
+(* Apply pending fetches as the MRU hits they are.  Until then the IL1
+   lags by the same-line fetches and the ITLB by every fetch since its
+   last probe; nothing else touches either in between.  The line's hits
+   move on to the ITLB's count, since the line's page stays its MRU. *)
+let settle_il1_hits t =
+  let k = t.pending_line_hits in
   if k > 0 then begin
-    t.pending_fetch_hits <- 0;
-    Tlb.add_mru_hits t.itlb k;
+    t.pending_line_hits <- 0;
+    t.pending_page_hits <- t.pending_page_hits + k;
     Cache.add_mru_hits t.il1 k
   end
+
+let settle_itlb_hits t =
+  let k = t.pending_page_hits in
+  if k > 0 then begin
+    t.pending_page_hits <- 0;
+    Tlb.add_mru_hits t.itlb k
+  end
+
+let settle_fetch_hits t =
+  settle_il1_hits t;
+  settle_itlb_hits t
 
 let snapshot t ~instructions ~fp_long_ops ~taken_branches =
   settle_fetch_hits t;
@@ -173,20 +194,29 @@ let snapshot_of_stats t (stats : Repro_isa.Executor.stats) =
     ~fp_long_ops:stats.Repro_isa.Executor.fp_long_ops
     ~taken_branches:stats.Repro_isa.Executor.taken_branches
 
-(* A fetch from a line other than the previous fetch's: settle the
-   pending same-line hits, then the base cycle and the ITLB and IL1
-   probes.  Either probe leaves its MRU entry on this fetch's page and
-   line, which is what lets the next fetch of the line skip both. *)
+(* A fetch from a line other than the previous fetch's: the base cycle,
+   the ITLB unless the page is the previous fetch's (then it is one more
+   pending ITLB hit), and the IL1, each probe after settling that
+   structure's pending hits.  A probe leaves its MRU entry on this fetch's
+   page or line, which is what lets later fetches skip it.  The IL1 and
+   ITLB share no state and their hits draw nothing, so applying their
+   hits in a different order than the fetches came is exact. *)
 let fetch_probe t ~addr ~line =
-  settle_fetch_hits t;
+  settle_il1_hits t;
   t.cycles <- t.cycles + 1;
-  (match Tlb.access t.itlb ~addr with
-  | Tlb.Hit -> ()
-  | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
+  let page = addr lsr t.fetch_page_shift in
+  if page = t.fetch_page then t.pending_page_hits <- t.pending_page_hits + 1
+  else begin
+    settle_itlb_hits t;
+    (match Tlb.access t.itlb ~addr with
+    | Tlb.Hit -> ()
+    | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
+    if t.fetch_hints then t.fetch_page <- page
+  end;
   (match Cache.access t.il1 ~addr ~write:false with
   | Cache.Hit -> t.cycles <- t.cycles + t.lat_l1_hit
   | Cache.Miss -> memory_transaction t ~addr);
-  if t.same_line_hits then t.fetch_line <- line
+  if t.fetch_hints then t.fetch_line <- line
 
 (* The pipeline timing model as the runner's per-work-class hooks: the
    pipelined base cycle and the fetch (ITLB then IL1) first, then at most
@@ -196,15 +226,15 @@ let fetch_probe t ~addr ~line =
    Only fetches touch the IL1 and the ITLB, so a fetch from the previous
    fetch's line is an MRU hit in both (the geometry gate makes the same
    line the same page): it costs the base cycle plus an L1 hit and is
-   counted as pending, to be applied in one call per structure
-   ([settle_fetch_hits]) before anything next looks at either. *)
+   counted as pending, to be applied in one call per structure before
+   anything next looks at it. *)
 let sink t =
   {
     Repro_isa.Executor.on_fetch =
       (fun addr ->
         let line = addr lsr t.fetch_line_shift in
         if line = t.fetch_line then begin
-          t.pending_fetch_hits <- t.pending_fetch_hits + 1;
+          t.pending_line_hits <- t.pending_line_hits + 1;
           t.cycles <- t.cycles + 1 + t.lat_l1_hit
         end
         else fetch_probe t ~addr ~line);
@@ -262,11 +292,12 @@ let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
     match (injector, targets) with
     | Some inj, Some tg ->
         if Fault.due inj ~retired:!retired then begin
-          (* An upset can evict or alias the hinted line: apply the pending
-             hits while it is still the MRU entry, and probe the next
-             fetch in full. *)
+          (* An upset can evict or alias a hinted line or page: apply the
+             pending hits while they are still the MRU entries, and probe
+             the next fetch in full. *)
           settle_fetch_hits t;
-          t.fetch_line <- -1
+          t.fetch_line <- -1;
+          t.fetch_page <- -1
         end;
         Fault.step inj ~retired:!retired tg;
         t.faults_injected <- Fault.count inj

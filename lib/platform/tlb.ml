@@ -132,6 +132,7 @@ let flush t =
   t.clock <- 0
 
 let entries t = t.entries
+let page_shift t = t.page_shift
 
 (* SEU hook: flip one bit of a stored page number.  An upset in an invalid
    entry has no architectural state to corrupt and is absorbed. *)

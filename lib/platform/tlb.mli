@@ -27,6 +27,10 @@ val flush : t -> unit
 
 val entries : t -> int
 
+(** [addr lsr page_shift t] is the page number of byte [addr] when the
+    page size is a power of two; [-1] otherwise. *)
+val page_shift : t -> int
+
 (** SEU hook (driven by {!Fault}): flip one bit of the page number stored in
     [entry].  The stale translation makes the original page miss again; an
     upset in an invalid entry is absorbed. *)
