@@ -30,45 +30,91 @@ module M = Repro_mbpta
 module E = Repro_evt
 module Prng = Repro_rng.Prng
 module Quality = Repro_rng.Quality
+module Srv = Repro_serve
+module Cs = Repro_serve.Campaign_spec
 open Cmdliner
 
 (* --------------------------- common options --------------------------- *)
 
 let runs_arg =
   let doc = "Number of measurement runs per platform configuration." in
-  Arg.(value & opt int 3000 & info [ "r"; "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int Cs.default.runs & info [ "r"; "runs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Base seed of the campaign (all randomness derives from it)." in
-  Arg.(value & opt int64 2017L & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int64 Cs.default.seed & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
 let frames_arg =
   let doc = "Frames (task activations) per measured run." in
-  Arg.(value & opt int T.Mission.default_frames & info [ "frames" ] ~docv:"K" ~doc)
+  Arg.(value & opt int Cs.default.frames & info [ "frames" ] ~docv:"K" ~doc)
 
 let tail_arg =
-  let tails =
-    [
-      ("gumbel", M.Protocol.Gumbel);
-      ("gev", M.Protocol.Gev);
-      ("pot", M.Protocol.Pot);
-      ("exp", M.Protocol.Exponential_pot);
-    ]
-  in
   let doc = "Tail model: gumbel (default), gev, pot or exp." in
-  Arg.(value & opt (enum tails) M.Protocol.Gumbel & info [ "tail" ] ~docv:"MODEL" ~doc)
+  Arg.(value & opt (enum Cs.tails) Cs.default.tail & info [ "tail" ] ~docv:"MODEL" ~doc)
 
 let no_gates_arg =
   let doc = "Report the i.i.d./convergence verdicts but do not fail on them." in
   Arg.(value & flag & info [ "no-gates" ] ~doc)
 
-let bootstrap_arg =
-  let doc =
-    "Bootstrap replicates for a sampling-uncertainty interval on the pWCET estimate \
-     (0 disables, minimum 20).  Replicates fan out over --jobs with bit-identical \
-     intervals at any job count."
+(* The campaign spec of `analyze` and `client`: one term, so both front
+   ends parse the same flags with the same defaults. *)
+let spec_term =
+  let bootstrap =
+    let doc =
+      "Bootstrap replicates for a sampling-uncertainty interval on the pWCET estimate \
+       (0 disables, minimum 20).  Replicates fan out over --jobs with bit-identical \
+       intervals at any job count."
+    in
+    Arg.(
+      value & opt int Cs.default.bootstrap & info [ "bootstrap" ] ~docv:"REPLICATES" ~doc)
   in
-  Arg.(value & opt int 0 & info [ "bootstrap" ] ~docv:"REPLICATES" ~doc)
+  let engineering_factor =
+    let doc = "Engineering factor of the industrial MBTA baseline." in
+    Arg.(
+      value
+      & opt float Cs.default.engineering_factor
+      & info [ "engineering-factor" ] ~docv:"F" ~doc)
+  in
+  let seu_rate =
+    let doc =
+      "Inject single-event upsets at $(docv) expected upsets per million retired \
+       instructions (0 disables injection; the pipeline is then bit-identical to the \
+       fault-free one)."
+    in
+    Arg.(value & opt float Cs.default.seu_rate & info [ "seu-rate" ] ~docv:"RATE" ~doc)
+  in
+  let watchdog_budget =
+    let doc = "Watchdog cycle budget per run; a run exceeding it is a timeout." in
+    Arg.(value & opt (some int) None & info [ "watchdog-budget" ] ~docv:"CYCLES" ~doc)
+  in
+  let max_retries =
+    let doc = "Retries allowed per faulted run before it is quarantined." in
+    Arg.(value & opt int Cs.default.max_retries & info [ "max-retries" ] ~docv:"N" ~doc)
+  in
+  let min_survival =
+    let doc = "Fraction of runs that must survive for the campaign to proceed." in
+    Arg.(
+      value & opt float Cs.default.min_survival & info [ "min-survival" ] ~docv:"FRAC" ~doc)
+  in
+  let spec runs seed frames tail no_gates bootstrap engineering_factor seu_rate
+      watchdog_budget max_retries min_survival =
+    {
+      Cs.runs;
+      seed;
+      frames;
+      tail;
+      no_gates;
+      bootstrap;
+      engineering_factor;
+      seu_rate;
+      watchdog_budget;
+      max_retries;
+      min_survival;
+    }
+  in
+  Term.(
+    const spec $ runs_arg $ seed_arg $ frames_arg $ tail_arg $ no_gates_arg $ bootstrap
+    $ engineering_factor $ seu_rate $ watchdog_budget $ max_retries $ min_survival)
 
 let jobs_arg =
   let doc =
@@ -116,20 +162,18 @@ let usage_error fmt =
       exit 2)
     fmt
 
-let validate_runs runs = if runs < 1 then usage_error "--runs must be >= 1 (got %d)" runs
+(* Every subcommand's spec fields go through [Campaign_spec.validate], so
+   the simulator's bounds are checked before anything runs. *)
+let validated spec =
+  match Cs.validate spec with
+  | Ok () -> spec
+  | Error (field, problem) ->
+      usage_error "--%s %s" (String.map (function '_' -> '-' | c -> c) field) problem
 
-let validate_frames frames =
-  if frames < 1 then usage_error "--frames must be >= 1 (got %d)" frames
-
-let validate_min_survival v =
-  if not (v >= 0. && v <= 1.) then
-    usage_error "--min-survival must lie in [0, 1] (got %g)" v
+let sample_spec ~runs ~seed ~frames = validated { Cs.default with runs; seed; frames }
 
 let validate_probability p =
   if not (p > 0. && p < 1.) then usage_error "--probability must lie in (0, 1) (got %g)" p
-
-let validate_engineering_factor f =
-  if not (f >= 1.) then usage_error "--engineering-factor must be >= 1 (got %g)" f
 
 let profile_arg =
   let doc =
@@ -294,42 +338,15 @@ let parse_shard s =
       | _ -> usage_error "--shard expects k/N with 1 <= k <= N (got %s)" s)
   | _ -> usage_error "--shard expects k/N (got %s)" s
 
-(* Roll one run's micro-architectural counters into the trace registry.
-   Safe from any worker domain: additions commute, so the totals are
-   deterministic at every job count. *)
-let record_metrics counters ~prefix (m : P.Metrics.t) =
-  let add name v = M.Trace.Counters.add counters (prefix ^ name) v in
-  add "runs" 1;
-  add "cycles" m.P.Metrics.cycles;
-  add "instructions" m.P.Metrics.instructions;
-  add "il1_misses" m.P.Metrics.il1_misses;
-  add "dl1_misses" m.P.Metrics.dl1_misses;
-  add "itlb_misses" m.P.Metrics.itlb_misses;
-  add "dtlb_misses" m.P.Metrics.dtlb_misses;
-  add "bus_transactions" m.P.Metrics.bus_transactions;
-  add "dram_row_misses" m.P.Metrics.dram_row_misses;
-  add "faults_injected" m.P.Metrics.faults_injected
-
-(* Traced variant of the measurement closure: same cycles bit-for-bit
-   ([Experiment.measure] is [cycles (run ...)]), but the full metrics are
-   accumulated into the counter registry on the way. *)
-let measure_with_counters trace exp ~prefix =
-  match trace with
-  | None -> fun i -> T.Experiment.measure exp ~run_index:i
-  | Some t ->
-      let counters = M.Trace.counters t in
-      fun i ->
-        let m = T.Experiment.run exp ~run_index:i in
-        record_metrics counters ~prefix m;
-        float_of_int (P.Metrics.cycles m)
-
 (* Parallel counterpart of [Experiment.collect] for the single-platform
    subcommands; sound because [Experiment.measure] is a pure function of the
    run index. *)
 let collect_par ?trace ?store ~jobs exp ~runs =
-  let phase = "collect_rand" in
+  let phase = M.Campaign.phase_collect_rand in
   (match trace with Some t -> M.Trace.phase_start t phase | None -> ());
-  let measure = measure_with_counters trace exp ~prefix:"rand." in
+  let measure =
+    Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:"rand."
+  in
   let xs =
     match store with
     | None -> M.Parallel.init ?trace ~jobs runs measure
@@ -345,25 +362,6 @@ let collect_par ?trace ?store ~jobs exp ~runs =
 let experiment ~config ~seed ~frames =
   T.Experiment.create ~frames ~config ~base_seed:seed ()
 
-let options_of ?(bootstrap = 0) ?(seed = 2017L) ~tail ~no_gates () =
-  let bootstrap =
-    if bootstrap = 0 then None
-    else
-      Some
-        {
-          M.Protocol.default_bootstrap_options with
-          M.Protocol.replicates = bootstrap;
-          M.Protocol.bootstrap_seed = seed;
-        }
-  in
-  {
-    M.Protocol.default_options with
-    M.Protocol.tail;
-    M.Protocol.gate_on_iid = not no_gates;
-    M.Protocol.check_convergence = not no_gates;
-    M.Protocol.bootstrap = bootstrap;
-  }
-
 (* Analysis-phase bracketing for subcommands that call the estimators
    directly (iid, convergence) rather than through [Campaign.run]; gives
    the trace digest the same per-phase wall-clock it gets for campaigns. *)
@@ -377,12 +375,6 @@ let in_analysis_phase trace f =
       M.Trace.phase_end t "analyze";
       v
 
-let tail_name = function
-  | M.Protocol.Gumbel -> "gumbel"
-  | M.Protocol.Gev -> "gev"
-  | M.Protocol.Pot -> "pot"
-  | M.Protocol.Exponential_pot -> "exp"
-
 let base_config ~subcommand ~runs ~seed ~frames =
   [
     ("subcommand", subcommand);
@@ -393,37 +385,14 @@ let base_config ~subcommand ~runs ~seed ~frames =
 
 (* ------------------------------ analyze ------------------------------ *)
 
-(* Map the experiment's classified fault outcomes onto the supervisor's
-   outcome type (the tvca and mbpta libraries deliberately do not know
-   about each other; this glue is the only place both sides meet). *)
-let resilience_outcome_of = function
-  | T.Experiment.Completed { metrics; _ } ->
-      M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
-  | T.Experiment.Watchdog { cycles; budget; _ } ->
-      M.Resilience.Timeout
-        { detail = Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget }
-  | T.Experiment.Runaway { program; _ } ->
-      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
-  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
-  | T.Experiment.Corrupted { worst_error; _ } ->
-      M.Resilience.Corrupted
-        { detail = Printf.sprintf "worst output error %g" worst_error }
-
-let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
-    watchdog_budget max_retries min_survival jobs dispatch profile trace_path
-    trace_level cache_dir resume no_cache cache_sync shard workers worker_deadline
-    worker_retries worker_backoff =
+let analyze spec csv_dir jobs dispatch profile trace_path trace_level cache_dir resume
+    no_cache cache_sync shard workers worker_deadline worker_retries worker_backoff =
   let jobs = resolve_jobs jobs in
   let dispatch_s = dispatch in
   let dispatch = resolve_dispatch dispatch in
   if profile then M.Profile.set_enabled true;
-  validate_runs runs;
-  validate_frames frames;
-  validate_engineering_factor factor;
-  validate_min_survival min_survival;
-  if seu_rate < 0. then usage_error "--seu-rate must be >= 0 (got %g)" seu_rate;
-  if bootstrap <> 0 && bootstrap < 20 then
-    usage_error "--bootstrap must be 0 (off) or >= 20 replicates (got %d)" bootstrap;
+  let spec = validated spec in
+  let runs = spec.Cs.runs in
   let shard = Option.map parse_shard shard in
   if workers < 1 then usage_error "--workers must be >= 1 (got %d)" workers;
   if shard <> None && workers > 1 then
@@ -441,63 +410,14 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
   | Some d when not (d > 0.) ->
       usage_error "--worker-deadline must be > 0 (got %g)" d
   | _ -> ());
-  let resilient = seu_rate > 0. || watchdog_budget <> None in
+  let resilient = Cs.resilient spec in
+  let store_config = Cs.store_config spec in
   let config =
-    base_config ~subcommand:"analyze" ~runs ~seed ~frames
-    @ [ ("tail", tail_name tail); ("seu_rate", string_of_float seu_rate) ]
-  in
-  (* The store key digests only what determines a measured value; the
-     analysis-side knobs (tail, gates, engineering factor, min_survival —
-     pure accounting) deliberately stay out so re-analysis is a cache
-     hit. *)
-  let store_config =
-    [
-      ("campaign", "analyze");
-      ("det_config", "deterministic");
-      ("rand_config", "mbpta_compliant");
-      ("seed", Int64.to_string seed);
-      ("frames", string_of_int frames);
-      ("runs", string_of_int runs);
-      ("resilient", string_of_bool resilient);
-    ]
-    @
-    if resilient then
-      [
-        ("seu_rate", string_of_float seu_rate);
-        ( "watchdog_budget",
-          match watchdog_budget with None -> "none" | Some b -> string_of_int b );
-        ("max_retries", string_of_int max_retries);
-      ]
-    else []
+    base_config ~subcommand:"analyze" ~runs ~seed:spec.seed ~frames:spec.frames
+    @ [ ("tail", Cs.tail_name spec.tail); ("seu_rate", string_of_float spec.seu_rate) ]
   in
   with_graceful_shutdown ~enabled:(cache_dir <> None && not no_cache) @@ fun () ->
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
-  let det = experiment ~config:P.Config.deterministic ~seed ~frames in
-  let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
-  let input =
-    {
-      M.Campaign.runs;
-      measure_det = measure_with_counters trace det ~prefix:"det.";
-      measure_rand = measure_with_counters trace rand ~prefix:"rand.";
-      options = options_of ~bootstrap ~seed ~tail ~no_gates ();
-      engineering_factor = factor;
-    }
-  in
-  let resilient_input () =
-    let fault = T.Experiment.fault_config ~seu_rate ?watchdog_budget () in
-    let measure exp prefix ~run_index ~attempt =
-      let outcome = T.Experiment.run_faulty exp ~fault ~attempt ~run_index () in
-      (match (trace, outcome) with
-      | Some t, T.Experiment.Completed { metrics; _ } ->
-          record_metrics (M.Trace.counters t) ~prefix metrics
-      | _ -> ());
-      resilience_outcome_of outcome
-    in
-    let policy = { M.Resilience.default_policy with max_retries; min_survival } in
-    M.Campaign.resilient_input ~policy ~base:input
-      ~measure_det_outcome:(measure det "det.")
-      ~measure_rand_outcome:(measure rand "rand.") ()
-  in
   (* Coordinator mode: spawn one worker process per shard (this executable,
      re-invoked with --shard k/N into a per-shard store directory),
      supervise them with retry/timeout/backoff, then merge the shard stores
@@ -521,40 +441,10 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
     let shard_dir k = Filename.concat dir (Printf.sprintf "shard-%d-of-%d" k workers) in
     let worker_argv k =
       Array.of_list
-        ([
-           Sys.executable_name;
-           "analyze";
-           "--runs";
-           string_of_int runs;
-           "--seed";
-           Int64.to_string seed;
-           "--frames";
-           string_of_int frames;
-           "--jobs";
-           string_of_int jobs;
-           "--dispatch";
-           dispatch_s;
-           "--shard";
-           Printf.sprintf "%d/%d" k workers;
-           "--cache-dir";
-           shard_dir k;
-         ]
-        @ (if cache_sync then [ "--cache-sync" ] else [])
-        @
-        if resilient then
-          [
-            (* %h round-trips the float exactly, so workers measure with
-               bit-identical fault parameters *)
-            "--seu-rate";
-            Printf.sprintf "%h" seu_rate;
-            "--max-retries";
-            string_of_int max_retries;
-          ]
-          @
-          match watchdog_budget with
-          | None -> []
-          | Some b -> [ "--watchdog-budget"; string_of_int b ]
-        else [])
+        ((Sys.executable_name :: "analyze" :: Cs.to_args spec)
+        @ [ "--jobs"; string_of_int jobs; "--dispatch"; dispatch_s ]
+        @ [ "--shard"; Printf.sprintf "%d/%d" k workers; "--cache-dir"; shard_dir k ]
+        @ if cache_sync then [ "--cache-sync" ] else [])
     in
     List.iteri (fun i _ -> M.Trace.ensure_dir (shard_dir (i + 1))) spans;
     let policy =
@@ -594,7 +484,7 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
               shards_merged
         | None -> ());
         let covered =
-          match List.assoc_opt (M.Store.key store_config) m.M.Store.coverage with
+          match List.assoc_opt (Cs.key spec) m.M.Store.coverage with
           | Some c -> c
           | None -> 0
         in
@@ -632,7 +522,7 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
       else begin
         let ((lo, hi) as span) = List.nth spans (k - 1) in
         let store = try M.Store.open_root ~dir with Sys_error e -> usage_error "%s" e in
-        let key = M.Store.key store_config in
+        let key = Cs.key spec in
         let open_session () =
           M.Store.open_session ~resume:true ~sync:cache_sync ~shard:span store ~key
             ~config:store_config ~runs ~resilient
@@ -648,13 +538,7 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
               match open_session () with Ok s -> s | Error e -> usage_error "%s" e)
         in
         Fun.protect ~finally:(fun () -> M.Store.close session) @@ fun () ->
-        let result =
-          if resilient then
-            M.Campaign.collect_shard_resilient ~jobs ?trace ~dispatch ~store:session
-              (resilient_input ())
-          else M.Campaign.collect_shard ~jobs ?trace ~dispatch ~store:session input
-        in
-        match result with
+        match Cs.collect_shard ~jobs ?trace ~dispatch ~store:session spec with
         | Error f ->
             Format.eprintf "shard %d/%d failed: %a@." k n M.Protocol.pp_failure f;
             1
@@ -674,12 +558,7 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
       with_store ~cache_dir ~resume ~no_cache ~sync:cache_sync ~config:store_config
         ~runs ~resilient
       @@ fun store ->
-      let result =
-        if resilient then
-          M.Campaign.run_resilient ~jobs ?trace ~dispatch ?store (resilient_input ())
-        else M.Campaign.run ~jobs ?trace ~dispatch ?store input
-      in
-      match result with
+      match Cs.run ~jobs ?trace ~dispatch ?store spec with
   | Error f ->
       Format.eprintf "campaign failed: %a@." M.Protocol.pp_failure f;
       1
@@ -731,41 +610,15 @@ let analyze runs seed frames tail no_gates bootstrap factor csv_dir seu_rate
   exit_code
 
 let analyze_cmd =
-  let factor =
-    let doc = "Engineering factor of the industrial MBTA baseline." in
-    Arg.(value & opt float 1.5 & info [ "engineering-factor" ] ~docv:"F" ~doc)
-  in
   let csv_dir =
     let doc = "Also write samples/ECDF/curve/comparison CSV files to $(docv)." in
     Arg.(value & opt (some string) None & info [ "csv-dir" ] ~docv:"DIR" ~doc)
-  in
-  let seu_rate =
-    let doc =
-      "Inject single-event upsets at $(docv) expected upsets per million retired \
-       instructions (0 disables injection; the pipeline is then bit-identical to the \
-       fault-free one)."
-    in
-    Arg.(value & opt float 0. & info [ "seu-rate" ] ~docv:"RATE" ~doc)
-  in
-  let watchdog_budget =
-    let doc = "Watchdog cycle budget per run; a run exceeding it is a timeout." in
-    Arg.(value & opt (some int) None & info [ "watchdog-budget" ] ~docv:"CYCLES" ~doc)
-  in
-  let max_retries =
-    let doc = "Retries allowed per faulted run before it is quarantined." in
-    Arg.(value & opt int 2 & info [ "max-retries" ] ~docv:"N" ~doc)
-  in
-  let min_survival =
-    let doc = "Fraction of runs that must survive for the campaign to proceed." in
-    Arg.(value & opt float 0.9 & info [ "min-survival" ] ~docv:"FRAC" ~doc)
   in
   let doc = "run the full measurement campaign and print the report" in
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const analyze $ runs_arg $ seed_arg $ frames_arg $ tail_arg $ no_gates_arg
-      $ bootstrap_arg $ factor $ csv_dir $ seu_rate $ watchdog_budget $ max_retries
-      $ min_survival $ jobs_arg $ dispatch_arg $ profile_arg
+      const analyze $ spec_term $ csv_dir $ jobs_arg $ dispatch_arg $ profile_arg
       $ trace_arg $ trace_level_arg $ cache_dir_arg $ resume_arg $ no_cache_arg
       $ cache_sync_arg $ shard_arg $ workers_arg $ worker_deadline_arg
       $ worker_retries_arg $ worker_backoff_arg)
@@ -773,28 +626,16 @@ let analyze_cmd =
 (* -------------------------------- iid -------------------------------- *)
 
 (* iid and convergence measure the same thing — runs on the randomized
-   platform — so they share one store key: a sample recorded by either is
-   a warm hit for the other. *)
-let rand_collect_store_config ~runs ~seed ~frames =
-  [
-    ("campaign", "collect_rand");
-    ("rand_config", "mbpta_compliant");
-    ("seed", Int64.to_string seed);
-    ("frames", string_of_int frames);
-    ("runs", string_of_int runs);
-    ("resilient", "false");
-  ]
-
+   platform — so they share one store key ([Campaign_spec.collect_rand_config]):
+   a sample recorded by either is a warm hit for the other. *)
 let iid runs seed frames jobs trace_path trace_level cache_dir resume no_cache cache_sync
     =
-  validate_runs runs;
-  validate_frames frames;
+  let spec = sample_spec ~runs ~seed ~frames in
   let config = base_config ~subcommand:"iid" ~runs ~seed ~frames in
   with_graceful_shutdown ~enabled:(cache_dir <> None && not no_cache) @@ fun () ->
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
   with_store ~cache_dir ~resume ~no_cache ~sync:cache_sync
-    ~config:(rand_collect_store_config ~runs ~seed ~frames)
-    ~runs ~resilient:false
+    ~config:(Cs.collect_rand_config spec) ~runs ~resilient:false
   @@ fun store ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
@@ -814,8 +655,7 @@ let iid_cmd =
 
 let convergence runs seed frames probability jobs trace_path trace_level cache_dir resume
     no_cache cache_sync =
-  validate_runs runs;
-  validate_frames frames;
+  let spec = sample_spec ~runs ~seed ~frames in
   validate_probability probability;
   let config =
     base_config ~subcommand:"convergence" ~runs ~seed ~frames
@@ -826,8 +666,7 @@ let convergence runs seed frames probability jobs trace_path trace_level cache_d
   (* probability is an analysis knob — the measurement key is the shared
      randomized-platform one, so iid/convergence reuse each other's runs *)
   with_store ~cache_dir ~resume ~no_cache ~sync:cache_sync
-    ~config:(rand_collect_store_config ~runs ~seed ~frames)
-    ~runs ~resilient:false
+    ~config:(Cs.collect_rand_config spec) ~runs ~resilient:false
   @@ fun store ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
@@ -861,6 +700,7 @@ let convergence_cmd =
 
 let paths runs seed frames jobs trace_path trace_level =
   let jobs = resolve_jobs jobs in
+  ignore (sample_spec ~runs ~seed ~frames);
   let config = base_config ~subcommand:"paths" ~runs ~seed ~frames in
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
@@ -948,14 +788,14 @@ let qualify_cmd =
 (* -------------------------------- plot -------------------------------- *)
 
 let plot runs seed frames tail qq trace_path trace_level =
+  let spec = validated { Cs.default with runs; seed; frames; tail; no_gates = true } in
   let config =
-    base_config ~subcommand:"plot" ~runs ~seed ~frames @ [ ("tail", tail_name tail) ]
+    base_config ~subcommand:"plot" ~runs ~seed ~frames @ [ ("tail", Cs.tail_name tail) ]
   in
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ~jobs:1 rand ~runs in
-  let options = options_of ~tail ~no_gates:true () in
-  (match M.Protocol.analyze ~options ?trace xs with
+  (match M.Protocol.analyze ~options:(Cs.options spec) ?trace xs with
   | Ok a ->
       print_string (M.Ascii_plot.exceedance_plot a.M.Protocol.curve);
       if qq then begin
@@ -1191,8 +1031,6 @@ let cache_cmd =
 
 (* ------------------------------- serve -------------------------------- *)
 
-module Srv = Repro_serve
-
 let socket_arg =
   let doc = "Unix-domain socket path the daemon listens on (client: connects to)." in
   Arg.(
@@ -1258,30 +1096,8 @@ let serve_cmd =
 let client_render_counters counters =
   List.iter (fun (k, v) -> Format.eprintf "mbpta client: counter %s = %d@." k v) counters
 
-let client socket action runs seed frames tail no_gates bootstrap factor seu_rate
-    watchdog_budget max_retries min_survival probability events =
-  validate_runs runs;
-  validate_frames frames;
-  validate_engineering_factor factor;
-  validate_min_survival min_survival;
-  if seu_rate < 0. then usage_error "--seu-rate must be >= 0 (got %g)" seu_rate;
-  if bootstrap <> 0 && bootstrap < 20 then
-    usage_error "--bootstrap must be 0 (off) or >= 20 replicates (got %d)" bootstrap;
-  let spec =
-    {
-      Srv.Serve_protocol.runs;
-      seed;
-      frames;
-      tail;
-      no_gates;
-      bootstrap;
-      engineering_factor = factor;
-      seu_rate;
-      watchdog_budget;
-      max_retries;
-      min_survival;
-    }
-  in
+let client socket action spec probability events =
+  let spec = validated spec in
   let req =
     match action with
     | "campaign" -> Srv.Serve_protocol.Campaign { spec; events }
@@ -1358,32 +1174,10 @@ let client_cmd =
     let doc = "Stream the campaign's trace events to stderr while it computes." in
     Arg.(value & flag & info [ "events" ] ~doc)
   in
-  let factor =
-    let doc = "Engineering factor of the industrial MBTA baseline." in
-    Arg.(value & opt float 1.5 & info [ "engineering-factor" ] ~docv:"F" ~doc)
-  in
-  let seu_rate =
-    let doc = "Expected upsets per million retired instructions (0 disables)." in
-    Arg.(value & opt float 0. & info [ "seu-rate" ] ~docv:"RATE" ~doc)
-  in
-  let watchdog_budget =
-    let doc = "Watchdog cycle budget per run; a run exceeding it is a timeout." in
-    Arg.(value & opt (some int) None & info [ "watchdog-budget" ] ~docv:"CYCLES" ~doc)
-  in
-  let max_retries =
-    let doc = "Retries allowed per faulted run before it is quarantined." in
-    Arg.(value & opt int 2 & info [ "max-retries" ] ~docv:"N" ~doc)
-  in
-  let min_survival =
-    let doc = "Fraction of runs that must survive for the campaign to proceed." in
-    Arg.(value & opt float 0.9 & info [ "min-survival" ] ~docv:"FRAC" ~doc)
-  in
   let doc = "send one request to a running [mbpta serve] daemon" in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
-      const client $ socket_arg $ action $ runs_arg $ seed_arg $ frames_arg $ tail_arg
-      $ no_gates_arg $ bootstrap_arg $ factor $ seu_rate $ watchdog_budget $ max_retries
-      $ min_survival $ probability $ events)
+      const client $ socket_arg $ action $ spec_term $ probability $ events)
 
 (* ------------------------------- shuffle ------------------------------- *)
 
@@ -1396,8 +1190,7 @@ let client_cmd =
 let shuffle runs seed frames tail no_gates jobs period max_jitter horizon context_switch
     policies trace_path trace_level =
   let jobs = resolve_jobs jobs in
-  validate_runs runs;
-  validate_frames frames;
+  let spec = validated { Cs.default with runs; seed; frames; tail; no_gates } in
   if period < 1 then usage_error "--period must be >= 1 (got %d)" period;
   if max_jitter < 0 then usage_error "--max-jitter must be >= 0 (got %d)" max_jitter;
   if horizon < period then
@@ -1408,7 +1201,7 @@ let shuffle runs seed frames tail no_gates jobs period max_jitter horizon contex
   let config =
     base_config ~subcommand:"shuffle" ~runs ~seed ~frames
     @ [
-        ("tail", tail_name tail);
+        ("tail", Cs.tail_name tail);
         ("period", string_of_int period);
         ("max_jitter", string_of_int max_jitter);
         ("horizon", string_of_int horizon);
@@ -1417,7 +1210,7 @@ let shuffle runs seed frames tail no_gates jobs period max_jitter horizon contex
   in
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
   let exp = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
-  let options = options_of ~seed ~tail ~no_gates () in
+  let options = Cs.options spec in
   let campaign policy =
     let name = T.Rtos.policy_name policy in
     let phase = "shuffle_" ^ name in
@@ -1526,8 +1319,7 @@ let shuffle_cmd =
 let leak runs seed seed_b frames alpha platform_a platform_b fixed_a fixed_b jobs
     trace_path trace_level =
   let jobs = resolve_jobs jobs in
-  validate_runs runs;
-  validate_frames frames;
+  ignore (sample_spec ~runs ~seed ~frames);
   if runs < 2 then usage_error "--runs must be >= 2 for a two-sample test (got %d)" runs;
   if not (alpha > 0. && alpha < 1.) then
     usage_error "--alpha must lie in (0, 1) (got %g)" alpha;
@@ -1565,7 +1357,8 @@ let leak runs seed seed_b frames alpha platform_a platform_b fixed_a fixed_b job
       match fixed with
       | Some scenario_index ->
           fun i -> T.Experiment.measure_fixed_scenario exp ~scenario_index ~run_index:i
-      | None -> measure_with_counters trace exp ~prefix:(which ^ ".")
+      | None ->
+          Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:(which ^ ".")
     in
     let xs = M.Parallel.init ?trace ~jobs runs measure in
     (match trace with

@@ -144,6 +144,10 @@ val collect_shard_resilient :
   resilient_input ->
   (unit, Protocol.failure) Stdlib.result
 
+(** Trace phase and store phase of the randomized-platform measurements
+    (["collect_rand"]); warm readers of a record collect under it. *)
+val phase_collect_rand : string
+
 (** Render the whole campaign as a text report (all four experiments, plus
     the fault/retry summary when the campaign ran resiliently). *)
 val render : t -> string

@@ -6,13 +6,10 @@
    and the store key derived on either side is identical. *)
 
 module M = Repro_mbpta
-module T = Repro_tvca
 module Json = M.Trace.Json
 
-(* ------------------------------------------------------------------ *)
-(* Campaign specification *)
-
-type spec = {
+(* Aliases of the Campaign_spec names, for the warm_store benchmark. *)
+type spec = Campaign_spec.t = {
   runs : int;
   seed : int64;
   frames : int;
@@ -26,82 +23,10 @@ type spec = {
   min_survival : float;
 }
 
-let default_spec =
-  {
-    runs = 3000;
-    seed = 2017L;
-    frames = T.Mission.default_frames;
-    tail = M.Protocol.Gumbel;
-    no_gates = false;
-    bootstrap = 0;
-    engineering_factor = 1.5;
-    seu_rate = 0.;
-    watchdog_budget = None;
-    max_retries = 2;
-    min_survival = 0.9;
-  }
-
-let resilient spec = spec.seu_rate > 0. || spec.watchdog_budget <> None
-
-let tail_name = function
-  | M.Protocol.Gumbel -> "gumbel"
-  | M.Protocol.Gev -> "gev"
-  | M.Protocol.Pot -> "pot"
-  | M.Protocol.Exponential_pot -> "exp"
-
-let tail_of_name = function
-  | "gumbel" -> Ok M.Protocol.Gumbel
-  | "gev" -> Ok M.Protocol.Gev
-  | "pot" -> Ok M.Protocol.Pot
-  | "exp" -> Ok M.Protocol.Exponential_pot
-  | s -> Error (Printf.sprintf "unknown tail model %S (expected gumbel|gev|pot|exp)" s)
-
-(* The store key digests only what determines a measured value — the same
-   pairs, in the same spelling, as the CLI's analyze subcommand, so a
-   record warmed by `mbpta analyze --cache-dir` serves daemon requests and
-   vice versa.  Analysis-side knobs (tail, gates, bootstrap, engineering
-   factor, min_survival) deliberately stay out. *)
-let store_config spec =
-  let resilient = resilient spec in
-  [
-    ("campaign", "analyze");
-    ("det_config", "deterministic");
-    ("rand_config", "mbpta_compliant");
-    ("seed", Int64.to_string spec.seed);
-    ("frames", string_of_int spec.frames);
-    ("runs", string_of_int spec.runs);
-    ("resilient", string_of_bool resilient);
-  ]
-  @
-  if resilient then
-    [
-      ("seu_rate", string_of_float spec.seu_rate);
-      ( "watchdog_budget",
-        match spec.watchdog_budget with None -> "none" | Some b -> string_of_int b );
-      ("max_retries", string_of_int spec.max_retries);
-    ]
-  else []
-
-let store_key spec = M.Store.key (store_config spec)
-
-let options spec =
-  let bootstrap =
-    if spec.bootstrap = 0 then None
-    else
-      Some
-        {
-          M.Protocol.default_bootstrap_options with
-          M.Protocol.replicates = spec.bootstrap;
-          M.Protocol.bootstrap_seed = spec.seed;
-        }
-  in
-  {
-    M.Protocol.default_options with
-    M.Protocol.tail = spec.tail;
-    M.Protocol.gate_on_iid = not spec.no_gates;
-    M.Protocol.check_convergence = not spec.no_gates;
-    M.Protocol.bootstrap = bootstrap;
-  }
+let default_spec = Campaign_spec.default
+let store_config = Campaign_spec.store_config
+let store_key = Campaign_spec.key
+let options = Campaign_spec.options
 
 (* ------------------------------------------------------------------ *)
 (* Requests / responses *)
@@ -109,8 +34,8 @@ let options spec =
 type query = Pwcet of float  (** pWCET estimate at this cutoff probability *) | Iid_verdict
 
 type request =
-  | Campaign of { spec : spec; events : bool }
-  | Query of { spec : spec; query : query }
+  | Campaign of { spec : Campaign_spec.t; events : bool }
+  | Query of { spec : Campaign_spec.t; query : query }
   | Status
   | Shutdown
 
@@ -166,77 +91,13 @@ let counters_of_json = function
       List.filter_map (fun (k, v) -> Option.map (fun i -> (k, i)) (Json.to_int v)) kvs
   | _ -> []
 
-let spec_fields spec =
-  [
-    ("runs", Json.Int spec.runs);
-    ("seed", Json.String (Int64.to_string spec.seed));
-    ("frames", Json.Int spec.frames);
-    ("tail", Json.String (tail_name spec.tail));
-    ("no_gates", Json.Bool spec.no_gates);
-    ("bootstrap", Json.Int spec.bootstrap);
-    ("engineering_factor", Json.Float spec.engineering_factor);
-    ("seu_rate", Json.Float spec.seu_rate);
-    ( "watchdog_budget",
-      match spec.watchdog_budget with None -> Json.Null | Some b -> Json.Int b );
-    ("max_retries", Json.Int spec.max_retries);
-    ("min_survival", Json.Float spec.min_survival);
-  ]
-
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let spec_of_json j =
-  let int k d = match Option.bind (Json.member k j) Json.to_int with Some v -> v | None -> d in
-  let flt k d =
-    match Option.bind (Json.member k j) Json.to_float with Some v -> v | None -> d
-  in
-  let bool k d =
-    match Option.bind (Json.member k j) Json.to_bool with Some v -> v | None -> d
-  in
-  let* seed =
-    match Option.bind (Json.member "seed" j) Json.to_str with
-    | None -> Ok default_spec.seed
-    | Some s -> (
-        match Int64.of_string_opt s with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "malformed seed %S" s))
-  in
-  let* tail =
-    match Option.bind (Json.member "tail" j) Json.to_str with
-    | None -> Ok default_spec.tail
-    | Some s -> tail_of_name s
-  in
-  let watchdog_budget =
-    match Json.member "watchdog_budget" j with
-    | Some (Json.Int b) -> Some b
-    | _ -> default_spec.watchdog_budget
-  in
-  Ok
-    {
-      runs = int "runs" default_spec.runs;
-      seed;
-      frames = int "frames" default_spec.frames;
-      tail;
-      no_gates = bool "no_gates" default_spec.no_gates;
-      bootstrap = int "bootstrap" default_spec.bootstrap;
-      engineering_factor = flt "engineering_factor" default_spec.engineering_factor;
-      seu_rate = flt "seu_rate" default_spec.seu_rate;
-      watchdog_budget;
-      max_retries = int "max_retries" default_spec.max_retries;
-      min_survival = flt "min_survival" default_spec.min_survival;
-    }
-
-let validate_spec spec =
-  if spec.runs < 1 then Error "runs must be >= 1"
-  else if spec.frames < 1 then Error "frames must be >= 1"
-  else if spec.seu_rate < 0. then Error "seu_rate must be >= 0"
-  else if not (spec.engineering_factor >= 1.) then
-    Error "engineering_factor must be >= 1"
-  else if not (spec.min_survival >= 0. && spec.min_survival <= 1.) then
-    Error "min_survival must lie in [0, 1]"
-  else if spec.bootstrap <> 0 && spec.bootstrap < 20 then
-    Error "bootstrap must be 0 (off) or >= 20 replicates"
-  else if spec.max_retries < 0 then Error "max_retries must be >= 0"
-  else Ok spec
+  let* spec = Campaign_spec.of_json j in
+  match Campaign_spec.validate spec with
+  | Ok () -> Ok spec
+  | Error (field, problem) -> Error (field ^ " " ^ problem)
 
 let query_fields = function
   | Pwcet p -> [ ("query", Json.String "pwcet"); ("probability", Json.Float p) ]
@@ -257,9 +118,11 @@ let json_of_request = function
   | Campaign { spec; events } ->
       Json.Obj
         ([ ("req", Json.String "campaign"); ("events", Json.Bool events) ]
-        @ spec_fields spec)
+        @ Campaign_spec.json_fields spec)
   | Query { spec; query } ->
-      Json.Obj ((("req", Json.String "query") :: query_fields query) @ spec_fields spec)
+      Json.Obj
+        ((("req", Json.String "query") :: query_fields query)
+        @ Campaign_spec.json_fields spec)
   | Status -> Json.Obj [ ("req", Json.String "status") ]
   | Shutdown -> Json.Obj [ ("req", Json.String "shutdown") ]
 
@@ -273,12 +136,10 @@ let request_of_json j =
         | None -> false
       in
       let* spec = spec_of_json j in
-      let* spec = validate_spec spec in
       Ok (Campaign { spec; events })
   | Some "query" ->
       let* query = query_of_json j in
       let* spec = spec_of_json j in
-      let* spec = validate_spec spec in
       Ok (Query { spec; query })
   | Some "status" -> Ok Status
   | Some "shutdown" -> Ok Shutdown

@@ -10,9 +10,9 @@
 
 module M := Repro_mbpta
 
-(** What to measure and how to analyze it — the daemon-side mirror of the
-    CLI's analyze flags.  Every field has the CLI's default. *)
-type spec = {
+(** Campaign specs are {!Campaign_spec.t}.  These names alias it for the
+    warm_store benchmark and hold no logic. *)
+type spec = Campaign_spec.t = {
   runs : int;
   seed : int64;
   frames : int;
@@ -27,33 +27,19 @@ type spec = {
 }
 
 val default_spec : spec
-
-(** A spec measures with fault injection iff [seu_rate > 0] or a watchdog
-    budget is set — the same rule as the CLI. *)
-val resilient : spec -> bool
-
-(** The content-addressed store configuration of this spec — the same
-    pairs, in the same spelling, as [mbpta analyze], so records warmed by
-    either side serve the other. *)
 val store_config : spec -> (string * string) list
-
 val store_key : spec -> string
-
-(** Analysis options of this spec (tail, gates, bootstrap). *)
 val options : spec -> M.Protocol.options
-
-val tail_name : M.Protocol.tail -> string
-val tail_of_name : string -> (M.Protocol.tail, string) result
 
 type query =
   | Pwcet of float  (** pWCET estimate at this cutoff probability *)
   | Iid_verdict
 
 type request =
-  | Campaign of { spec : spec; events : bool }
+  | Campaign of { spec : Campaign_spec.t; events : bool }
       (** run (or serve warm) the full campaign; [events] subscribes the
           connection to per-phase trace events while it computes *)
-  | Query of { spec : spec; query : query }
+  | Query of { spec : Campaign_spec.t; query : query }
       (** warm-only: answered straight from the store, never computes *)
   | Status
   | Shutdown
@@ -97,6 +83,9 @@ val reason_shutting_down : string
 val reason_too_many_clients : string
 
 val request_to_line : request -> string
+
+(** Parse a request line; a campaign or query spec that fails
+    {!Campaign_spec.validate} is an [Error] naming the field. *)
 val request_of_line : string -> (request, string) result
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result

@@ -21,8 +21,7 @@
    exactly. *)
 
 module M = Repro_mbpta
-module T = Repro_tvca
-module P = Repro_platform
+module Cs = Campaign_spec
 module Sp = Serve_protocol
 module Json = M.Trace.Json
 
@@ -44,7 +43,7 @@ type waiter = {
 
 type job = {
   j_key : string;
-  j_spec : Sp.spec;
+  j_spec : Cs.t;
   j_origin : waiter;  (* first requester: served cold/warm, not coalesced *)
   mutable j_waiters : waiter list;
 }
@@ -96,79 +95,7 @@ let rec drain_waiter w fd =
   match r with Sp.Event _ -> drain_waiter w fd | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Campaign glue (mirrors the CLI's analyze subcommand so the report is
-   byte-identical to `mbpta analyze` with the same spec) *)
-
-let record_metrics counters ~prefix (m : P.Metrics.t) =
-  let add name v = M.Trace.Counters.add counters (prefix ^ name) v in
-  add "runs" 1;
-  add "cycles" m.P.Metrics.cycles;
-  add "instructions" m.P.Metrics.instructions;
-  add "il1_misses" m.P.Metrics.il1_misses;
-  add "dl1_misses" m.P.Metrics.dl1_misses;
-  add "itlb_misses" m.P.Metrics.itlb_misses;
-  add "dtlb_misses" m.P.Metrics.dtlb_misses;
-  add "bus_transactions" m.P.Metrics.bus_transactions;
-  add "dram_row_misses" m.P.Metrics.dram_row_misses;
-  add "faults_injected" m.P.Metrics.faults_injected
-
-let resilience_outcome_of = function
-  | T.Experiment.Completed { metrics; _ } ->
-      M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
-  | T.Experiment.Watchdog { cycles; budget; _ } ->
-      M.Resilience.Timeout
-        { detail = Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget }
-  | T.Experiment.Runaway { program; _ } ->
-      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
-  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
-  | T.Experiment.Corrupted { worst_error; _ } ->
-      M.Resilience.Corrupted
-        { detail = Printf.sprintf "worst output error %g" worst_error }
-
-let campaign_input (spec : Sp.spec) counters =
-  let experiment config =
-    T.Experiment.create ~frames:spec.frames ~config ~base_seed:spec.seed ()
-  in
-  let det = experiment P.Config.deterministic in
-  let rand = experiment P.Config.mbpta_compliant in
-  let measure exp ~prefix i =
-    let m = T.Experiment.run exp ~run_index:i in
-    record_metrics counters ~prefix m;
-    float_of_int (P.Metrics.cycles m)
-  in
-  let base =
-    {
-      M.Campaign.runs = spec.runs;
-      measure_det = measure det ~prefix:"det.";
-      measure_rand = measure rand ~prefix:"rand.";
-      options = Sp.options spec;
-      engineering_factor = spec.engineering_factor;
-    }
-  in
-  if not (Sp.resilient spec) then `Plain base
-  else begin
-    let fault =
-      T.Experiment.fault_config ~seu_rate:spec.seu_rate ?watchdog_budget:spec.watchdog_budget ()
-    in
-    let measure_outcome exp prefix ~run_index ~attempt =
-      let outcome = T.Experiment.run_faulty exp ~fault ~attempt ~run_index () in
-      (match outcome with
-      | T.Experiment.Completed { metrics; _ } -> record_metrics counters ~prefix metrics
-      | _ -> ());
-      resilience_outcome_of outcome
-    in
-    let policy =
-      {
-        M.Resilience.default_policy with
-        max_retries = spec.max_retries;
-        min_survival = spec.min_survival;
-      }
-    in
-    `Resilient
-      (M.Campaign.resilient_input ~policy ~base
-         ~measure_det_outcome:(measure_outcome det "det.")
-         ~measure_rand_outcome:(measure_outcome rand "rand.") ())
-  end
+(* Campaigns *)
 
 type job_outcome =
   | Done of { report : string; counters : (string * int) list; warm : bool }
@@ -185,24 +112,16 @@ let run_campaign t job =
     List.iter (fun w -> waiter_push w (Sp.Event e)) subscribed
   in
   let mtrace = M.Trace.create_mem ~level:M.Trace.Summary ~counters ~on_event () in
-  let config = Sp.store_config spec in
-  let resilient = Sp.resilient spec in
   match
-    M.Store.open_session ~resume:true t.store ~key:job.j_key ~config ~runs:spec.runs
-      ~resilient
+    M.Store.open_session ~resume:true t.store ~key:job.j_key ~config:(Cs.store_config spec)
+      ~runs:spec.runs ~resilient:(Cs.resilient spec)
   with
   | Error e -> Failed_job e
   | Ok session -> (
       match
         Fun.protect
           ~finally:(fun () -> M.Store.close session)
-          (fun () ->
-            match campaign_input spec counters with
-            | `Plain input ->
-                M.Campaign.run ~jobs:t.cfg.jobs ~trace:mtrace ~store:session input
-            | `Resilient input ->
-                M.Campaign.run_resilient ~jobs:t.cfg.jobs ~trace:mtrace ~store:session
-                  input)
+          (fun () -> Cs.run ~jobs:t.cfg.jobs ~trace:mtrace ~store:session spec)
       with
       | Ok c ->
           let snapshot = M.Trace.Counters.snapshot counters in
@@ -286,11 +205,9 @@ let rec dispatch_loop t =
 (* ------------------------------------------------------------------ *)
 (* Warm-only queries *)
 
-let phase_rand = "collect_rand"
-
-let answer_query t (spec : Sp.spec) query =
-  let key = Sp.store_key spec in
-  if Sp.resilient spec then
+let answer_query t (spec : Cs.t) query =
+  let key = Cs.key spec in
+  if Cs.resilient spec then
     Sp.Miss
       {
         key;
@@ -301,23 +218,22 @@ let answer_query t (spec : Sp.spec) query =
   else begin
     let counters = M.Trace.Counters.create ~parent:t.totals () in
     let mtrace = M.Trace.create_mem ~level:M.Trace.Summary ~counters () in
-    let config = Sp.store_config spec in
     match
-      M.Store.open_session ~resume:true t.store ~key ~config ~runs:spec.runs
-        ~resilient:false
+      M.Store.open_session ~resume:true t.store ~key ~config:(Cs.store_config spec)
+        ~runs:spec.runs ~resilient:false
     with
     | Error e -> Sp.Miss { key; reason = e }
     | Ok session ->
         Fun.protect
           ~finally:(fun () -> M.Store.close session)
           (fun () ->
-            if not (M.Store.complete session ~phase:phase_rand) then
+            if not (M.Store.complete session ~phase:M.Campaign.phase_collect_rand) then
               Sp.Miss
                 {
                   key;
                   reason =
                     Printf.sprintf "record holds %d of %d runs; send a campaign request"
-                      (M.Store.cached_runs session ~phase:phase_rand)
+                      (M.Store.cached_runs session ~phase:M.Campaign.phase_collect_rand)
                       spec.runs;
                 }
             else begin
@@ -325,11 +241,11 @@ let answer_query t (spec : Sp.spec) query =
                  record — the [cache.runs_simulated = 0] counter in the
                  response is the proof that nothing was recomputed. *)
               let sample =
-                M.Store.collect ~trace:mtrace ~jobs:1 session ~phase:phase_rand spec.runs
+                M.Store.collect ~trace:mtrace ~jobs:1 session ~phase:M.Campaign.phase_collect_rand spec.runs
                   (fun _ -> invalid_arg "serve: warm query must not simulate")
               in
               match
-                M.Protocol.analyze ~options:(Sp.options spec) ~jobs:t.cfg.jobs
+                M.Protocol.analyze ~options:(Cs.options spec) ~jobs:t.cfg.jobs
                   ~trace:mtrace sample
               with
               | Error f ->
@@ -379,8 +295,8 @@ let status_response t =
       counters = M.Trace.Counters.snapshot t.totals;
     }
 
-let handle_campaign t fd (spec : Sp.spec) ~events =
-  let key = Sp.store_key spec in
+let handle_campaign t fd (spec : Cs.t) ~events =
+  let key = Cs.key spec in
   Mutex.lock t.mutex;
   if t.stopping then begin
     Mutex.unlock t.mutex;

@@ -11,6 +11,7 @@ module T = Repro_tvca
 module P = Repro_platform
 module S = Repro_serve
 module Sp = S.Serve_protocol
+module Cs = S.Campaign_spec
 
 let temp_dir () =
   let f = Filename.temp_file "serve_test" "" in
@@ -51,12 +52,12 @@ let request ?on_event sock req =
 
 (* Small but real campaign — distinct seeds per test keep store keys from
    colliding even though every test gets its own directory anyway. *)
-let spec ~seed = { Sp.default_spec with runs = 120; seed; frames = 2; no_gates = true }
+let spec ~seed = { Cs.default with runs = 120; seed; frames = 2; no_gates = true }
 
 (* The sequential in-process reference: same measurement and analysis
    glue as the daemon (and the CLI), no store, [jobs = 1].  The daemon's
    reports must match this byte for byte on every serving path. *)
-let direct_render (spec : Sp.spec) =
+let direct_render (spec : Cs.t) =
   let experiment config =
     T.Experiment.create ~frames:spec.frames ~config ~base_seed:spec.seed ()
   in
@@ -68,7 +69,7 @@ let direct_render (spec : Sp.spec) =
       M.Campaign.runs = spec.runs;
       measure_det = measure det;
       measure_rand = measure rand;
-      options = Sp.options spec;
+      options = Cs.options spec;
       engineering_factor = spec.engineering_factor;
     }
   in
@@ -293,16 +294,128 @@ let test_protocol_roundtrip () =
      addresses the same record (floats travel as %.17g). *)
   match Sp.request_of_line (Sp.request_to_line (Sp.Campaign { spec; events = false })) with
   | Ok (Sp.Campaign { spec = spec'; _ }) ->
-      Alcotest.(check string) "store key stable across the wire" (Sp.store_key spec)
-        (Sp.store_key spec')
+      Alcotest.(check string) "store key stable across the wire" (Cs.key spec)
+        (Cs.key spec')
   | _ -> Alcotest.fail "campaign request did not round-trip"
+
+(* Specs outside the simulator's or the analysis's domain never reach the
+   queue: the decoder rejects them and names the field. *)
+let test_invalid_specs_rejected () =
+  let base = spec ~seed:4110L in
+  List.iter
+    (fun (field, bad) ->
+      List.iter
+        (fun req ->
+          match Sp.request_of_line (Sp.request_to_line req) with
+          | Error e when String.starts_with ~prefix:(field ^ " ") e -> ()
+          | Error e -> Alcotest.failf "%s: rejected for the wrong reason: %s" field e
+          | Ok _ -> Alcotest.failf "%s: invalid spec accepted" field)
+        [
+          Sp.Campaign { spec = bad; events = false };
+          Sp.Query { spec = bad; query = Sp.Iid_verdict };
+        ])
+    [
+      ("runs", { base with runs = 0 });
+      ("frames", { base with frames = 0 });
+      ("frames", { base with frames = T.Controller.history_length + 1 });
+      ("engineering_factor", { base with engineering_factor = 0.5 });
+      ("min_survival", { base with min_survival = 1.5 });
+      ("seu_rate", { base with seu_rate = -1. });
+      ("bootstrap", { base with bootstrap = 5 });
+      ("max_retries", { base with seu_rate = 1.; max_retries = -1 });
+      ("watchdog_budget", { base with watchdog_budget = Some 0 });
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The committed spec fixture: for every spec of a grid, the request line,
+   the analyze store config and key, the collect_rand key and the shard
+   worker's argv (without argv.(0) and the worker-only flags).  On a
+   mismatch the recomputed transcript is written next to the test
+   executable; copy it over the fixture only for an intended change. *)
+
+let golden_fixture = Filename.concat "fixtures" "spec_golden.txt"
+let golden_output = "spec_golden.txt"
+
+(* Plain, SEU-resilient and watchdog-only specs, each at four seeds, with
+   runs, frames, tail, gates and bootstrap cycling through their values. *)
+let golden_specs =
+  let faults =
+    [
+      (0., None, 2);
+      (0.25, None, 0);
+      (0.3, Some 140_000, 3);
+      (12.3456789012345, None, 3);
+      (1. /. 3., Some 140_000, 0);
+      (0., Some 140_000, 3);
+    ]
+  in
+  let seeds = [ 2017L; 0L; -1L; Int64.max_int ] in
+  let tails = Array.of_list (List.map snd Cs.tails) in
+  List.concat_map (fun f -> List.map (fun s -> (f, s)) seeds) faults
+  |> List.mapi (fun i ((seu_rate, watchdog_budget, max_retries), seed) ->
+         {
+           Cs.default with
+           runs = [| 1; 4096; 4097 |].(i mod 3);
+           seed;
+           frames = [| 1; 8; 64 |].(i / 2 mod 3);
+           tail = tails.(i / 3 mod 4);
+           no_gates = i mod 2 = 1;
+           bootstrap = (if i / 4 mod 2 = 0 then 0 else 50);
+           seu_rate;
+           watchdog_budget;
+           max_retries;
+         })
+
+let golden_transcript () =
+  let b = Buffer.create 16_384 in
+  Buffer.add_string b "# request\tstore config\tkey\tcollect_rand key\tworker argv\n";
+  List.iter
+    (fun spec ->
+      Printf.bprintf b "%s\t%s\t%s\t%s\t%s\n"
+        (Sp.request_to_line (Sp.Campaign { spec; events = false }))
+        (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (Cs.store_config spec)))
+        (Cs.key spec)
+        (M.Store.key (Cs.collect_rand_config spec))
+        (String.concat " " ("analyze" :: Cs.to_args spec)))
+    golden_specs;
+  Buffer.contents b
+
+let test_spec_golden () =
+  let got = golden_transcript () in
+  let want =
+    try Some (In_channel.with_open_bin golden_fixture In_channel.input_all)
+    with Sys_error _ -> None
+  in
+  if want <> Some got then begin
+    Out_channel.with_open_bin golden_output (fun oc -> output_string oc got);
+    let rec first_diff i = function
+      | w :: ws, g :: gs -> if String.equal w g then first_diff (i + 1) (ws, gs) else (i, w, g)
+      | w :: _, [] -> (i, w, "<end>")
+      | [], g :: _ -> (i, "<end>", g)
+      | [], [] -> (i, "", "")
+    in
+    let i, w, g =
+      first_diff 1
+        (String.split_on_char '\n' (Option.value want ~default:""), String.split_on_char '\n' got)
+    in
+    Alcotest.failf
+      "spec transcript differs from %s at line %d:\n  fixture %S\n  spec    %S\nthe recomputed \
+       transcript is in %s — copy it over test/%s if the change is intended"
+      golden_fixture i w g
+      (Filename.concat (Sys.getcwd ()) golden_output)
+      golden_fixture
+  end
 
 let () =
   Alcotest.run "serve"
     [
       ( "protocol",
-        [ Alcotest.test_case "request round-trip + key stability" `Quick
-            test_protocol_roundtrip ] );
+        [
+          Alcotest.test_case "request round-trip + key stability" `Quick
+            test_protocol_roundtrip;
+          Alcotest.test_case "invalid specs are rejected" `Quick test_invalid_specs_rejected;
+          Alcotest.test_case "spec transcript = committed fixture" `Quick test_spec_golden;
+        ] );
       ( "serving",
         [
           Alcotest.test_case "cold/warm bit-identical to sequential" `Quick
