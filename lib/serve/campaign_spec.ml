@@ -75,6 +75,13 @@ let validate s =
     | Some b when b < 1 -> bad "watchdog_budget" "must be >= 1 (got %d)" b
     | _ -> Ok ()
 
+(* string_of_float (%.12g) keeps every key spelled so far; a rate it
+   cannot round-trip is spelled exactly in %h, so distinct rates never
+   share a key. *)
+let key_float r =
+  let short = string_of_float r in
+  if float_of_string short = r then short else Printf.sprintf "%h" r
+
 (* The key digests only what determines a measured value; analysis-side
    knobs (tail, gates, bootstrap, engineering factor, min_survival) stay
    out so re-analysis is a cache hit. *)
@@ -92,7 +99,7 @@ let store_config s =
   @
   if resilient then
     [
-      ("seu_rate", string_of_float s.seu_rate);
+      ("seu_rate", key_float s.seu_rate);
       ( "watchdog_budget",
         match s.watchdog_budget with None -> "none" | Some b -> string_of_int b );
       ("max_retries", string_of_int s.max_retries);

@@ -326,6 +326,14 @@ let test_invalid_specs_rejected () =
       ("watchdog_budget", { base with watchdog_budget = Some 0 });
     ]
 
+(* The key spells the SEU rate exactly: rates 1 ulp apart address different
+   records, while a rate string_of_float round-trips keeps its old key. *)
+let test_key_spells_rate_exactly () =
+  let key seu_rate = Cs.key { Cs.default with seu_rate } in
+  Alcotest.(check bool) "0.1 and its successor differ" false
+    (String.equal (key 0.1) (key (Float.succ 0.1)));
+  Alcotest.(check string) "0.25 keeps its key" "37e8c831a0a8c8a0acfbd368b3b16234" (key 0.25)
+
 (* ------------------------------------------------------------------ *)
 (* The committed spec fixture: for every spec of a grid, the request line,
    the analyze store config and key, the collect_rand key and the shard
@@ -414,6 +422,8 @@ let () =
           Alcotest.test_case "request round-trip + key stability" `Quick
             test_protocol_roundtrip;
           Alcotest.test_case "invalid specs are rejected" `Quick test_invalid_specs_rejected;
+          Alcotest.test_case "key spells the SEU rate exactly" `Quick
+            test_key_spells_rate_exactly;
           Alcotest.test_case "spec transcript = committed fixture" `Quick test_spec_golden;
         ] );
       ( "serving",
