@@ -592,33 +592,6 @@ let test_runs_rejects_trend () =
   checkb "monotone trend rejected" false r.S.Runs_test.random
 
 (* ------------------------------------------------------------------ *)
-(* Histogram *)
-
-let test_histogram_counts () =
-  let h = S.Histogram.create ~bins:4 [| 0.; 1.; 2.; 3.; 4. |] in
-  Alcotest.(check int) "total" 5 (S.Histogram.total h);
-  let sum = ref 0 in
-  for i = 0 to S.Histogram.bins h - 1 do
-    sum := !sum + S.Histogram.count h i
-  done;
-  Alcotest.(check int) "counts sum to total" 5 !sum
-
-let test_histogram_bounds_cover =
-  qtest
-    (QCheck.Test.make ~name:"histogram bounds tile the range" ~count:100
-       QCheck.(list_of_size (Gen.int_range 2 80) (float_range (-50.) 50.))
-       (fun xs ->
-         let a = Array.of_list xs in
-         let h = S.Histogram.create ~bins:8 a in
-         let ok = ref true in
-         for i = 0 to S.Histogram.bins h - 2 do
-           let _, hi = S.Histogram.bounds h i in
-           let lo', _ = S.Histogram.bounds h (i + 1) in
-           if Float.abs (hi -. lo') > 1e-9 then ok := false
-         done;
-         !ok))
-
-(* ------------------------------------------------------------------ *)
 (* Optimization *)
 
 let test_golden_section_parabola () =
@@ -731,8 +704,6 @@ let test_guards_survive_noassert () =
   expect_invalid "ecdf empty" (fun () -> S.Ecdf.of_sample [||]);
   expect_invalid "ecdf quantile p" (fun () ->
       S.Ecdf.quantile (S.Ecdf.of_sample [| 1.; 2. |]) (-0.1));
-  expect_invalid "histogram bins" (fun () -> S.Histogram.create ~bins:0 [| 1. |]);
-  expect_invalid "histogram empty" (fun () -> S.Histogram.create ~bins:4 [||]);
   expect_invalid "acf lag" (fun () -> S.Autocorrelation.acf [| 1.; 2.; 3. |] ~lag:3);
   expect_invalid "log_gamma 0" (fun () -> S.Special.log_gamma 0.);
   expect_invalid "gamma_p a=0" (fun () -> S.Special.gamma_p ~a:0. ~x:1.);
@@ -1019,11 +990,6 @@ let () =
         [
           Alcotest.test_case "random series" `Quick test_runs_random_series;
           Alcotest.test_case "rejects trend" `Quick test_runs_rejects_trend;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          test_histogram_bounds_cover;
         ] );
       ( "optimize",
         [
