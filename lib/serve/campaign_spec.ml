@@ -194,8 +194,10 @@ let of_json j =
       min_survival = field "min_survival" Json.to_float default.min_survival;
     }
 
+(* The seed is glued to its flag: cmdliner reads a negative value in a
+   token of its own as an unknown option. *)
 let to_args s =
-  [ "--runs"; string_of_int s.runs; "--seed"; Int64.to_string s.seed ]
+  [ "--runs"; string_of_int s.runs; "--seed=" ^ Int64.to_string s.seed ]
   @ [ "--frames"; string_of_int s.frames ]
   @
   if resilient s then

@@ -84,7 +84,7 @@ val json_fields : t -> (string * M.Trace.Json.t) list
 val of_json : M.Trace.Json.t -> (t, string) result
 
 (** The [mbpta analyze] options that carry exactly the fields
-    {!store_config} digests: [--runs --seed --frames], plus for a
+    {!store_config} digests: [--runs --seed=S --frames], plus for a
     resilient spec [--seu-rate] in [%h] (exact), [--max-retries] and
     [--watchdog-budget] when set.  A shard worker started with them
     writes to the coordinator's key. *)
