@@ -48,7 +48,6 @@ val resilient : t -> bool
 val tails : (string * M.Protocol.tail) list
 
 val tail_name : M.Protocol.tail -> string
-val tail_of_name : string -> (M.Protocol.tail, string) result
 
 (** [Error (field, problem)] for the first field outside its domain, e.g.
     [("frames", "must lie in [1, 64] (got 65)")]: [runs >= 1],
