@@ -1,7 +1,7 @@
 (* One campaign specification for the CLI, its shard workers and the
    daemon.  Everything that must agree byte for byte between those front
-   ends -- the store key, the worker argv, validation and the measurement
-   glue -- is defined here once. *)
+   ends — the store key, the worker argv, validation and the measurement
+   glue — is defined here once. *)
 
 module M = Repro_mbpta
 module T = Repro_tvca
