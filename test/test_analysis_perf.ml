@@ -205,7 +205,16 @@ let test_acf_single_pass () =
     ~max_lag:20;
   check_acf_equal "short series, max feasible lag"
     (Array.init 8 (fun i -> float_of_int (i * i)))
-    ~max_lag:7
+    ~max_lag:7;
+  (* Every remainder of a block of four lags, and the shortest tails: a
+     series one longer than the lag count leaves the top lag one term. *)
+  for max_lag = 1 to 9 do
+    check_acf_equal
+      (Printf.sprintf "max_lag %d, n = max_lag + 1" max_lag)
+      (prefix (max_lag + 1))
+      ~max_lag;
+    check_acf_equal (Printf.sprintf "max_lag %d, n = 500" max_lag) (prefix 500) ~max_lag
+  done
 
 let test_acf_degenerate () =
   let constant = Array.make 50 3.25 in

@@ -850,47 +850,88 @@ let kernel_sorted a =
   S.Descriptive.sort s;
   s
 
-let sort_test name prop =
+let sort_test ?(input = sort_input) name prop =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 14 |])
-    (QCheck.Test.make ~name ~count:300 sort_input prop)
+    (QCheck.Test.make ~name ~count:300 input prop)
 
-let test_sort_permutation =
-  sort_test "output is a permutation of the input bits" (fun a ->
-      let sorted_bits x =
-        let b = bits x in
-        Array.sort Int64.compare b;
-        b
-      in
-      sorted_bits (kernel_sorted a) = sorted_bits a)
+(* The four order properties, over any input generator. *)
+let permutation_prop a =
+  let sorted_bits x =
+    let b = bits x in
+    Array.sort Int64.compare b;
+    b
+  in
+  sorted_bits (kernel_sorted a) = sorted_bits a
 
-let test_sort_non_decreasing =
-  sort_test "output is non-decreasing under Float.compare" (fun a ->
-      let s = kernel_sorted a in
-      let ok = ref true in
-      for i = 1 to Array.length s - 1 do
-        if Float.compare s.(i - 1) s.(i) > 0 then ok := false
-      done;
-      !ok)
+let non_decreasing_prop a =
+  let s = kernel_sorted a in
+  let ok = ref true in
+  for i = 1 to Array.length s - 1 do
+    if Float.compare s.(i - 1) s.(i) > 0 then ok := false
+  done;
+  !ok
 
 (* The stable sorted permutation is unique, so stability is bit-identity
    with the Stdlib's stable sort: equal-comparing elements (-0. and +0.,
    NaNs of different payloads) keep their input order. *)
-let test_sort_stable =
-  sort_test "stable: bit-identical to Array.stable_sort Float.compare" (fun a ->
-      let s = Array.copy a in
-      Array.stable_sort Float.compare s;
-      bits (kernel_sorted a) = bits s)
+let stable_prop a =
+  let s = Array.copy a in
+  Array.stable_sort Float.compare s;
+  bits (kernel_sorted a) = bits s
 
 (* With -0. folded into +0. and every NaN into one payload, equal-comparing
    elements are bit-identical, and the kernel must then reproduce the
    Stdlib's unstable sort bit for bit. *)
+let matches_stdlib_prop a =
+  let a = Array.map (fun x -> if Float.is_nan x then Float.nan else x +. 0.) a in
+  let s = Array.copy a in
+  Array.sort Float.compare s;
+  bits (kernel_sorted a) = bits s
+
+let test_sort_permutation =
+  sort_test "output is a permutation of the input bits" permutation_prop
+
+let test_sort_non_decreasing =
+  sort_test "output is non-decreasing under Float.compare" non_decreasing_prop
+
+let test_sort_stable =
+  sort_test "stable: bit-identical to Array.stable_sort Float.compare" stable_prop
+
 let test_sort_matches_stdlib =
   sort_test "bit-identical to Array.sort Float.compare without distinct equal elements"
-    (fun a ->
-      let a = Array.map (fun x -> if Float.is_nan x then Float.nan else x +. 0.) a in
-      let s = Array.copy a in
-      Array.sort Float.compare s;
-      bits (kernel_sorted a) = bits s)
+    matches_stdlib_prop
+
+(* Integer-valued floats shaped like measured cycle counts: whole arrays
+   drawn from 216,736 to 230,002 (the range of perfbench/rand3000.txt),
+   whose low bytes are all zero and whose top bytes never vary, or the
+   same counts mixed with integer-valued floats up to +-2^40.  The lengths
+   add 255 to 257 to the insertion cutoff plus and minus one. *)
+let cycle_count = QCheck.Gen.(map float_of_int (int_range 216_736 230_002))
+
+let wide_integer =
+  QCheck.Gen.(
+    frequency
+      [ (3, cycle_count); (1, map float_of_int (int_range (-(1 lsl 40)) (1 lsl 40))) ])
+
+let cycle_count_input =
+  QCheck.make
+    ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.0f") a)))
+    QCheck.Gen.(
+      frequency
+        [
+          (2, oneofl [ 0; 1; 7; 8; 9; 255; 256; 257 ]);
+          (4, int_range 2 3000);
+          (1, int_range 10_000 10_050);
+        ]
+      >>= fun n -> oneof [ array_size (return n) cycle_count; array_size (return n) wide_integer ])
+
+let cycle_sort_test name prop =
+  sort_test ~input:cycle_count_input ("cycle counts: " ^ name) prop
+
+let test_cycle_sort_permutation = cycle_sort_test "permutation of the input bits" permutation_prop
+let test_cycle_sort_non_decreasing = cycle_sort_test "non-decreasing" non_decreasing_prop
+let test_cycle_sort_stable = cycle_sort_test "= Array.stable_sort Float.compare" stable_prop
+let test_cycle_sort_matches_stdlib = cycle_sort_test "= Array.sort Float.compare" matches_stdlib_prop
 
 let test_merge_sorted =
   sort_test "merge_sorted of two sorted halves = sort of the whole" (fun a ->
@@ -1020,5 +1061,9 @@ let () =
           test_sort_stable;
           test_sort_matches_stdlib;
           test_merge_sorted;
+          test_cycle_sort_permutation;
+          test_cycle_sort_non_decreasing;
+          test_cycle_sort_stable;
+          test_cycle_sort_matches_stdlib;
         ] );
     ]
