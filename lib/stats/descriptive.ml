@@ -5,32 +5,26 @@
 let require_nonempty fn xs =
   if Array.length xs = 0 then invalid_arg (fn ^ ": empty sample")
 
-(* The float sort kernel: a stable top-down merge sort over [float array]
-   (the structure of the Stdlib's [Array.stable_sort]), monomorphic so that
-   every load, store and comparison stays unboxed and no closure runs per
-   comparison.  [le x y] is exactly [Float.compare x y <= 0]: NaN below
-   everything, -0. equal to +0. *)
+(* [le x y] is exactly [Float.compare x y <= 0]: NaN below everything, -0.
+   equal to +0. *)
 let[@inline] le (x : float) y = x <= y || x <> x
 
-(* Runs this short are insertion-sorted. *)
+(* Inputs this short are insertion-sorted. *)
 let cutoff = 8
 
-(* Insertion-sort [a.(s) .. a.(s + len - 1)] into [dst.(d) .. dst.(d + len - 1)]. *)
-let insertion_sort_to (a : float array) s (dst : float array) d len =
-  for i = 0 to len - 1 do
-    let e = Array.unsafe_get a (s + i) in
-    let j = ref (d + i - 1) in
-    while !j >= d && not (le (Array.unsafe_get dst !j) e) do
-      Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
+let insertion_sort (a : float array) n =
+  for i = 1 to n - 1 do
+    let e = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && not (le (Array.unsafe_get a !j) e) do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
       decr j
     done;
-    Array.unsafe_set dst (!j + 1) e
+    Array.unsafe_set a (!j + 1) e
   done
 
 (* Merge the ascending runs [a.(s1) ..] (length [l1]) and [b.(s2) ..]
-   (length [l2]) into [dst.(d) ..], taking from the first run on ties.
-   [dst] may hold the second run at [d + l1]: the write index never
-   overtakes the unread part of it. *)
+   (length [l2]) into [dst.(d) ..], taking from the first run on ties. *)
 let merge_to (a : float array) s1 l1 (b : float array) s2 l2 (dst : float array) d =
   let e1 = s1 + l1 and e2 = s2 + l2 in
   let i1 = ref s1 and i2 = ref s2 and k = ref d in
@@ -49,29 +43,77 @@ let merge_to (a : float array) s1 l1 (b : float array) s2 l2 (dst : float array)
   if !i1 < e1 then Array.blit a !i1 dst !k (e1 - !i1)
   else Array.blit b !i2 dst !k (e2 - !i2)
 
-(* Sort [a.(s) .. a.(s + len - 1)] into [dst.(d) ..], using the source
-   range as scratch. *)
-let rec sort_to a s dst d len =
-  if len <= cutoff then insertion_sort_to a s dst d len
-  else begin
-    let l1 = len / 2 in
-    let l2 = len - l1 in
-    sort_to a (s + l1) dst (d + l1) l2;
-    sort_to a s a (s + l2) l1;
-    merge_to a (s + l2) l1 dst (d + l1) l2 dst d
-  end
+(* The float sort kernel: a stable LSD radix sort on a 64-bit key that
+   orders floats, compared unsigned, exactly as [Float.compare] does.
+   Every NaN maps to 0, below everything.  [x +. 0.] folds -0. into +0.
+   A negative float's bits are complemented, so a larger magnitude gives a
+   smaller key, and a positive float's get the sign bit set, above every
+   negative; the mask does either without a branch on the sign.  Two keys
+   are equal exactly when [Float.compare] says the floats are, so a stable
+   sort by key is the unique stable sort under [Float.compare]. *)
+let[@inline] key (x : float) =
+  if x <> x then 0L
+  else
+    let b = Int64.bits_of_float (x +. 0.) in
+    Int64.logxor b (Int64.logor (Int64.shift_right b 63) Int64.min_int)
+
+let[@inline] byte k p = Int64.to_int (Int64.shift_right_logical k (8 * p)) land 0xFF
+
+let[@inline] count (counts : int array) c =
+  Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+
+(* One pass counts all eight key bytes and ORs every key's difference from
+   the first one.  A byte no two keys differ in needs no pass: cycle counts
+   are integer-valued, so their low bytes are zero and their top byte is
+   constant.  Each remaining byte, least significant first, scatters the
+   array into the other of [a] and one scratch array; the key is
+   recomputed from the float on every pass, which keeps the scratch to n
+   floats. *)
+let radix_sort (a : float array) n =
+  let counts = Array.make (8 * 256) 0 in
+  let first = key (Array.unsafe_get a 0) in
+  let diff = ref 0L in
+  for i = 0 to n - 1 do
+    let k = key (Array.unsafe_get a i) in
+    diff := Int64.logor !diff (Int64.logxor k first);
+    count counts (byte k 0);
+    count counts (256 + byte k 1);
+    count counts (512 + byte k 2);
+    count counts (768 + byte k 3);
+    count counts (1024 + byte k 4);
+    count counts (1280 + byte k 5);
+    count counts (1536 + byte k 6);
+    count counts (1792 + byte k 7)
+  done;
+  let diff = !diff in
+  let src = ref a and dst = ref [||] in
+  for p = 0 to 7 do
+    if byte diff p <> 0 then begin
+      if Array.length !dst = 0 then dst := Array.create_float n;
+      let base = p * 256 in
+      let sum = ref 0 in
+      for b = base to base + 255 do
+        let c = Array.unsafe_get counts b in
+        Array.unsafe_set counts b !sum;
+        sum := !sum + c
+      done;
+      let s = !src and d = !dst in
+      for i = 0 to n - 1 do
+        let x = Array.unsafe_get s i in
+        let b = base + byte (key x) p in
+        let o = Array.unsafe_get counts b in
+        Array.unsafe_set d o x;
+        Array.unsafe_set counts b (o + 1)
+      done;
+      src := d;
+      dst := s
+    end
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
 
 let sort a =
   let n = Array.length a in
-  if n <= cutoff then insertion_sort_to a 0 a 0 n
-  else begin
-    let l1 = n / 2 in
-    let l2 = n - l1 in
-    let t = Array.make l2 0. in
-    sort_to a l1 t 0 l2;
-    sort_to a 0 a l2 l1;
-    merge_to a l2 l1 t 0 l2 a 0
-  end
+  if n <= cutoff then insertion_sort a n else radix_sort a n
 
 let merge_sorted a b =
   let la = Array.length a and lb = Array.length b in
@@ -79,9 +121,14 @@ let merge_sorted a b =
   merge_to a 0 la b 0 lb dst 0;
   dst
 
+(* A loop, not [Array.fold_left]: the fold boxes every partial sum. *)
 let mean xs =
   require_nonempty "Descriptive.mean" xs;
-  Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
+  let sum = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    sum := !sum +. Array.unsafe_get xs i
+  done;
+  !sum /. float_of_int (Array.length xs)
 
 (* k-th central moment about a precomputed mean — shared by the public
    [centered_moment] and by [summarize], which computes the mean once. *)

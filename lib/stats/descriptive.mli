@@ -10,9 +10,14 @@
     whenever every pair of elements that compare equal is also
     bit-identical (it can differ only in where a [-0.] sits among [+0.]s,
     or which NaN payload comes first).
-    No float is boxed and no closure runs per comparison; one scratch
-    array of [(length xs + 1) / 2] floats is allocated.  Every sort of a
-    float sample in the analysis goes through this kernel. *)
+    Above 8 elements it is a radix sort on an order-preserving 64-bit key:
+    it does no comparisons and boxes no float.  A key byte in which no two
+    elements differ costs no pass: the paper's cycle counts, integer-valued
+    and all between the same two powers of two, sort in one counting pass
+    and three scatter passes.  It allocates a table of
+    2,048 counts, and a scratch array of [length xs] floats only when some
+    key byte varies.  Every sort of a float sample in the analysis goes
+    through this kernel. *)
 val sort : float array -> unit
 
 (** [merge_sorted a b] is a fresh array holding the ascending arrays [a]

@@ -11,25 +11,27 @@ let two_sample_sorted ?(alpha = 0.05) sx sy =
   (* Real guards, not asserts: these feed the i.i.d. gate of the whole
      analysis and must survive a [-noassert] release build. *)
   if n = 0 || m = 0 then invalid_arg "Ks.two_sample: empty sample";
-  (* Merge-walk both sorted samples tracking the CDF gap. *)
-  let rec walk i j d =
-    if i >= n && j >= m then d
-    else if i >= n then
-      (* The rest of [sy] opens the gap |1 - j/m| at most at the current j. *)
-      Float.max d (1. -. (float_of_int j /. float_of_int m))
-    else if j >= m then Float.max d (1. -. (float_of_int i /. float_of_int n))
-    else begin
-      let x = sx.(i) and y = sy.(j) in
-      let v = Float.min x y in
-      let rec adv_i i = if i < n && sx.(i) <= v then adv_i (i + 1) else i in
-      let rec adv_j j = if j < m && sy.(j) <= v then adv_j (j + 1) else j in
-      let i = adv_i i and j = adv_j j in
-      let fx = float_of_int i /. float_of_int n
-      and fy = float_of_int j /. float_of_int m in
-      walk i j (Float.max d (Float.abs (fx -. fy)))
-    end
+  (* Merge-walk both sorted samples tracking the CDF gap: each step passes
+     every element equal to the smaller head in both samples. *)
+  let i = ref 0 and j = ref 0 and d = ref 0. in
+  while !i < n && !j < m do
+    let v = Float.min (Array.unsafe_get sx !i) (Array.unsafe_get sy !j) in
+    while !i < n && Array.unsafe_get sx !i <= v do
+      incr i
+    done;
+    while !j < m && Array.unsafe_get sy !j <= v do
+      incr j
+    done;
+    let fx = float_of_int !i /. float_of_int n and fy = float_of_int !j /. float_of_int m in
+    d := Float.max !d (Float.abs (fx -. fy))
+  done;
+  (* The rest of the unfinished sample opens the gap to 1 at most where
+     its walk stopped. *)
+  let d =
+    if !i < n then Float.max !d (1. -. (float_of_int !i /. float_of_int n))
+    else if !j < m then Float.max !d (1. -. (float_of_int !j /. float_of_int m))
+    else !d
   in
-  let d = walk 0 0 0. in
   let n_effective = float_of_int n *. float_of_int m /. float_of_int (n + m) in
   let p = p_value_of_d ~n_effective d in
   { statistic = d; p_value = p; same_distribution = p >= alpha }
@@ -58,10 +60,16 @@ let one_sample ?(alpha = 0.05) xs ~cdf =
   let p = p_value_of_d ~n_effective:nf !d in
   { statistic = !d; p_value = p; same_distribution = p >= alpha }
 
+(* Loops, not [Array.init]: its closure boxes every element. *)
 let split_halves xs =
   let n = Array.length xs in
-  let evens = Array.init ((n + 1) / 2) (fun i -> xs.(2 * i)) in
-  let odds = Array.init (n / 2) (fun i -> xs.((2 * i) + 1)) in
+  let evens = Array.create_float ((n + 1) / 2) and odds = Array.create_float (n / 2) in
+  for i = 0 to Array.length evens - 1 do
+    Array.unsafe_set evens i (Array.unsafe_get xs (2 * i))
+  done;
+  for i = 0 to Array.length odds - 1 do
+    Array.unsafe_set odds i (Array.unsafe_get xs ((2 * i) + 1))
+  done;
   (evens, odds)
 
 let pp_result ppf r =

@@ -317,6 +317,23 @@ let splitmix_sample ?(trend = 0.) ~seed n =
   done;
   xs
 
+(* The i.i.d. battery allocates nothing per element: on 10^5 cycle counts
+   the Ljung-Box lags, both half sorts, the KS walk, the merge and the
+   runs test add fewer than 1,000 minor-heap words between them.  Their
+   arrays of thousands of floats go straight to the major heap; one boxed
+   float per element would add 2 * 10^5 words.  A count, not a timing:
+   it repeats exactly. *)
+let test_iid_battery_minor_words () =
+  let xs = splitmix_sample ~seed:2017L 100_000 in
+  let before = Gc.minor_words () in
+  let r, sorted = M.Iid.check_and_sort xs in
+  let words = Gc.minor_words () -. before in
+  checki "sorted length" 100_000 (Array.length sorted);
+  checkb "verdict computed" true (r.M.Iid.alpha = 0.05);
+  if words >= 1_000. then
+    Alcotest.failf "Iid.check_and_sort on 10^5 floats added %.0f minor words, want < 1,000"
+      words
+
 let digest_bits xs =
   let b = Buffer.create (8 * Array.length xs) in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
@@ -533,6 +550,11 @@ let () =
           Alcotest.test_case "single pass equals per-lag reference" `Quick
             test_acf_single_pass;
           Alcotest.test_case "degenerate series" `Quick test_acf_degenerate;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "iid battery at 10^5 adds < 1,000 minor words" `Quick
+            test_iid_battery_minor_words;
         ] );
       ( "protocol",
         [
