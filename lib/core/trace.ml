@@ -133,6 +133,12 @@ module Json = struct
 
   exception Parse_error of string
 
+  (* The deepest line this repository writes, a resilient record's
+     trails, nests 4 levels.  Without a bound, one request line of 4 MiB
+     of '[' recursed once per byte and held a daemon connection for
+     seconds. *)
+  let max_depth = 64
+
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
@@ -220,10 +226,13 @@ module Json = struct
             | Some f -> Float f
             | None -> fail "malformed number")
     in
-    let rec parse_value () =
+    (* [depth] counts the containers around the value. *)
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
+      | Some ('{' | '[') when depth = max_depth ->
+          fail (Printf.sprintf "nesting deeper than %d" max_depth)
       | Some '{' ->
           advance ();
           skip_ws ();
@@ -237,7 +246,7 @@ module Json = struct
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -259,7 +268,7 @@ module Json = struct
           end
           else begin
             let rec elements acc =
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -278,7 +287,7 @@ module Json = struct
       | Some 'n' -> parse_literal "null" Null
       | Some _ -> parse_number ()
     in
-    match parse_value () with
+    match parse_value 0 with
     | v ->
         skip_ws ();
         if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)

@@ -50,7 +50,14 @@ module Json : sig
 
   val to_string : t -> string
 
-  (** Parse one JSON document; [Error] carries the offset of the defect. *)
+  (** The deepest nesting {!of_string} accepts: [max_depth] arrays or
+      objects, one inside the other. *)
+  val max_depth : int
+
+  (** Parse one JSON document; [Error] carries the offset of the defect.
+      A document nested deeper than {!max_depth} fails with
+      ["nesting deeper than 64 at offset K"] as soon as the parser meets
+      the container that is one level too deep. *)
   val of_string : string -> (t, string) result
 
   val member : string -> t -> t option

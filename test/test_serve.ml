@@ -414,6 +414,76 @@ let test_spec_golden () =
       golden_fixture
   end
 
+(* ------------------------------------------------------------------ *)
+(* Hostile request lines: the JSON nesting bound.  A line of 4 MiB - 1
+   '[' is the longest the daemon reads; before the bound the parser
+   recursed once per byte and held the connection for about 10 s. *)
+
+let hostile_line = String.make ((4 * 1024 * 1024) - 1) '['
+let max_depth = M.Trace.Json.max_depth
+
+(* A status request whose ignored "pad" field brings the line to [depth]
+   levels of nesting, the request object included. *)
+let status_nested depth =
+  Printf.sprintf {|{"req":"status","pad":%s1%s}|}
+    (String.make (depth - 1) '[')
+    (String.make (depth - 1) ']')
+
+let test_hostile_line_rejected () =
+  let t0 = Unix.gettimeofday () in
+  let result = Sp.request_of_line hostile_line in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match result with
+  | Ok _ -> Alcotest.fail "4 MiB of '[' accepted as a request"
+  | Error e ->
+      Alcotest.(check string)
+        "typed error"
+        (Printf.sprintf "malformed JSON: nesting deeper than %d at offset %d" max_depth max_depth)
+        e);
+  if elapsed >= 1. then Alcotest.failf "rejecting 4 MiB of '[' took %.2f s, want < 1 s" elapsed;
+  (match Sp.request_of_line (status_nested max_depth) with
+  | Ok Sp.Status -> ()
+  | Ok _ -> Alcotest.fail "expected a status request"
+  | Error e -> Alcotest.failf "%d levels should parse: %s" max_depth e);
+  match Sp.request_of_line (status_nested (max_depth + 1)) with
+  | Ok _ -> Alcotest.failf "%d levels should be rejected" (max_depth + 1)
+  | Error e ->
+      Alcotest.(check string)
+        "one level too deep"
+        (Printf.sprintf "malformed JSON: nesting deeper than %d at offset %d" max_depth
+           (String.length {|{"req":"status","pad":|} + max_depth - 1))
+        e
+
+(* The same line over the socket: a bad-request answer within 5 s, and
+   the daemon still answers the next client. *)
+let test_hostile_line_served () =
+  with_server @@ fun _srv sock ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let response =
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+    let t0 = Unix.gettimeofday () in
+    S.Serve_io.write_line fd hostile_line;
+    let line = S.Serve_io.read_line (S.Serve_io.reader fd) in
+    (line, Unix.gettimeofday () -. t0)
+  in
+  (match response with
+  | Ok line, elapsed -> (
+      if elapsed >= 5. then Alcotest.failf "the answer took %.2f s, want < 5 s" elapsed;
+      match Sp.response_of_line line with
+      | Ok (Sp.Failed msg) ->
+          Alcotest.(check string)
+            "bad request"
+            (Printf.sprintf "bad request: malformed JSON: nesting deeper than %d at offset %d"
+               max_depth max_depth)
+            msg
+      | _ -> Alcotest.failf "expected a bad-request error, got %s" line)
+  | Error e, _ -> Alcotest.failf "no answer to the hostile line: %s" e);
+  match request sock Sp.Status with
+  | Sp.Status_report _ -> ()
+  | r -> Alcotest.failf "expected a status report, got %s" (Sp.response_to_line r)
+
 let () =
   Alcotest.run "serve"
     [
@@ -440,4 +510,11 @@ let () =
       ( "shutdown",
         [ Alcotest.test_case "drain rejects queued, checkpoints in-flight" `Quick
             test_shutdown_drains ] );
+      ( "hostile input",
+        [
+          Alcotest.test_case "4 MiB of '[' rejected in < 1 s; depth bound" `Quick
+            test_hostile_line_rejected;
+          Alcotest.test_case "daemon answers the 4 MiB line, then status" `Quick
+            test_hostile_line_served;
+        ] );
     ]

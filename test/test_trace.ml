@@ -109,6 +109,48 @@ let test_of_line_rejects_garbage () =
       | Ok _ -> Alcotest.failf "of_line accepted %S" s)
     [ ""; "not json"; "{}"; "{\"kind\":\"nope\"}"; "[1,2,3]"; "{\"kind\":\"run\"}" ]
 
+(* Nesting depth: [Json.of_string] accepts [Json.max_depth] levels and
+   rejects the next one with a typed error, at once.  The hostile case is
+   the longest line the daemon reads, 4 MiB of '[', which recursed once
+   per byte before the bound. *)
+
+(* [depth] containers, alternating arrays and objects when [mixed]. *)
+let nested ?(mixed = false) depth =
+  let rec go d =
+    if d = 0 then "1"
+    else if mixed && d mod 2 = 0 then "{\"k\":" ^ go (d - 1) ^ "}"
+    else "[" ^ go (d - 1) ^ "]"
+  in
+  go depth
+
+let too_deep = Printf.sprintf "nesting deeper than %d at offset %d" Trace.Json.max_depth
+
+let test_json_depth_bound () =
+  let n = Trace.Json.max_depth in
+  checki "the bound" 64 n;
+  List.iter
+    (fun mixed ->
+      (match Trace.Json.of_string (nested ~mixed n) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%d levels (mixed=%b) should parse: %s" n mixed e);
+      match Trace.Json.of_string (nested ~mixed (n + 1)) with
+      | Ok _ -> Alcotest.failf "%d levels (mixed=%b) should be rejected" (n + 1) mixed
+      | Error e ->
+          (* The 64 outer levels take one byte each as '[' and five as
+             {"k": when the levels alternate. *)
+          checks "one level too deep" (too_deep (if mixed then 3 * n else n)) e)
+    [ false; true ]
+
+let test_json_hostile_line_fast () =
+  let line = String.make ((4 * 1024 * 1024) - 1) '[' in
+  let t0 = Unix.gettimeofday () in
+  let result = Trace.Json.of_string line in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match result with
+  | Ok _ -> Alcotest.fail "4 MiB of '[' parsed"
+  | Error e -> checks "typed error" (too_deep Trace.Json.max_depth) e);
+  if elapsed >= 1. then Alcotest.failf "rejecting 4 MiB of '[' took %.2f s, want < 1 s" elapsed
+
 let test_level_strings () =
   List.iter
     (fun l ->
@@ -380,6 +422,9 @@ let () =
           Alcotest.test_case "special floats" `Quick test_round_trip_special_floats;
           Alcotest.test_case "rejects garbage" `Quick test_of_line_rejects_garbage;
           Alcotest.test_case "level strings" `Quick test_level_strings;
+          Alcotest.test_case "json nesting bound" `Quick test_json_depth_bound;
+          Alcotest.test_case "4 MiB of '[' rejected in < 1 s" `Quick
+            test_json_hostile_line_fast;
         ] );
       ( "counters",
         [
