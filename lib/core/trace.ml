@@ -133,10 +133,10 @@ module Json = struct
 
   exception Parse_error of string
 
-  (* The deepest line this repository writes, a resilient record's
-     trails, nests 4 levels.  Without a bound, one request line of 4 MiB
-     of '[' recursed once per byte and held a daemon connection for
-     seconds. *)
+  (* The daemon parses request lines of up to 4 MiB: unbounded, a line of
+     '[' would recurse once per byte and hold its connection for seconds.
+     The deepest line this repository writes, a resilient record's
+     trails, nests 4 levels. *)
   let max_depth = 64
 
   let of_string s =

@@ -64,11 +64,11 @@ let[@inline] count (counts : int array) c =
 
 (* One pass counts all eight key bytes and ORs every key's difference from
    the first one.  A byte no two keys differ in needs no pass: cycle counts
-   are integer-valued, so their low bytes are zero and their top byte is
-   constant.  Each remaining byte, least significant first, scatters the
-   array into the other of [a] and one scratch array; the key is
-   recomputed from the float on every pass, which keeps the scratch to n
-   floats. *)
+   are integer-valued, so their low bytes are zero, and counts between the
+   same two powers of two share the top byte.  Each remaining byte, least
+   significant first, scatters the array into the other of [a] and one
+   scratch array; the key is recomputed from the float on every pass,
+   which keeps the scratch to n floats. *)
 let radix_sort (a : float array) n =
   let counts = Array.make (8 * 256) 0 in
   let first = key (Array.unsafe_get a 0) in

@@ -14,10 +14,10 @@
     it does no comparisons and boxes no float.  A key byte in which no two
     elements differ costs no pass: the paper's cycle counts, integer-valued
     and all between the same two powers of two, sort in one counting pass
-    and three scatter passes.  It allocates a table of
-    2,048 counts, and a scratch array of [length xs] floats only when some
-    key byte varies.  Every sort of a float sample in the analysis goes
-    through this kernel. *)
+    and three scatter passes.  It allocates a table of 2,048 counts, and a
+    scratch array of [length xs] floats only when some key byte varies.
+    Every sort of a float sample in the analysis goes through this
+    kernel. *)
 val sort : float array -> unit
 
 (** [merge_sorted a b] is a fresh array holding the ascending arrays [a]

@@ -110,9 +110,9 @@ let test_of_line_rejects_garbage () =
     [ ""; "not json"; "{}"; "{\"kind\":\"nope\"}"; "[1,2,3]"; "{\"kind\":\"run\"}" ]
 
 (* Nesting depth: [Json.of_string] accepts [Json.max_depth] levels and
-   rejects the next one with a typed error, at once.  The hostile case is
-   the longest line the daemon reads, 4 MiB of '[', which recursed once
-   per byte before the bound. *)
+   rejects the next one with a typed error, at once and in a few words of
+   heap.  The hostile case is the longest line the daemon reads, 4 MiB
+   of '[': unbounded, the parser would recurse once per byte. *)
 
 (* [depth] containers, alternating arrays and objects when [mixed]. *)
 let nested ?(mixed = false) depth =
@@ -143,13 +143,15 @@ let test_json_depth_bound () =
 
 let test_json_hostile_line_fast () =
   let line = String.make ((4 * 1024 * 1024) - 1) '[' in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and b0 = Gc.allocated_bytes () in
   let result = Trace.Json.of_string line in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Unix.gettimeofday () -. t0 and bytes = Gc.allocated_bytes () -. b0 in
   (match result with
   | Ok _ -> Alcotest.fail "4 MiB of '[' parsed"
   | Error e -> checks "typed error" (too_deep Trace.Json.max_depth) e);
-  if elapsed >= 1. then Alcotest.failf "rejecting 4 MiB of '[' took %.2f s, want < 1 s" elapsed
+  if elapsed >= 1. then Alcotest.failf "rejecting 4 MiB of '[' took %.2f s, want < 1 s" elapsed;
+  if bytes >= 65_536. then
+    Alcotest.failf "rejecting 4 MiB of '[' allocated %.0f bytes, want < 64 KiB" bytes
 
 let test_level_strings () =
   List.iter
