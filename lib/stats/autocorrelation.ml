@@ -34,10 +34,10 @@ let acf_up_to xs ~max_lag =
     done;
     let c0 = !c0 in
     let ck = Array.make max_lag 0. in
-    (* Lags k + 1 .. k + 4 over the indices every one of them reaches. *)
-    let k = ref 0 in
-    while !k + 4 <= max_lag do
-      let k0 = !k in
+    let blocks = max_lag / 4 in
+    for b = 0 to blocks - 1 do
+      let k0 = 4 * b in
+      (* Lags k0 + 1 .. k0 + 4 over the indices every one of them reaches. *)
       let s1 = ref 0. and s2 = ref 0. and s3 = ref 0. and s4 = ref 0. in
       for i = 0 to n - 1 - (k0 + 4) do
         let di = Array.unsafe_get d i in
@@ -55,11 +55,10 @@ let acf_up_to xs ~max_lag =
       ck.(k0) <- !s1;
       ck.(k0 + 1) <- !s2;
       ck.(k0 + 2) <- !s3;
-      ck.(k0 + 3) <- !s4;
-      k := k0 + 4
+      ck.(k0 + 3) <- !s4
     done;
     (* The last max_lag mod 4 lags, one at a time. *)
-    for lag = !k + 1 to max_lag do
+    for lag = (4 * blocks) + 1 to max_lag do
       let s = ref 0. in
       for i = 0 to n - 1 - lag do
         s := !s +. (Array.unsafe_get d i *. Array.unsafe_get d (i + lag))

@@ -326,10 +326,9 @@ let splitmix_sample ?(trend = 0.) ~seed n =
 let test_iid_battery_minor_words () =
   let xs = splitmix_sample ~seed:2017L 100_000 in
   let before = Gc.minor_words () in
-  let r, sorted = M.Iid.check_and_sort xs in
+  let _, sorted = M.Iid.check_and_sort xs in
   let words = Gc.minor_words () -. before in
   checki "sorted length" 100_000 (Array.length sorted);
-  checkb "verdict computed" true (r.M.Iid.alpha = 0.05);
   if words >= 1_000. then
     Alcotest.failf "Iid.check_and_sort on 10^5 floats added %.0f minor words, want < 1,000"
       words
