@@ -416,8 +416,8 @@ let test_spec_golden () =
 
 (* ------------------------------------------------------------------ *)
 (* Hostile request lines: the JSON nesting bound.  A line of 4 MiB - 1
-   '[' is the longest the daemon reads; before the bound the parser
-   recursed once per byte and held the connection for about 10 s. *)
+   '[' is the longest the daemon reads; unbounded, the parser would
+   recurse once per byte and hold the connection for seconds. *)
 
 let hostile_line = String.make ((4 * 1024 * 1024) - 1) '['
 let max_depth = M.Trace.Json.max_depth

@@ -110,9 +110,9 @@ let test_of_line_rejects_garbage () =
     [ ""; "not json"; "{}"; "{\"kind\":\"nope\"}"; "[1,2,3]"; "{\"kind\":\"run\"}" ]
 
 (* Nesting depth: [Json.of_string] accepts [Json.max_depth] levels and
-   rejects the next one with a typed error, at once and in a few words of
-   heap.  The hostile case is the longest line the daemon reads, 4 MiB
-   of '[': unbounded, the parser would recurse once per byte. *)
+   rejects the next one with a typed error, at once and with little
+   allocation.  The hostile case is the longest line the daemon reads,
+   4 MiB of '[': unbounded, the parser would recurse once per byte. *)
 
 (* [depth] containers, alternating arrays and objects when [mixed]. *)
 let nested ?(mixed = false) depth =
