@@ -23,26 +23,6 @@ let insertion_sort (a : float array) n =
     Array.unsafe_set a (!j + 1) e
   done
 
-(* Merge the ascending runs [a.(s1) ..] (length [l1]) and [b.(s2) ..]
-   (length [l2]) into [dst.(d) ..], taking from the first run on ties. *)
-let merge_to (a : float array) s1 l1 (b : float array) s2 l2 (dst : float array) d =
-  let e1 = s1 + l1 and e2 = s2 + l2 in
-  let i1 = ref s1 and i2 = ref s2 and k = ref d in
-  while !i1 < e1 && !i2 < e2 do
-    let x = Array.unsafe_get a !i1 and y = Array.unsafe_get b !i2 in
-    if le x y then begin
-      Array.unsafe_set dst !k x;
-      incr i1
-    end
-    else begin
-      Array.unsafe_set dst !k y;
-      incr i2
-    end;
-    incr k
-  done;
-  if !i1 < e1 then Array.blit a !i1 dst !k (e1 - !i1)
-  else Array.blit b !i2 dst !k (e2 - !i2)
-
 (* The float sort kernel: a stable LSD radix sort on a 64-bit key that
    orders floats, compared unsigned, exactly as [Float.compare] does.
    Every NaN maps to 0, below everything.  [x +. 0.] folds -0. into +0.
@@ -115,10 +95,24 @@ let sort a =
   let n = Array.length a in
   if n <= cutoff then insertion_sort a n else radix_sort a n
 
-let merge_sorted a b =
+(* Ties are taken from [a] first. *)
+let merge_sorted (a : float array) (b : float array) =
   let la = Array.length a and lb = Array.length b in
-  let dst = Array.make (la + lb) 0. in
-  merge_to a 0 la b 0 lb dst 0;
+  let dst = Array.create_float (la + lb) in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la && !j < lb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if le x y then begin
+      Array.unsafe_set dst !k x;
+      incr i
+    end
+    else begin
+      Array.unsafe_set dst !k y;
+      incr j
+    end;
+    incr k
+  done;
+  if !i < la then Array.blit a !i dst !k (la - !i) else Array.blit b !j dst !k (lb - !j);
   dst
 
 (* A loop, not [Array.fold_left]: the fold boxes every partial sum. *)
