@@ -183,6 +183,29 @@ let test_no_resume_discards_partial () =
     (Store.cached_runs fresh ~phase:session_phase);
   Store.close fresh
 
+(* A synthetic latency at campaign scale, pure in the run index, with
+   full-width mantissas: division by 3 leaves a repeating binary
+   fraction, like the float arithmetic real latencies come from. *)
+let scale_value i = 1e6 +. (float_of_int ((i * 2654435761) land 0xfffff) /. 3.)
+
+(* The chunk size of the scaled protocol at 10^5 runs and beyond. *)
+let scale_chunk = 4096
+
+let test_warm_equals_cold_at_scale () =
+  with_root @@ fun root ->
+  let runs = 100_000 in
+  let key = Store.key ~chunk_size:scale_chunk config in
+  let s = open_exn ~chunk_size:scale_chunk root ~key ~runs ~resilient:false in
+  let cold = Store.collect s ~jobs:1 ~phase:session_phase runs scale_value in
+  Store.close s;
+  let w = open_exn ~chunk_size:scale_chunk ~resume:true root ~key ~runs ~resilient:false in
+  let warm =
+    Store.collect w ~jobs:1 ~phase:session_phase runs (fun _ ->
+        Alcotest.fail "warm read must not recompute a run")
+  in
+  Store.close w;
+  check_bits "warm == cold" cold warm
+
 (* ------------------------------------------------------------------ *)
 (* whole campaigns through the store *)
 
@@ -697,6 +720,76 @@ let test_merge_crash_safety () =
     (read_file (Filename.concat ref_dir (key ^ ".jsonl")))
     (read_file (Filename.concat dst_dir (key ^ ".jsonl")))
 
+(* The merge streams chunks, so its peak memory must not follow the size
+   of the record.  Each merge runs in a fresh child process, this test
+   executable re-run in child mode ([merge_heap_flag]), which prints the
+   peak major heap of nothing but the merge. *)
+let merge_heap_flag = "--merge-heap"
+
+let merge_heap ~src ~dst =
+  let src = List.map (fun dir -> Store.open_root ~dir) src in
+  match Store.merge ~src (Store.open_root ~dir:dst) with
+  | Error e ->
+      prerr_endline e;
+      exit 1
+  | Ok _ ->
+      Printf.printf "%d\n" (Gc.quick_stat ()).Gc.top_heap_words;
+      exit 0
+
+(* Merge two shard records of [runs] runs in a child; the merged record's
+   size and the child's peak major heap, both in bytes. *)
+let merged_record_and_heap runs =
+  with_dirs 3 @@ fun dirs ->
+  let key = Store.key ~chunk_size:scale_chunk config in
+  let mid = runs / 2 / scale_chunk * scale_chunk in
+  let shards, dst =
+    match dirs with [ a; b; d ] -> ([ a; b ], d) | _ -> assert false
+  in
+  List.iter2
+    (fun dir span ->
+      match
+        Store.open_session ~chunk_size:scale_chunk ~shard:span (Store.open_root ~dir) ~key
+          ~config ~runs ~resilient:false
+      with
+      | Error e -> Alcotest.failf "shard session: %s" e
+      | Ok s ->
+          ignore (Store.collect s ~jobs:1 ~phase:session_phase runs scale_value);
+          Store.close s)
+    shards
+    [ (0, mid); (mid, runs) ];
+  let r_out, w_out = Unix.pipe ~cloexec:true () in
+  let child =
+    Unix.create_process Sys.executable_name
+      (Array.of_list ((Sys.executable_name :: merge_heap_flag :: shards) @ [ dst ]))
+      Unix.stdin w_out Unix.stderr
+  in
+  Unix.close w_out;
+  let ic = Unix.in_channel_of_descr r_out in
+  let line = try input_line ic with End_of_file -> "" in
+  close_in ic;
+  (match Unix.waitpid [] child with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "merge child failed");
+  let heap_words =
+    match int_of_string_opt line with
+    | Some w -> w
+    | None -> Alcotest.failf "unexpected merge-child output: %S" line
+  in
+  ( (Unix.stat (Filename.concat dst (key ^ ".jsonl"))).Unix.st_size,
+    heap_words * (Sys.word_size / 8) )
+
+(* A merge that held the source records would grow its heap by about the
+   record's own growth (10^4 -> 10^6 runs: ~10 MB); the streaming merge
+   grows it by under 1 MB. *)
+let test_merge_memory_flat () =
+  let small_record, small_heap = merged_record_and_heap 10_000 in
+  let large_record, large_heap = merged_record_and_heap 1_000_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak heap %d -> %d B while the record grew %d -> %d B" small_heap
+       large_heap small_record large_record)
+    true
+    (large_heap - small_heap < (large_record - small_record) / 2)
+
 let test_sync_roundtrip () =
   with_root @@ fun root ->
   let key = Store.key ~chunk_size:8 config in
@@ -991,10 +1084,11 @@ let test_batch_of_cost () =
   | _ -> Alcotest.fail "target_ns < 1 must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* In child mode the process holds the lock and never returns. *)
+(* In child mode the process holds the lock or merges, and never returns. *)
 let () =
   match Sys.argv with
   | [| _; flag; dir |] when flag = hold_lock_flag -> hold_writer_lock dir
+  | [| _; flag; a; b; dst |] when flag = merge_heap_flag -> merge_heap ~src:[ a; b ] ~dst
   | _ -> ()
 
 let () =
@@ -1034,6 +1128,8 @@ let () =
             test_campaign_resume_jobs_invariant;
           Alcotest.test_case "resilient campaign resume" `Quick
             test_resilient_campaign_resume;
+          Alcotest.test_case "10^5-run record: warm == cold" `Quick
+            test_warm_equals_cold_at_scale;
         ] );
       ( "inspect",
         [
@@ -1060,6 +1156,8 @@ let () =
           Alcotest.test_case "quarantine + graceful degradation" `Quick
             test_merge_quarantines_and_degrades;
           Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
+          Alcotest.test_case "merge memory does not grow with the record" `Quick
+            test_merge_memory_flat;
         ] );
       ( "dispatch",
         [
