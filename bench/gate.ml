@@ -181,7 +181,7 @@ let () =
     "%d alternating pairs of %d s runs per workload; a regression is > %.0f%% worse in \
      the median with one-sided p < %.2g (%g / %d comparisons)\n\n"
     pairs seconds (100. *. floor) level alpha (List.length rows);
-  Printf.printf "%-15s %-12s %-28s %-28s %8s %9s %6s  %s\n" "workload" "metric"
+  Printf.printf "%-15s %-12s %-31s %-31s %8s %9s %6s  %s\n" "workload" "metric"
     "parent median [q1, q3]" "change median [q1, q3]" "delta" "p(worse)" "d" "verdict";
   List.iter
     (fun (w, r) ->
@@ -194,8 +194,9 @@ let () =
               match row with
               | None -> print_endline "not compared: missing from a run"
               | Some r ->
-                  Printf.printf "%-28s %-28s %+7.1f%% %9.2g %+6.2f  %s\n" (quartiles r.parent)
-                    (quartiles r.change) (100. *. r.delta) r.p_worse r.d
+                  Printf.printf "%-31s %-31s %+7.1f%% %9.2g %+6.2f  %s\n"
+                    (quartiles r.parent) (quartiles r.change) (100. *. r.delta) r.p_worse
+                    r.d
                     (if regressed r then "REGRESSION" else "ok"))
             metric_rows)
     table;
