@@ -59,6 +59,8 @@ let benchmark dir =
   | text -> (
       match J.of_string text with Ok j -> j | Error e -> die 2 "%s: %s" file e)
 
+let parent_benchmark = benchmark parent_dir
+let change_benchmark = benchmark change_dir
 let list key j = match J.member key j with Some (J.List l) -> l | _ -> []
 let name j = Option.bind (J.member "name" j) J.to_str
 
@@ -69,12 +71,12 @@ let metrics =
       Option.map
         (fun n -> (n, Option.bind (J.member "better" m) J.to_str = Some "lower"))
         (name m))
-    (list "end_to_end" (benchmark change_dir))
+    (list "end_to_end" change_benchmark)
 
 let workloads =
-  let names dir = List.filter_map name (list "workloads" (benchmark dir)) in
-  let in_parent = names parent_dir in
-  List.filter (fun w -> List.mem w in_parent) (names change_dir)
+  let names b = List.filter_map name (list "workloads" b) in
+  let in_parent = names parent_benchmark in
+  List.filter (fun w -> List.mem w in_parent) (names change_benchmark)
 
 type outcome = Metrics of (string * float) list | Incorrect | Unfinished
 
