@@ -9,7 +9,6 @@
    store-facing barrier discipline and belongs with the campaign layer. *)
 
 let default_jobs = Repro_parallel.default_jobs
-let chunks = Repro_parallel.chunks
 
 (* Chunk-scheduling events are Debug-level observability: the layout is a
    pure function of (jobs, n), so it legitimately differs across job
@@ -23,9 +22,6 @@ let on_chunk_of_trace = function
 
 let init ?trace ?jobs n f =
   Repro_parallel.init ?on_chunk:(on_chunk_of_trace trace) ?jobs n f
-
-let map ?trace ?jobs f a =
-  Repro_parallel.map ?on_chunk:(on_chunk_of_trace trace) ?jobs f a
 
 (* Chunk-granular checkpoint barriers.  Checkpoint chunks are a fixed
    [chunk_size] cut of the index space — deliberately independent of

@@ -18,12 +18,6 @@
     throughout the campaign layer. *)
 val default_jobs : unit -> int
 
-(** [chunks ~jobs n] — the static sharding: at most [jobs] contiguous
-    [(offset, length)] chunks covering [0 .. n-1] exactly once, all
-    non-empty, lengths differing by at most one.  Exposed for tests and for
-    harnesses that want to shard other per-run state the same way. *)
-val chunks : jobs:int -> int -> (int * int) list
-
 (** [init ?trace ?jobs n f] — [Array.init n f] evaluated on a chunked domain
     pool ([jobs] defaults to {!default_jobs}).  If any [f i] raises, the
     exception of the lowest-indexed failing chunk is re-raised after all
@@ -34,9 +28,6 @@ val chunks : jobs:int -> int -> (int * int) list
     {!Trace.Chunk} events (Debug level only — the layout is a pure function
     of [(jobs, n)], so it varies with the job count by construction). *)
 val init : ?trace:Trace.t -> ?jobs:int -> int -> (int -> 'a) -> 'a array
-
-(** [map ?trace ?jobs f a] — [Array.map] on the same pool. *)
-val map : ?trace:Trace.t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Scheduling granularity for {!init_checkpointed}: how many checkpoint
     chunks one domain-pool fan-out covers.

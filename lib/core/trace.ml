@@ -8,12 +8,6 @@ type level = Summary | Runs | Debug
 
 let level_to_string = function Summary -> "summary" | Runs -> "runs" | Debug -> "debug"
 
-let level_of_string = function
-  | "summary" -> Ok Summary
-  | "runs" -> Ok Runs
-  | "debug" -> Ok Debug
-  | s -> Error (Printf.sprintf "unknown trace level %S (expected summary|runs|debug)" s)
-
 let level_rank = function Summary -> 0 | Runs -> 1 | Debug -> 2
 
 type event =
@@ -642,7 +636,6 @@ let create_mem ?(level = Summary) ?counters ?on_event ?(clock = monotonic_ns) ()
   t.seq <- 1;
   t
 
-let level t = t.lvl
 let counters t = t.counters
 let enabled t lvl = level_rank lvl <= level_rank t.lvl
 

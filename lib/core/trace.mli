@@ -30,8 +30,6 @@
     whose content is {e not} invariant across [--jobs]. *)
 type level = Summary | Runs | Debug
 
-val level_of_string : string -> (level, string) result
-val level_to_string : level -> string
 
 (** Minimal JSON used by the trace schema and the measurement store
     ({!Store}): exactly the value subset the writers emit.  Floats are
@@ -168,7 +166,6 @@ val create_mem :
   unit ->
   t
 
-val level : t -> level
 val counters : t -> Counters.t
 
 (** [enabled t lvl] — would an event of level [lvl] be recorded? *)

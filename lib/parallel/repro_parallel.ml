@@ -110,8 +110,6 @@ let init ?on_chunk ?jobs n f =
     out
   end
 
-let map ?on_chunk ?jobs f a = init ?on_chunk ?jobs (Array.length a) (fun i -> f a.(i))
-
 (* Cost-calibrated dispatch granularity.
 
    Checkpoint chunks are a pure function of the run count (store layout),

@@ -25,10 +25,6 @@ val default_jobs : unit -> int
     non-empty, lengths differing by at most one. *)
 val chunks : jobs:int -> int -> (int * int) list
 
-(** [Array.init] with a {e specified} ascending evaluation order — the
-    sequential reference every parallel layout must agree with. *)
-val init_ascending : int -> (int -> 'a) -> 'a array
-
 (** [init ?on_chunk ?jobs n f] — [Array.init n f] evaluated on a chunked
     domain pool ([jobs] defaults to {!default_jobs}).  If any [f i] raises,
     the exception of the lowest-indexed failing chunk is re-raised after all
@@ -44,14 +40,6 @@ val init :
   int ->
   (int -> 'a) ->
   'a array
-
-(** [map ?on_chunk ?jobs f a] — [Array.map] on the same pool. *)
-val map :
-  ?on_chunk:(chunk_index:int -> lo:int -> len:int -> unit) ->
-  ?jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
 
 (** The pinned batch-size grid for cost-calibrated dispatch: how many
     checkpoint chunks a scheduler may hand out per fan-out.  Coarse powers

@@ -39,8 +39,6 @@ let stage_name = function
   | Store -> "store"
   | Analysis -> "analysis"
 
-let of_stage_name s = List.find_opt (fun st -> String.equal (stage_name st) s) stages
-
 (* One atomic cell per stage per quantity.  Fetch-and-add is commutative, so
    concurrent domains lose nothing; totals are exact regardless of
    interleaving.  [Atomic.t] boxes each cell separately, which also keeps

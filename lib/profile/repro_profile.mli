@@ -41,9 +41,6 @@ val stages : stage list
 (** Stable lowercase name, used as the counter key ["profile.<name>_ns"]. *)
 val stage_name : stage -> string
 
-(** [of_stage_name s] inverts {!stage_name}; [None] for unknown names. *)
-val of_stage_name : string -> stage option
-
 (** Enable or disable globally.  Disabled is the default and costs one
     atomic load per annotation. *)
 val set_enabled : bool -> unit

@@ -156,8 +156,6 @@ let max xs =
   require_nonempty "Descriptive.max" xs;
   Array.fold_left Float.max xs.(0) xs
 
-let coefficient_of_variation xs = sample_std xs /. mean xs
-
 let skewness xs =
   let m2 = centered_moment xs 2 and m3 = centered_moment xs 3 in
   m3 /. (m2 ** 1.5)
@@ -206,10 +204,10 @@ type summary = {
   cv : float;
 }
 
-(* One sort and one mean for the whole record (the old implementation
-   sorted three times for median/q1/q3 and recomputed the mean twice via
-   [sample_std]/[coefficient_of_variation]); every field is bit-identical
-   to the multi-pass version, which test_stats.ml pins. *)
+(* One sort and one mean for the whole record; every field is
+   bit-identical to the multi-pass reference test_stats.ml pins it
+   against (one sort each for median/q1/q3, and the mean recomputed by
+   [sample_std] for [std] and again for [cv]). *)
 let summarize xs =
   let n = Array.length xs in
   require_nonempty "Descriptive.summarize" xs;

@@ -40,9 +40,6 @@ val sample_std : float array -> float
 val min : float array -> float
 val max : float array -> float
 
-(** Coefficient of variation: sample std / mean. *)
-val coefficient_of_variation : float array -> float
-
 (** Sample skewness (g1, biased moment estimator). *)
 val skewness : float array -> float
 

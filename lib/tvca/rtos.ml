@@ -281,11 +281,6 @@ let randomization_of_signatures sigs =
     vulnerability = float_of_int max_count /. fn;
   }
 
-let pp_randomization ppf r =
-  Format.fprintf ppf
-    "%d schedules, %d distinct, entropy %.3f bits, attacker best-guess %.4f" r.schedules
-    r.distinct r.entropy_bits r.vulnerability
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d cycles simulated, %d preemptions, %d idle cycles@,"
     t.total_cycles t.preemptions t.idle_cycles;

@@ -132,5 +132,4 @@ type randomization = {
     frequency fold is over signature-sorted bins. *)
 val randomization_of_signatures : string list -> randomization
 
-val pp_randomization : Format.formatter -> randomization -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (* Tests for the deterministic domain-parallel execution layer: the static
-   sharding invariants of [Parallel.chunks], sequential equivalence of
-   [Parallel.init]/[map] at every job count, deterministic exception
+   sharding invariants of [Repro_parallel.chunks], sequential equivalence
+   of [Parallel.init] at every job count, deterministic exception
    propagation, and the campaign-level property the layer exists for —
    [jobs = 1] and [jobs = N] produce bit-identical samples, analyses and
    resilience reports, including under SEU fault injection. *)
@@ -15,7 +15,6 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 let qtest = QCheck_alcotest.to_alcotest
-let job_counts = [ 1; 2; 3; 4; 7; 8; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharding invariants *)
@@ -25,7 +24,7 @@ let test_chunks_properties =
     (QCheck.Test.make ~count:500 ~name:"chunks cover 0..n-1 contiguously"
        QCheck.(pair (int_range 1 32) (int_range 0 300))
        (fun (jobs, n) ->
-         let cs = M.Parallel.chunks ~jobs n in
+         let cs = Repro_parallel.chunks ~jobs n in
          let lengths_ok =
            List.for_all (fun (_, len) -> len > 0) cs
            &&
@@ -45,15 +44,15 @@ let test_chunks_properties =
          List.length cs <= jobs && lengths_ok && cover 0 cs))
 
 let test_chunks_explicit () =
-  checki "no chunks for n=0" 0 (List.length (M.Parallel.chunks ~jobs:4 0));
-  (match M.Parallel.chunks ~jobs:1 10 with
+  checki "no chunks for n=0" 0 (List.length (Repro_parallel.chunks ~jobs:4 0));
+  (match Repro_parallel.chunks ~jobs:1 10 with
   | [ (0, 10) ] -> ()
   | _ -> Alcotest.fail "jobs=1 must be one chunk");
   (* jobs > n clamps to n singleton chunks *)
-  checki "jobs clamped to n" 3 (List.length (M.Parallel.chunks ~jobs:8 3))
+  checki "jobs clamped to n" 3 (List.length (Repro_parallel.chunks ~jobs:8 3))
 
 (* ------------------------------------------------------------------ *)
-(* init / map: sequential equivalence and error propagation *)
+(* init: sequential equivalence and error propagation *)
 
 let test_init_matches_sequential =
   qtest
@@ -87,16 +86,6 @@ let test_init_edge_cases () =
        ignore (M.Parallel.init ~jobs:0 10 Fun.id);
        false
      with Invalid_argument _ -> true)
-
-let test_map_matches_array_map () =
-  let a = Array.init 137 (fun i -> i * 3) in
-  List.iter
-    (fun jobs ->
-      checkb
-        (Printf.sprintf "map jobs=%d" jobs)
-        true
-        (M.Parallel.map ~jobs (fun x -> x + 1) a = Array.map (fun x -> x + 1) a))
-    job_counts
 
 let test_deterministic_exception () =
   (* f raises at indices 10 and 60; with 4 chunks of 25 both failures are
@@ -314,7 +303,6 @@ let () =
           test_init_matches_sequential;
           Alcotest.test_case "jobs=1 is ascending" `Quick test_init_sequential_is_ascending;
           Alcotest.test_case "edge cases" `Quick test_init_edge_cases;
-          Alcotest.test_case "map" `Quick test_map_matches_array_map;
           Alcotest.test_case "deterministic exception" `Quick test_deterministic_exception;
         ] );
       ( "campaign",

@@ -153,17 +153,6 @@ let test_json_hostile_line_fast () =
   if bytes >= 65_536. then
     Alcotest.failf "rejecting 4 MiB of '[' allocated %.0f bytes, want < 64 KiB" bytes
 
-let test_level_strings () =
-  List.iter
-    (fun l ->
-      match Trace.level_of_string (Trace.level_to_string l) with
-      | Ok l' -> checkb "level round-trip" true (l = l')
-      | Error msg -> Alcotest.fail msg)
-    [ Trace.Summary; Trace.Runs; Trace.Debug ];
-  match Trace.level_of_string "verbose" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus level accepted"
-
 (* ------------------------------------------------------------------ *)
 (* Counters *)
 
@@ -423,7 +412,6 @@ let () =
           Alcotest.test_case "event round-trip" `Quick test_round_trip;
           Alcotest.test_case "special floats" `Quick test_round_trip_special_floats;
           Alcotest.test_case "rejects garbage" `Quick test_of_line_rejects_garbage;
-          Alcotest.test_case "level strings" `Quick test_level_strings;
           Alcotest.test_case "json nesting bound" `Quick test_json_depth_bound;
           Alcotest.test_case "4 MiB of '[' rejected in < 1 s" `Quick
             test_json_hostile_line_fast;
