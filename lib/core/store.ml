@@ -10,25 +10,26 @@
    a pure function of the run count, the same record serves any [--jobs]
    count bit-identically — the resume contract in store.mli.
 
-   store/v2 hardened every line with an integrity trailer (see [seal]) so
-   that verification can tell a torn tail (crash: resumable) from a
+   Every line ends with an integrity trailer (see [seal]) so that
+   verification can tell a torn tail (crash: resumable) from a
    bit-flipped, truncated-in-the-middle or foreign record (hostile input:
-   quarantined, never merged).  store/v3 keeps the line framing and the
-   trailer but encodes fault-free chunk payloads as base64 of the floats'
-   little-endian IEEE-754 bit patterns — bit-exact by construction and
-   half the bytes of the old [%.17g] text — and is read by streaming over
-   the file with bounded buffers: records are never slurped whole, chunk
-   payloads are decoded on demand through a per-record byte index, and an
-   [.idx] sidecar lets header-only listings skip the scan entirely.
-   Shard sessions restrict a record to a chunk-aligned span of the run
-   space; [merge] recombines shard records into the byte-identical
-   single-process record in O(chunk) memory. *)
+   quarantined, never merged).  Fault-free chunk payloads are base64 of
+   the floats' little-endian IEEE-754 bit patterns — bit-exact by
+   construction — and records are read by streaming over the file with
+   bounded buffers: records are never slurped whole, chunk payloads are
+   decoded on demand through a per-record byte index, and an [.idx]
+   sidecar lets header-only listings skip the scan entirely.  Shard
+   sessions restrict a record to a chunk-aligned span of the run space;
+   [merge] recombines shard records into the byte-identical single-process
+   record in O(chunk) memory.
+
+   This build reads and writes [schema_version] only.  A record whose
+   intact meta line names any other schema is [Unsupported]: listed,
+   never collected, exported, merged, quarantined or deleted. *)
 
 module Json = Trace.Json
 
 let schema_version = "store/v3"
-let schema_v2 = "store/v2"
-let schema_v1 = "store/v1"
 let default_chunk_size = 256
 
 exception Injected_crash of { appended_chunks : int }
@@ -36,7 +37,7 @@ exception Injected_crash of { appended_chunks : int }
 (* ------------------------------------------------------------------ *)
 (* Integrity trailer
 
-   Every v2 line ends with [,"sum":"<md5-hex>"}] — the digest of the line
+   Every line ends with [,"sum":"<md5-hex>"}] — the digest of the line
    with the trailer spliced back out.  Sealing and verification are string
    surgery on the serialized line (not a JSON round-trip), so the check is
    byte-exact by construction: any flipped bit in the body, a truncation,
@@ -74,17 +75,15 @@ let unseal line =
       if Digest.to_hex (Digest.string body) = sum then Ok body else Error `Bad_sum
 
 (* ------------------------------------------------------------------ *)
-(* Binary float payloads (store/v3)
+(* Binary float payloads
 
    Fault-free chunks carry their samples as base64 over the concatenated
    little-endian [Int64.bits_of_float] patterns: 8 bytes per float before
-   encoding, ~10.7 after, against ~20 for the old [%.17g] text — and the
-   round-trip is bit-exact by construction for every pattern, including
-   -0., subnormals, infinities and NaN payloads (text printing was only
-   bit-exact for the values [%.17g] can represent faithfully).  The
-   encoder is hand-rolled (no new dependencies) with the standard
-   alphabet and '=' padding; base64 keeps the record greppable JSONL and
-   needs no JSON string escaping. *)
+   encoding, ~10.7 after — and the round-trip is bit-exact by construction
+   for every pattern, including -0., subnormals, infinities and NaN
+   payloads.  The encoder is hand-rolled (no new dependencies) with the
+   standard alphabet and '=' padding; base64 keeps the record greppable
+   JSONL and needs no JSON string escaping. *)
 
 let b64_chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
@@ -226,19 +225,6 @@ let b64_decode_into s ~pos ~len dst ~dst_pos =
     end
   end
 
-let b64_decode_sub s ~pos ~len =
-  if len mod 4 <> 0 then Error "base64 payload length is not a multiple of 4"
-  else if len = 0 then Ok ""
-  else if pos < 0 || pos + len > String.length s then Error "base64 window out of range"
-  else begin
-    let last = pos + len in
-    let pad = if s.[last - 1] = '=' then if s.[last - 2] = '=' then 2 else 1 else 0 in
-    let out = Bytes.create ((len / 4 * 3) - pad) in
-    match b64_decode_into s ~pos ~len out ~dst_pos:0 with
-    | Ok _ -> Ok (Bytes.unsafe_to_string out)
-    | Error e -> Error e
-  end
-
 module F64 = struct
   let encode a =
     let n = Array.length a in
@@ -248,24 +234,6 @@ module F64 = struct
     done;
     b64_encode raw
 
-  let decode_sub s ~pos ~len ~n =
-    if n < 0 then Error "chunk with a negative run count"
-    else
-      match b64_decode_sub s ~pos ~len with
-      | Error e -> Error e
-      | Ok raw ->
-          if String.length raw <> 8 * n then
-            Error
-              (Printf.sprintf "binary payload holds %d bytes, %d runs need %d"
-                 (String.length raw) n (8 * n))
-          else begin
-            let a = Array.make n 0. in
-            for i = 0 to n - 1 do
-              Array.unsafe_set a i (Int64.float_of_bits (String.get_int64_le raw (8 * i)))
-            done;
-            Ok a
-          end
-
   (* Decode straight into [dst.(at) .. dst.(at + n - 1)] — the warm
      materialization path fills one preallocated sample array from
      disjoint chunk slices, skipping the per-chunk array and the final
@@ -274,24 +242,31 @@ module F64 = struct
      are checked before any write. *)
   let decode_into s ~pos ~len ~n ~scratch dst ~at =
     if n < 0 then Error "chunk with a negative run count"
-    else if at < 0 || at + n > Array.length dst then Error "decode window out of range"
     else
       match b64_decode_into s ~pos ~len scratch ~dst_pos:0 with
       | Error e -> Error e
-      | Ok out_len ->
-          if out_len <> 8 * n then
-            Error
-              (Printf.sprintf "binary payload holds %d bytes, %d runs need %d" out_len n
-                 (8 * n))
-          else begin
-            for i = 0 to n - 1 do
-              Array.unsafe_set dst (at + i)
-                (Int64.float_of_bits (Bytes.get_int64_le scratch (8 * i)))
-            done;
-            Ok ()
-          end
+      | Ok out_len when out_len <> 8 * n ->
+          Error
+            (Printf.sprintf "binary payload holds %d bytes, %d runs need %d" out_len n
+               (8 * n))
+      | Ok _ when at < 0 || at + n > Array.length dst -> Error "decode window out of range"
+      | Ok _ ->
+          for i = 0 to n - 1 do
+            Array.unsafe_set dst (at + i)
+              (Int64.float_of_bits (Bytes.get_int64_le scratch (8 * i)))
+          done;
+          Ok ()
 
-  let decode s ~n = decode_sub s ~pos:0 ~len:(String.length s) ~n
+  (* [decode_into] over a fresh array.  Both buffers are sized from the
+     payload, never from [n]: a run count read from a record header is
+     untrusted, and one the payload cannot hold is rejected above before
+     it could size an allocation. *)
+  let decode_window s ~pos ~len ~n =
+    let scratch = Bytes.create (len / 4 * 3) in
+    let dst = Array.make (Stdlib.max 0 (Stdlib.min n (Bytes.length scratch / 8))) 0. in
+    Result.map (fun () -> dst) (decode_into s ~pos ~len ~n ~scratch dst ~at:0)
+
+  let decode s ~n = decode_window s ~pos:0 ~len:(String.length s) ~n
 end
 
 (* ------------------------------------------------------------------ *)
@@ -307,9 +282,9 @@ let open_root ~dir =
 
 let dir t = t.root
 
-let key_of_schema ~schema ?(chunk_size = default_chunk_size) config =
+let key ?(chunk_size = default_chunk_size) config =
   let b = Buffer.create 256 in
-  Buffer.add_string b schema;
+  Buffer.add_string b schema_version;
   Buffer.add_char b '\n';
   Buffer.add_string b (Printf.sprintf "chunk_size=%d\n" chunk_size);
   (* Canonical order plus %S-quoting: the digest cannot depend on how the
@@ -319,10 +294,6 @@ let key_of_schema ~schema ?(chunk_size = default_chunk_size) config =
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%S=%S\n" k v))
     (List.sort compare config);
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let key ?chunk_size config = key_of_schema ~schema:schema_version ?chunk_size config
-let key_v2 ?chunk_size config = key_of_schema ~schema:schema_v2 ?chunk_size config
-let key_v1 ?chunk_size config = key_of_schema ~schema:schema_v1 ?chunk_size config
 
 (* ------------------------------------------------------------------ *)
 (* Record lines *)
@@ -391,7 +362,7 @@ let meta_line ~skey ~runs ~resilient ~chunk_size ~shard ~config =
    shard worker is byte-for-byte the chunk the single-process walk writes
    at the same offset, which is what makes [merge] a pure concatenation.
 
-   Fault-free v3 chunks are framed by hand (not via [Json.to_string]) so
+   Fault-free chunks are framed by hand (not via [Json.to_string]) so
    the field order is pinned: the reader's fast path peeks the header
    without parsing JSON, and the base64 payload needs no escaping.  The
    frame is still a valid JSON object, so [Json.of_string] remains a
@@ -428,78 +399,71 @@ type meta = {
   m_resilient : bool;
   m_csize : int;
   m_config : (string * string) list;
-  m_schema : string;
   m_lo : int;  (* shard span; (0, m_runs) for a full record *)
   m_hi : int;
 }
 
-let parse_meta line =
+(* Why a record cannot be read.  [`Corrupt] is damage: [gc] removes the
+   record and [merge] quarantines it.  [`Unsupported schema] is a meta
+   line that is intact (sealed and verified, or carrying no seal at all)
+   but names a schema other than [schema_version]: another build's
+   record, which this one leaves alone. *)
+type unreadable = [ `Corrupt of string | `Unsupported of string ]
+
+(* The one place that decides whether a record is this build's to read.
+   The seal is checked before the schema is read: one flipped bit turns
+   "store/v3" into "store/v2", and that record is damage to reclaim, not
+   another build's record to protect. *)
+let parse_meta line : (meta, unreadable) result =
   let parse ~sealed body =
     match Json.of_string body with
-    | Error e -> Error (Printf.sprintf "meta line unreadable (%s)" e)
+    | Error e -> Error (`Corrupt (Printf.sprintf "meta line unreadable (%s)" e))
     | Ok j -> (
         let str f = Option.bind (Json.member f j) Json.to_str in
         let int f = Option.bind (Json.member f j) Json.to_int in
         let bool f = Option.bind (Json.member f j) Json.to_bool in
         match (str "kind", str "schema") with
-        | Some "meta", Some s when s = schema_version || s = schema_v2 || s = schema_v1
-          ->
-            if s <> schema_v1 && not sealed then
-              Error (Printf.sprintf "%s meta line has no integrity checksum" s)
-            else begin
-              let config =
-                match Json.member "config" j with
-                | Some (Json.Obj fields) ->
-                    let ok =
-                      List.for_all
-                        (function _, Json.String _ -> true | _ -> false)
-                        fields
-                    in
-                    if ok then
-                      Some
-                        (List.map
-                           (function
-                             | k, Json.String v -> (k, v)
-                             | _ -> assert false (* filtered above *))
-                           fields)
-                    else None
-                | _ -> None
-              in
-              match
-                (str "key", int "runs", bool "resilient", int "chunk_size", config)
-              with
-              | Some m_key, Some m_runs, Some m_resilient, Some m_csize, Some m_config
-                ->
-                  let m_lo = Option.value (int "shard_lo") ~default:0 in
-                  let m_hi = Option.value (int "shard_hi") ~default:m_runs in
-                  if m_lo < 0 || m_hi > m_runs || m_lo > m_hi then
-                    Error "meta shard span out of range"
-                  else
-                    Ok { m_key; m_runs; m_resilient; m_csize; m_config; m_schema = s; m_lo; m_hi }
-              | _ -> Error "meta line is missing fields"
-            end
-        | Some "meta", Some s ->
-            Error
-              (Printf.sprintf "schema %S, this build reads %S (and %S, %S read-only)" s
-                 schema_version schema_v2 schema_v1)
-        | _ -> Error "first line is not a meta line")
+        | Some "meta", Some s when s <> schema_version -> Error (`Unsupported s)
+        | Some "meta", Some _ when not sealed ->
+            Error (`Corrupt (schema_version ^ " meta line has no integrity checksum"))
+        | Some "meta", Some _ -> (
+            let config =
+              match Json.member "config" j with
+              | Some (Json.Obj fields) ->
+                  let ok =
+                    List.for_all (function _, Json.String _ -> true | _ -> false) fields
+                  in
+                  if ok then
+                    Some
+                      (List.map
+                         (function
+                           | k, Json.String v -> (k, v)
+                           | _ -> assert false (* filtered above *))
+                         fields)
+                  else None
+              | _ -> None
+            in
+            match (str "key", int "runs", bool "resilient", int "chunk_size", config) with
+            | Some m_key, Some m_runs, Some m_resilient, Some m_csize, Some m_config ->
+                let m_lo = Option.value (int "shard_lo") ~default:0 in
+                let m_hi = Option.value (int "shard_hi") ~default:m_runs in
+                if m_lo < 0 || m_hi > m_runs || m_lo > m_hi then
+                  Error (`Corrupt "meta shard span out of range")
+                else Ok { m_key; m_runs; m_resilient; m_csize; m_config; m_lo; m_hi }
+            | _ -> Error (`Corrupt "meta line is missing fields"))
+        | _ -> Error (`Corrupt "first line is not a meta line"))
   in
   match unseal line with
   | Ok body -> parse ~sealed:true body
-  | Error `Bad_sum -> Error "meta line checksum mismatch (bit flip or edit)"
+  | Error `Bad_sum -> Error (`Corrupt "meta line checksum mismatch (bit flip or edit)")
   | Error `No_sum -> parse ~sealed:false line
 
-let floats_of_json = function
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | j :: rest -> (
-            match Json.to_float j with
-            | Some v -> go (v :: acc) rest
-            | None -> Error "non-numeric value in chunk")
-      in
-      go [] items
-  | _ -> Error "chunk values is not a list"
+(* What a session or an export says about a record it will not read. *)
+let unreadable_error ~file : unreadable -> string = function
+  | `Corrupt e -> Printf.sprintf "store: %s: %s" file e
+  | `Unsupported schema ->
+      Printf.sprintf "store: %s: record has schema %S; this build reads %s only" file schema
+        schema_version
 
 let trails_of_json = function
   | Json.List items ->
@@ -531,7 +495,7 @@ type parsed_chunk = {
   c_len : int;  (* runs in the chunk *)
   c_off : int;  (* byte offset of the line start *)
   c_bytes : int;  (* line length, excluding the newline *)
-  c_sum : string;  (* integrity trailer digest; [""] for v1 lines *)
+  c_sum : string;  (* integrity trailer digest; [""] in rows read from the sidecar *)
 }
 
 (* First invalid line of a record.  [d_tampered] separates the two failure
@@ -589,8 +553,9 @@ let peek_v3_header body =
   let len = String.length body in
   if len < 1 || body.[len - 1] <> '}' then None else peek_v3_core body ~stop:(len - 1)
 
-(* Fully decode one chunk body.  Accepts the v3 binary frame and the
-   legacy v2/v1 text frame (["values"] / ["runs"]). *)
+(* Fully decode one chunk body.  Fault-free frames are header-peeked;
+   resilient [rchunk] lines, and fault-free frames the peek declines (an
+   escaped phase name), go through the JSON parser. *)
 let payload_of_body ~resilient body =
   let full () =
     match Json.of_string body with
@@ -604,10 +569,7 @@ let payload_of_body ~resilient body =
               match (str "bits", int "n") with
               | Some bits, Some n -> Result.map (fun a -> Floats a) (F64.decode bits ~n)
               | Some _, None -> Error "binary chunk without a run count"
-              | None, _ -> (
-                  match Json.member "values" j with
-                  | Some v -> Result.map (fun a -> Floats a) (floats_of_json v)
-                  | None -> Error "chunk without values"))
+              | None, _ -> Error "chunk without a bits payload")
           | Some "rchunk" when resilient -> (
               match Json.member "runs" j with
               | Some v -> Result.map (fun a -> Trails a) (trails_of_json v)
@@ -627,9 +589,9 @@ let payload_of_body ~resilient body =
     | Some (phase, lo, n, bstart, blen) ->
         Result.map
           (fun a -> (phase, lo, Floats a))
-          (F64.decode_sub body ~pos:bstart ~len:blen ~n)
+          (F64.decode_window body ~pos:bstart ~len:blen ~n)
 
-(* Cheap header of one chunk body: [(phase, lo, len)].  v3 fault-free
+(* Cheap header of one chunk body: [(phase, lo, len)].  Fault-free
    chunks are header-peeked — the payload is length-checked but not
    decoded — which is what makes shallow scans O(header) per chunk. *)
 let header_of_body ~resilient body =
@@ -683,16 +645,15 @@ let copy_bytes ic oc n =
    is caught; shallow scans still verify every line's checksum. *)
 let scan_record ?(deep = false) file =
   match open_in_bin file with
-  | exception Sys_error _ -> Error "record unreadable or empty"
+  | exception Sys_error _ -> Error (`Corrupt "record unreadable or empty")
   | ic -> (
       Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
       match input_line ic with
-      | exception End_of_file -> Error "record unreadable or empty"
+      | exception End_of_file -> Error (`Corrupt "record unreadable or empty")
       | meta_ln -> (
           match parse_meta meta_ln with
           | Error e -> Error e
           | Ok r_meta ->
-              let sealed = r_meta.m_schema <> schema_v1 in
               let frontier = Hashtbl.create 4 in
               let chunks = ref [] in
               let valid_end = ref (pos_in ic) in
@@ -722,22 +683,19 @@ let scan_record ?(deep = false) file =
                    let lineno = !lineno in
                    if line <> "" (* tolerate blank lines *) then begin
                      let body =
-                       if not sealed then Ok (line, "")
-                       else
-                         match unseal line with
-                         | Ok body ->
-                             Ok (body, String.sub line (String.length line - 34) 32)
-                         | Error `Bad_sum ->
-                             fail ~tampered:true
-                               "line %d: checksum mismatch (bit flip or edit)" lineno;
-                             Error ()
-                         | Error `No_sum ->
-                             (if rest_blank () then
-                                fail "line %d: torn tail (no checksum trailer)" lineno
-                              else
-                                fail ~tampered:true
-                                  "line %d: checksum trailer missing mid-record" lineno);
-                             Error ()
+                       match unseal line with
+                       | Ok body -> Ok (body, String.sub line (String.length line - 34) 32)
+                       | Error `Bad_sum ->
+                           fail ~tampered:true
+                             "line %d: checksum mismatch (bit flip or edit)" lineno;
+                           Error ()
+                       | Error `No_sum ->
+                           (if rest_blank () then
+                              fail "line %d: torn tail (no checksum trailer)" lineno
+                            else
+                              fail ~tampered:true
+                                "line %d: checksum trailer missing mid-record" lineno);
+                           Error ()
                      in
                      match body with
                      | Error () -> ()
@@ -982,10 +940,6 @@ type session = {
          rewriting it as long as nothing was appended *)
 }
 
-let session_key s = s.skey
-let chunk_size s = s.csize
-let shard_span s = (s.s_lo, s.s_hi)
-
 let cached_runs s ~phase =
   let front =
     match Hashtbl.find_opt s.at_open phase with Some f -> f | None -> s.s_lo
@@ -1214,7 +1168,6 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
           | Some rows -> (
               let m =
                 {
-                  m_schema = schema_version;
                   m_key = skey;
                   m_runs = runs;
                   m_resilient = resilient;
@@ -1256,16 +1209,10 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
       | Some s -> Ok s
       | None ->
       match scan_record file with
-      | Error e -> Error (Printf.sprintf "store: %s: %s" file e)
+      | Error e -> Error (unreadable_error ~file e)
       | Ok r -> (
           let m = r.r_meta in
-          if m.m_schema <> schema_version then
-            Error
-              (Printf.sprintf
-                 "store: %s: record has schema %s; sessions write %s (export it or \
-                  start a fresh store)"
-                 file m.m_schema schema_version)
-          else if
+          if
             m.m_key <> skey || m.m_runs <> runs || m.m_resilient <> resilient
             || m.m_csize <> chunk_size
             || (m.m_lo, m.m_hi) <> span
@@ -1476,17 +1423,18 @@ let input_sealed_line ?buf ~file ~phase ~lo ic (off, bytes) =
 let read_chunk_line ~file ~resilient ic ~phase ~lo loc =
   let fail fmt = chunk_fail ~file ~phase ~lo fmt in
   let line, start = input_sealed_line ~file ~phase ~lo ic loc in
-  (* Fault-free v3 frames are peeked and decoded in place — the bits span
+  (* Fault-free frames are peeked and decoded in place — the bits span
      sits at the same offsets in the sealed line as in the body, so no
-     body copy is needed.  Everything else takes the body-copy route
-     through the full parser. *)
+     body copy is needed.  Resilient lines, and frames the peek declines
+     (an escaped phase name), take the body-copy route through the full
+     parser. *)
   let fast =
     if resilient then None
     else
       match peek_v3_core line ~stop:start with
       | None -> None
       | Some (p, l, nrun, bstart, blen) -> (
-          match F64.decode_sub line ~pos:bstart ~len:blen ~n:nrun with
+          match F64.decode_window line ~pos:bstart ~len:blen ~n:nrun with
           | Ok a -> Some (p, l, Floats a)
           | Error e -> fail "%s" e)
   in
@@ -1503,9 +1451,10 @@ let read_chunk_line ~file ~resilient ic ~phase ~lo loc =
   payload
 
 (* Warm-materialization reader: decode the fault-free chunk at [loc]
-   straight into [dst.(at) .. dst.(at + len - 1)].  The v3 fast path never
-   allocates a per-chunk array; legacy text chunks fall back to the full
-   parser and a blit.  Only called on complete non-resilient records. *)
+   straight into [dst.(at) .. dst.(at + len - 1)].  The fast path never
+   allocates a per-chunk array; a frame the header peek declines (an
+   escaped phase name) falls back to the full parser and a blit.  Only
+   called on complete non-resilient records. *)
 let read_chunk_floats_into ~file ic ~phase ~lo loc ~buf ~scratch dst ~at ~len =
   let fail fmt = chunk_fail ~file ~phase ~lo fmt in
   let line, start = input_sealed_line ~buf ~file ~phase ~lo ic loc in
@@ -1713,7 +1662,7 @@ let collect_trails ?trace ?jobs ?dispatch s ~phase n f =
 (* ------------------------------------------------------------------ *)
 (* Inspection *)
 
-type status = Complete | Partial of string | Corrupt of string
+type status = Complete | Partial of string | Corrupt of string | Unsupported of string
 
 type entry = {
   file : string;
@@ -1778,7 +1727,7 @@ let entry_of_file ?(deep = true) t name =
   let file = Filename.concat t.root name in
   let entry_key = Filename.chop_suffix name ".jsonl" in
   let bytes = file_bytes file in
-  let corrupt reason =
+  let refused (e : unreadable) =
     {
       file;
       entry_key;
@@ -1788,11 +1737,14 @@ let entry_of_file ?(deep = true) t name =
       phases = [];
       shard = None;
       bytes;
-      status = Corrupt reason;
+      status =
+        (match e with
+        | `Corrupt reason -> Corrupt reason
+        | `Unsupported schema -> Unsupported schema);
     }
   in
   let check_key m k =
-    let derived = key_of_schema ~schema:m.m_schema ~chunk_size:m.m_csize m.m_config in
+    let derived = key ~chunk_size:m.m_csize m.m_config in
     if m.m_key <> entry_key then
       Some (Printf.sprintf "meta key %s does not match filename" m.m_key)
     else if derived <> entry_key then
@@ -1803,11 +1755,11 @@ let entry_of_file ?(deep = true) t name =
   in
   let scanned ~deep =
     match scan_record ~deep file with
-    | Error e -> corrupt e
+    | Error e -> refused e
     | Ok r -> (
         let m = r.r_meta in
         match check_key m None with
-        | Some reason -> corrupt reason
+        | Some reason -> refused (`Corrupt reason)
         | None ->
             let phases =
               Hashtbl.fold (fun p f acc -> (p, f) :: acc) r.r_frontier []
@@ -1827,13 +1779,13 @@ let entry_of_file ?(deep = true) t name =
   if deep then scanned ~deep:true
   else
     match read_first_line file with
-    | None -> corrupt "record unreadable or empty"
+    | None -> refused (`Corrupt "record unreadable or empty")
     | Some meta_ln -> (
         match parse_meta meta_ln with
-        | Error e -> corrupt e
+        | Error e -> refused e
         | Ok m -> (
             match check_key m None with
-            | Some reason -> corrupt reason
+            | Some reason -> refused (`Corrupt reason)
             | None -> (
                 let meta_sum = Digest.to_hex (Digest.string meta_ln) in
                 match Option.bind (read_index ~file ~meta_sum) (index_frontier m) with
@@ -1884,7 +1836,7 @@ let gc ?(partial = false) t =
         match e.status with
         | Corrupt _ -> true
         | Partial _ -> partial
-        | Complete -> false)
+        | Complete | Unsupported _ -> false)
       (ls t)
   in
   let freed =
@@ -1906,6 +1858,8 @@ let pp_entry ppf e =
     | Complete -> "complete"
     | Partial d -> "partial (" ^ d ^ ")"
     | Corrupt d -> "corrupt (" ^ d ^ ")"
+    | Unsupported schema ->
+        Printf.sprintf "unsupported (schema %S; this build reads %s)" schema schema_version
   in
   Format.fprintf ppf "%s  runs=%d%s%s  %dB  %s" e.entry_key e.runs
     (if e.resilient then "  resilient" else "")
@@ -1954,6 +1908,7 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
     (try Sys.remove (index_path file) with Sys_error _ -> ());
     quarantined := (file, reason) :: !quarantined
   in
+  let skip file reason = skipped := (file, reason ^ "; left in place") :: !skipped in
   let process name =
     let dst_file = Filename.concat dst.root name in
     let entry_key = Filename.chop_suffix name ".jsonl" in
@@ -1969,27 +1924,15 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
       List.filter_map
         (fun f ->
           match scan_record f with
-          | Error e ->
+          | Error (`Corrupt e) ->
               note_quarantine f ("unreadable: " ^ e);
+              None
+          | Error (`Unsupported schema) ->
+              skip f (Printf.sprintf "schema %S, this build reads %s" schema schema_version);
               None
           | Ok r ->
               let m = r.r_meta in
-              if m.m_schema = schema_v1 then begin
-                skipped := (f, "store/v1 record (no checksums); left in place") :: !skipped;
-                None
-              end
-              else if m.m_schema = schema_v2 then begin
-                skipped :=
-                  ( f,
-                    "store/v2 record (text payloads); left in place — export it or \
-                     re-collect under store/v3" )
-                  :: !skipped;
-                None
-              end
-              else if
-                m.m_key <> entry_key
-                || key_of_schema ~schema:m.m_schema ~chunk_size:m.m_csize m.m_config
-                   <> entry_key
+              if m.m_key <> entry_key || key ~chunk_size:m.m_csize m.m_config <> entry_key
               then begin
                 note_quarantine f
                   "content digest does not match filename (foreign or edited record)";
@@ -2005,6 +1948,11 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
     in
     match candidates with
     | [] -> ()
+    | _ when List.mem_assoc dst_file !skipped ->
+        (* writing the merged record would replace another build's record *)
+        List.iter
+          (fun (f, _) -> skip f "the destination holds a record of another schema")
+          candidates
     | (_, first) :: _ ->
         let m0 = first.r_meta in
         let same_campaign m =
@@ -2183,16 +2131,16 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
           skipped = List.rev !skipped;
         }
 
-(* Export streams the record's valid prefix to [emit] in bounded pieces
-   after a deep scan (payloads decode-validated, any schema).  Tampered
-   records refuse to export, exactly as before. *)
-let export_gen t ~key:skey emit =
+(* Export streams the record's valid prefix to [oc] in bounded pieces
+   after a deep scan (payloads decode-validated).  Tampered records, and
+   records of another schema, refuse to export. *)
+let export_to t ~key:skey oc =
   let file = Filename.concat t.root (skey ^ ".jsonl") in
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "store: no record %s in %s" skey t.root)
   else
     match scan_record ~deep:true file with
-    | Error e -> Error (Printf.sprintf "store: %s: %s" file e)
+    | Error e -> Error (unreadable_error ~file e)
     | Ok r -> (
         match r.r_defect with
         | Some d when d.d_tampered ->
@@ -2200,25 +2148,12 @@ let export_gen t ~key:skey emit =
         | _ ->
             let ic = open_in_bin file in
             Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-            emit r.r_meta_line;
-            emit "\n";
+            output_string oc r.r_meta_line;
+            output_char oc '\n';
             List.iter
               (fun c ->
                 seek_in ic c.c_off;
-                let remaining = ref c.c_bytes in
-                while !remaining > 0 do
-                  let k = Stdlib.min !remaining copy_buf_len in
-                  emit (really_input_string ic k);
-                  remaining := !remaining - k
-                done;
-                emit "\n")
+                copy_bytes ic oc c.c_bytes;
+                output_char oc '\n')
               r.r_chunks;
             Ok ())
-
-let export t ~key =
-  let buf = Buffer.create 4096 in
-  Result.map
-    (fun () -> Buffer.contents buf)
-    (export_gen t ~key (Buffer.add_string buf))
-
-let export_to t ~key oc = export_gen t ~key (output_string oc)

@@ -34,18 +34,24 @@
       appended at every checkpoint barrier in deterministic ascending
       order per phase.
 
-    Every sealed line ([store/v3] and [store/v2]) ends with an integrity
-    trailer [,"sum":"<md5-hex>"] — the digest of the line with the trailer
-    removed.  Verification is byte-exact string surgery (no JSON
-    round-trip), so a flipped bit, a mid-record truncation or a
-    hand-edited value is caught and classified as {e tampering}, distinct
-    from a {e torn tail} (a kill mid-write tears at most the last line;
-    the valid prefix stays trustworthy and resumable).  Tampered records
-    are refused by resume, reported [Corrupt] by [cache verify], and
-    quarantined — renamed to [<file>.quarantined] — by {!merge}, never
-    merged.  Legacy [store/v2] (text float payloads) and [store/v1] (no
-    checksums) records remain readable by [ls]/[verify]/[export] but hash
-    to different keys and are skipped by {!merge}.
+    Every line ends with an integrity trailer [,"sum":"<md5-hex>"] — the
+    digest of the line with the trailer removed.  Verification is
+    byte-exact string surgery (no JSON round-trip), so a flipped bit, a
+    mid-record truncation or a hand-edited value is caught and classified
+    as {e tampering}, distinct from a {e torn tail} (a kill mid-write
+    tears at most the last line; the valid prefix stays trustworthy and
+    resumable).  Tampered records are refused by resume, reported
+    [Corrupt] by [cache verify], and quarantined — renamed to
+    [<file>.quarantined] — by {!merge}, never merged.
+
+    {b One schema.}  This build reads and writes {!schema_version} only.
+    A record whose meta line names any other schema, older or newer, is
+    [Unsupported] (see {!status}) — provided the line's seal verifies or
+    the line carries none: [ls] and [cache verify] report it, {!gc} keeps
+    it, {!merge} leaves it in place, and sessions and {!export_to} refuse
+    it.  The seal is checked before the schema is read, so a meta line
+    whose seal fails is [Corrupt] whatever schema it names: one flipped
+    bit turns ["store/v3"] into ["store/v2"].
 
     Each phase's chunks must form a contiguous prefix of the fixed chunk
     layout (starting at the record's shard lower bound); the first
@@ -55,7 +61,7 @@
     {b Streaming reads.}  No whole-record read exists anywhere in this
     module: records are scanned line by line, sessions keep a byte-range
     index instead of decoded payloads and re-read chunks on demand, and
-    {!merge}/{!export} copy chunk byte ranges through a bounded buffer —
+    {!merge}/{!export_to} copy chunk byte ranges through a bounded buffer —
     so open, warm query, verify, merge and export all run in O(chunk)
     memory however large the campaign.  A per-record sidecar
     ([<key>.jsonl.idx]) caches the byte layout for header-only listings
@@ -110,22 +116,14 @@ val key : ?chunk_size:int -> (string * string) list -> string
     (name-sorted) order — so the digest does not depend on the order the
     harness assembled the list in. *)
 
-val key_v2 : ?chunk_size:int -> (string * string) list -> string
-(** The address the same configuration had under the [store/v2] schema —
-    exposed so tests and tooling can locate (read-only) v2 records. *)
-
-val key_v1 : ?chunk_size:int -> (string * string) list -> string
-(** The address the same configuration had under the [store/v1] schema —
-    exposed so tests and tooling can locate (read-only) v1 records. *)
-
 (** {1 Format internals — exposed for tests and tooling} *)
 
 val seal : string -> string
 (** Append the integrity trailer to a JSON object line: [{...}] becomes
     [{...,"sum":"<md5-hex>"}] where the digest covers the line with the
     trailer removed.  This is the exact sealing sessions apply to every
-    line they write; exposed so tests can fabricate legacy-schema records
-    without exporting the writer. *)
+    line they write; exposed so tests can fabricate records under another
+    schema without exporting the writer. *)
 
 (** Little-endian IEEE-754 binary float payloads — the [store/v3] chunk
     encoding.  [encode] maps each float to its 8-byte bit pattern
@@ -185,9 +183,11 @@ val open_session :
     - tampered record (checksum failure) — [Error] under [resume] (the
       prefix is hostile input; quarantine or [cache gc] it), discarded and
       restarted cold otherwise;
-    - meta mismatch (foreign schema, key/config/runs/resilient/chunk-size/
-      shard disagreement) — [Error]: the record is not touched; inspect it
-      with [cache verify] / reclaim it with [cache gc].
+    - record of another schema — [Error] naming the schema: the record is
+      not touched;
+    - meta mismatch (key/config/runs/resilient/chunk-size/shard
+      disagreement) — [Error]: the record is not touched; inspect it with
+      [cache verify] / reclaim it with [cache gc].
 
     [sync] (default [false]) extends every checkpoint barrier with an
     [fsync], so an acknowledged chunk survives power loss, not just a
@@ -217,12 +217,6 @@ val open_session :
 
 val close : session -> unit
 (** Flush and close the record file.  Idempotent. *)
-
-val session_key : session -> string
-val chunk_size : session -> int
-
-val shard_span : session -> int * int
-(** The session's span: [(0, runs)] for a full session. *)
 
 val cached_runs : session -> phase:string -> int
 (** Runs of [phase] served by the record's valid prefix (span-relative:
@@ -300,6 +294,9 @@ type status =
   | Complete  (** every phase chunk present and valid *)
   | Partial of string  (** valid but unfinished; the payload says how far it got *)
   | Corrupt of string  (** first defect found; the record is unusable as-is *)
+  | Unsupported of string
+      (** an intact record of another schema, named by the payload; this
+          build neither reads nor removes it *)
 
 type entry = {
   file : string;  (** absolute path of the record *)
@@ -320,9 +317,11 @@ val ls : ?deep:bool -> t -> entry list
     With [deep = true] (the default, what [cache verify] uses) every
     record is scanned whole: per-line checksums, payload decode, and
     re-deriving the digest from the stored config to compare with the
-    filename — a bit-flipped, truncated or foreign record is [Corrupt]; a
-    record torn by a kill mid-write is [Partial] (its valid prefix is
-    resumable).
+    filename — a bit-flipped or truncated record, or one filed under
+    another record's address, is [Corrupt]; a record torn by a kill
+    mid-write is [Partial] (its valid prefix is resumable).  A record of
+    another schema is [Unsupported] in both modes, from its meta line
+    alone.
 
     With [deep = false] (what [cache ls] uses) a record with a fresh
     [.idx] sidecar is answered from its meta line and the sidecar alone —
@@ -335,7 +334,8 @@ val ls : ?deep:bool -> t -> entry list
 val gc : ?partial:bool -> t -> entry list * int
 (** Remove corrupt records (including quarantined files) — and, with
     [partial = true], incomplete ones (which are otherwise kept: they are
-    resumable).  Returns the removed entries and the bytes freed. *)
+    resumable).  [Unsupported] records are never removed.  Returns the
+    removed entries and the bytes freed. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 
@@ -353,7 +353,9 @@ type merge_report = {
   quarantined : (string * string) list;
       (** record files renamed to [.quarantined], with the integrity
           failure that condemned them *)
-  skipped : (string * string) list;  (** e.g. v1 records, left in place *)
+  skipped : (string * string) list;
+      (** record files of another schema, left in place, with the reason;
+          and the source files of a key whose destination holds one *)
 }
 
 val merge :
@@ -370,6 +372,8 @@ val merge :
       filename, metadata agreement across siblings, byte-identical
       duplicate chunks — are renamed to [<file>.quarantined] and excluded
       ({e never} merged);
+    - records of another schema are skipped and left in place; when the
+      destination holds one under a key, that key is not merged;
     - surviving chunks are composed into the maximal contiguous prefix of
       the global chunk layout per phase: a gap (an unrecoverable shard)
       truncates coverage there — partial coverage, never silent wrong data;
@@ -390,14 +394,11 @@ val merge :
     [Error] only when a store directory itself is unreadable or unwritable
     — per-record trouble is reported, not fatal. *)
 
-val export : t -> key:string -> (string, string) result
-(** The validated contents (meta line plus valid chunk prefix, verbatim) of
-    the record for [key] — for shipping a shard store's record over a
-    copy-only channel.  [Error] on a missing, unreadable or tampered
-    record. *)
-
 val export_to : t -> key:string -> out_channel -> (unit, string) result
-(** {!export} streamed straight to a channel in bounded pieces — the
-    constant-memory path for million-run records ([cache export] uses
-    it).  The record is validated in full before the first byte is
-    written. *)
+(** Write the validated contents (meta line plus valid chunk prefix,
+    verbatim) of the record for [key] to a channel — for shipping a shard
+    store's record over a copy-only channel ([cache export]).  The record
+    is validated in full before the first byte is written, and copied in
+    bounded pieces, so memory stays constant for million-run records.
+    [Error] on a missing, unreadable or tampered record, or one of another
+    schema. *)

@@ -401,6 +401,11 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 (* Flip one bit inside a chunk value — silent SEU in the store file itself. *)
 let flip_byte path ~at =
   let s = Bytes.of_string (read_file path) in
@@ -438,11 +443,12 @@ let test_bit_flip_detected () =
   Store.close fresh;
   check_bits "recomputed record is bit-identical" (Array.init 24 awkward) out
 
-(* Fabricate a legacy-schema record from scratch: v1 (unsealed) and v2
-   (sealed) both carried text float payloads ([values]) serialized by
-   {!Trace.Json}.  Building the bytes by hand pins the historical line
-   shapes independently of what today's writer emits. *)
-let fabricate_legacy root ~schema ~key ~chunk_size ~runs values =
+(* Fabricate a record under another schema from scratch: v1 (unsealed)
+   and v2 (sealed) both carried text float payloads ([values]) serialized
+   by {!Trace.Json}.  Building the bytes by hand pins the historical line
+   shapes independently of what today's writer emits.  [runs = 0] writes
+   the meta line alone. *)
+let fabricate_legacy root ~schema ~key ~config ~chunk_size ~runs values =
   let module J = M.Trace.Json in
   let seal = if schema = "store/v1" then Fun.id else Store.seal in
   let meta =
@@ -479,53 +485,107 @@ let fabricate_legacy root ~schema ~key ~chunk_size ~runs values =
   write_file (record_file root key)
     (String.concat "" (List.map (fun l -> seal l ^ "\n") (meta :: List.rev !chunks)))
 
-let test_legacy_read_compat () =
+(* The v1 and v2 records are what this store wrote before store/v3; the
+   sealed, meta-only store/v4 record stands for a newer build sharing the
+   directory.  Each is filed under the address this build gives a config
+   naming its schema, so a session for that config reaches it.  A v3
+   record whose meta line has one bit flipped, "store/v3" to "store/v2",
+   fails its seal: that is damage, not another schema. *)
+let test_other_schemas_left_alone () =
   with_root @@ fun root ->
-  let key1 = Store.key_v1 ~chunk_size:8 config in
-  let key2 = Store.key_v2 ~chunk_size:8 config in
-  fabricate_legacy root ~schema:"store/v1" ~key:key1 ~chunk_size:8 ~runs:16 awkward;
-  fabricate_legacy root ~schema:"store/v2" ~key:key2 ~chunk_size:8 ~runs:16 awkward;
-  (* Legacy records stay readable: listed, verified, complete — through
-     both the deep scan and the header-only listing. *)
-  let check_ls ~deep name =
-    let entries = Store.ls ~deep root in
-    Alcotest.(check int) (name ^ ": two records") 2 (List.length entries);
-    List.iter
-      (fun (e : Store.entry) ->
-        Alcotest.(check int) (name ^ ": runs") 16 e.runs;
-        match e.status with
-        | Store.Complete -> ()
-        | _ -> Alcotest.failf "%s: legacy record %s must verify as Complete" name e.entry_key)
-      entries
-  in
-  check_ls ~deep:true "deep";
-  check_ls ~deep:false "shallow";
-  (* export ships the legacy bytes verbatim *)
-  (match Store.export root ~key:key2 with
-  | Error e -> Alcotest.failf "v2 export: %s" e
-  | Ok text ->
-      Alcotest.(check string) "v2 export verbatim" (read_file (record_file root key2)) text);
-  (* ...but sessions write v3 only: a legacy key is refused outright (it is
-     not this build's digest of the config), never silently upgraded. *)
-  List.iter
-    (fun k ->
-      match Store.open_session ~chunk_size:8 root ~key:k ~config ~runs:16 ~resilient:false with
-      | Ok _ -> Alcotest.fail "a session must not open a legacy record"
-      | Error _ -> ())
-    [ key1; key2 ];
-  (* ...and merge refuses both flavours: skipped, left in place, never
-     quarantined or rewritten. *)
   let dst_dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dst_dir) @@ fun () ->
   let dst = Store.open_root ~dir:dst_dir in
-  match Store.merge ~src:[ root ] dst with
+  let collected config =
+    let key = Store.key ~chunk_size:8 config in
+    let s =
+      match Store.open_session ~chunk_size:8 root ~key ~config ~runs:16 ~resilient:false with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "open_session: %s" e
+    in
+    ignore (Store.collect s ~jobs:1 ~phase:"collect_det" 16 awkward);
+    Store.close s;
+    key
+  in
+  let flipped = collected config in
+  let at = String.length {|{"kind":"meta","schema":"store/v|} in
+  Alcotest.(check char) "flip lands on the schema digit" '3'
+    (read_file (record_file root flipped)).[at];
+  flip_byte (record_file root flipped) ~at;
+  let clean = collected [ ("scenario", "clean") ] in
+  let others =
+    List.map
+      (fun (schema, runs) ->
+        let config = [ ("schema", schema) ] in
+        let key = Store.key ~chunk_size:8 config in
+        fabricate_legacy root ~schema ~key ~config ~chunk_size:8 ~runs awkward;
+        (schema, key, config))
+      [ ("store/v1", 16); ("store/v2", 16); ("store/v4", 0) ]
+  in
+  (* the destination holds a v4 record under the clean record's key *)
+  let _, v4_key, _ = List.nth others 2 in
+  write_file (record_file dst clean) (read_file (record_file root v4_key));
+  let other_files = List.map (fun (_, key, _) -> record_file root key) others in
+  let kept = List.map (fun f -> (f, read_file f)) (record_file dst clean :: other_files) in
+  let check_kept what =
+    List.iter
+      (fun (f, bytes) ->
+        Alcotest.(check string) (what ^ " leaves " ^ f ^ " byte-identical") bytes (read_file f))
+      kept
+  in
+  List.iter
+    (fun deep ->
+      let mode = if deep then "deep" else "shallow" in
+      let entries = Store.ls ~deep root in
+      let status key =
+        (List.find (fun (e : Store.entry) -> e.entry_key = key) entries).status
+      in
+      List.iter
+        (fun (schema, key, _) ->
+          match status key with
+          | Store.Unsupported s -> Alcotest.(check string) (mode ^ ": schema named") schema s
+          | _ -> Alcotest.failf "%s: a %s record must list as Unsupported" mode schema)
+        others;
+      match status flipped with
+      | Store.Corrupt _ -> ()
+      | _ -> Alcotest.failf "%s: a meta line failing its seal must list as Corrupt" mode)
+    [ true; false ];
+  List.iter
+    (fun (schema, key, config) ->
+      (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:16 ~resilient:false with
+      | Ok _ -> Alcotest.failf "a session opened a %s record" schema
+      | Error e ->
+          Alcotest.(check bool) (schema ^ ": session error names the schema") true
+            (contains e schema));
+      let oc = open_out_bin Filename.null in
+      let exported = Store.export_to root ~key oc in
+      close_out oc;
+      match exported with
+      | Ok () -> Alcotest.failf "a %s record was exported" schema
+      | Error e ->
+          Alcotest.(check bool) (schema ^ ": export error names the schema") true
+            (contains e schema))
+    others;
+  check_kept "sessions and export";
+  (match Store.merge ~src:[ root ] dst with
   | Error e -> Alcotest.failf "merge: %s" e
   | Ok m ->
       Alcotest.(check int) "nothing merged" 0 m.Store.records_merged;
-      Alcotest.(check int) "both legacy records skipped" 2 (List.length m.Store.skipped);
-      Alcotest.(check int) "nothing quarantined" 0 (List.length m.Store.quarantined);
-      Alcotest.(check bool) "legacy records left in place" true
-        (Sys.file_exists (record_file root key1) && Sys.file_exists (record_file root key2))
+      Alcotest.(check (list string)) "the flipped record quarantined"
+        [ record_file root flipped ]
+        (List.map fst m.Store.quarantined);
+      Alcotest.(check (list string))
+        "other schemas skipped, and the source whose destination holds one"
+        (List.sort compare (record_file dst clean :: record_file root clean :: other_files))
+        (List.sort compare (List.map fst m.Store.skipped)));
+  check_kept "merge";
+  let removed, _ = Store.gc ~partial:true root in
+  Alcotest.(check (list string)) "gc removes the flipped record alone"
+    [ record_file root flipped ^ ".quarantined" ]
+    (List.map (fun (e : Store.entry) -> e.file) removed);
+  Alcotest.(check int) "gc keeps the destination's v4 record" 0
+    (List.length (fst (Store.gc ~partial:true dst)));
+  check_kept "gc"
 
 let test_foreign_record_detected () =
   with_root @@ fun root ->
@@ -817,27 +877,30 @@ let test_export_roundtrip () =
   let s = open_exn ~chunk_size:8 root ~key ~runs:16 ~resilient:false in
   ignore (Store.collect s ~jobs:1 ~phase:"collect_det" 16 awkward);
   Store.close s;
-  (match Store.export root ~key with
+  let out = Filename.temp_file "store_export" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let export key =
+    let oc = open_out_bin out in
+    let r = Store.export_to root ~key oc in
+    close_out oc;
+    Result.map (fun () -> read_file out) r
+  in
+  (match export key with
   | Error e -> Alcotest.failf "export: %s" e
   | Ok text ->
       Alcotest.(check string) "export is the verified record verbatim"
         (read_file (record_file root key))
         text);
-  (match Store.export root ~key:(String.make 32 '0') with
+  (match export (String.make 32 '0') with
   | Ok _ -> Alcotest.fail "export of a missing key must fail"
   | Error _ -> ());
   flip_byte (record_file root key) ~at:(String.length (read_file (record_file root key)) / 2);
-  match Store.export root ~key with
+  match export key with
   | Ok _ -> Alcotest.fail "export must refuse a tampered record"
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* writer exclusion *)
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
 
 let test_writer_lock_in_process () =
   with_root @@ fun root ->
@@ -1141,8 +1204,8 @@ let () =
       ( "integrity",
         [
           Alcotest.test_case "bit flip detected" `Quick test_bit_flip_detected;
-          Alcotest.test_case "legacy schema read compatibility" `Quick
-            test_legacy_read_compat;
+          Alcotest.test_case "records of another schema left alone" `Quick
+            test_other_schemas_left_alone;
           Alcotest.test_case "foreign record detected" `Quick
             test_foreign_record_detected;
           Alcotest.test_case "fsync'd session round-trips" `Quick test_sync_roundtrip;
