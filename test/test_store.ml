@@ -111,6 +111,39 @@ let test_trails_roundtrip () =
   Alcotest.(check int) "warm hit computes nothing" 0 !calls;
   Alcotest.(check bool) "trails round-trip exactly" true (expected = served)
 
+(* A phase name holding an escaped quote is legal, but the header peek
+   declines its frames, so every read takes the JSON fallback: the chunk
+   lookup of a resume, the deep scan, and the warm materialization. *)
+let test_escaped_phase_roundtrip () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size:8 config in
+  let phase = "det \"quoted\"" in
+  let expected = Array.init 20 awkward in
+  let counted calls i =
+    incr calls;
+    awkward i
+  in
+  let s = open_exn ~chunk_size:8 root ~key ~runs:20 ~resilient:false in
+  Store.set_fail_after s 1;
+  (match Store.collect s ~jobs:1 ~phase 20 awkward with
+  | _ -> Alcotest.fail "expected Injected_crash"
+  | exception Store.Injected_crash _ -> Store.close s);
+  let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:20 ~resilient:false in
+  let calls = ref 0 in
+  check_bits "resumed values bit-identical" expected
+    (Store.collect r ~jobs:1 ~phase 20 (counted calls));
+  Store.close r;
+  Alcotest.(check int) "resume serves the first chunk from the record" 12 !calls;
+  (match (List.hd (Store.ls root)).Store.status with
+  | Store.Complete -> ()
+  | _ -> Alcotest.fail "the deep scan must decode every chunk");
+  let w = open_exn ~chunk_size:8 root ~key ~runs:20 ~resilient:false in
+  let calls = ref 0 in
+  let warm = Store.collect w ~jobs:2 ~phase 20 (counted calls) in
+  Store.close w;
+  Alcotest.(check int) "warm read computes nothing" 0 !calls;
+  check_bits "warm values bit-identical" expected warm
+
 (* ------------------------------------------------------------------ *)
 (* session guards *)
 
@@ -1167,6 +1200,8 @@ let () =
           Alcotest.test_case "floats bit-exact" `Quick test_roundtrip_bit_exact;
           Alcotest.test_case "attempt trails" `Quick test_trails_roundtrip;
           Alcotest.test_case "f64 binary codec" `Quick test_f64_codec;
+          Alcotest.test_case "escaped phase takes the JSON fallback" `Quick
+            test_escaped_phase_roundtrip;
         ] );
       ( "guards",
         [ Alcotest.test_case "session guards" `Quick test_session_guards ] );
