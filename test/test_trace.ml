@@ -109,6 +109,20 @@ let test_of_line_rejects_garbage () =
       | Ok _ -> Alcotest.failf "of_line accepted %S" s)
     [ ""; "not json"; "{}"; "{\"kind\":\"nope\"}"; "[1,2,3]"; "{\"kind\":\"run\"}" ]
 
+(* The meta line names the trace level with the words the CLI's
+   [--trace-level] accepts, one per level, and reads back unchanged. *)
+let test_meta_level_names () =
+  List.iter
+    (fun (level, name) ->
+      match Trace.drain (Trace.create_mem ~level ()) with
+      | (Trace.Meta { level = written; _ } as meta) :: _ -> (
+          checks "meta level name" name written;
+          match Trace.of_line (Trace.to_line meta) with
+          | Ok e -> checkb "meta line round-trip" true (e = meta)
+          | Error msg -> Alcotest.fail msg)
+      | _ -> Alcotest.fail "first event must be Meta")
+    [ (Trace.Summary, "summary"); (Trace.Runs, "runs"); (Trace.Debug, "debug") ]
+
 (* Nesting depth: [Json.of_string] accepts [Json.max_depth] levels and
    rejects the next one with a typed error, at once and with little
    allocation.  The hostile case is the longest line the daemon reads,
@@ -412,6 +426,7 @@ let () =
           Alcotest.test_case "event round-trip" `Quick test_round_trip;
           Alcotest.test_case "special floats" `Quick test_round_trip_special_floats;
           Alcotest.test_case "rejects garbage" `Quick test_of_line_rejects_garbage;
+          Alcotest.test_case "meta level names" `Quick test_meta_level_names;
           Alcotest.test_case "json nesting bound" `Quick test_json_depth_bound;
           Alcotest.test_case "4 MiB of '[' rejected in < 1 s" `Quick
             test_json_hostile_line_fast;
