@@ -86,6 +86,81 @@ let test_algorithm_accessor () =
       | None -> Alcotest.fail "missing algorithm")
     algorithms
 
+(* Every stream pinned bit for bit.  The statistical battery accepts any
+   good generator, so a changed stream would pass it; these digests move
+   instead.  Per algorithm and stream kind, one md5 over 1,000 draws from
+   each of four seeds: raw bits, a copy taken after 1,000 draws, a split
+   child, and the derived float, gaussian and rejection-sampled
+   [int_below 6] draws (floats as their IEEE bits). *)
+let golden_seeds = [ 0L; 2017L; -1L; Int64.max_int ]
+
+let golden_kinds =
+  let ints draw g b =
+    for _ = 1 to 1_000 do
+      Buffer.add_int64_le b (Int64.of_int (draw g))
+    done
+  in
+  let floats draw g b =
+    for _ = 1 to 1_000 do
+      Buffer.add_int64_le b (Int64.bits_of_float (draw g))
+    done
+  in
+  [
+    ("bits32", ints Prng.bits32);
+    ( "copy",
+      fun g b ->
+        for _ = 1 to 1_000 do
+          ignore (Prng.bits32 g)
+        done;
+        ints Prng.bits32 (Prng.copy g) b );
+    ("split", fun g b -> ints Prng.bits32 (Prng.split g) b);
+    ("float", floats Prng.float);
+    ("gaussian", floats Prng.gaussian);
+    ("int_below 6", ints (fun g -> Prng.int_below g 6));
+  ]
+
+let golden_digests =
+  [
+    ( Prng.Xorshift128p,
+      [
+        "de8b166faaf51bdfb64e1a2fef18c928"; "28b8c3f02422935535a8d9f7baa46528";
+        "c42528912ae42ed1613ad0ec40610a45"; "53348308a8cec2d4e114799469d16608";
+        "fef0400acd6f88980cf766c4b948e0a1"; "aaa8fd71c817d39af6e30b5e5c43e79a";
+      ] );
+    ( Prng.Pcg32,
+      [
+        "923336d3798e3117707ad05da9218758"; "2faf393b87ac8013310e3232257398b0";
+        "90bdd3991147504eb5a53ec5b1b24fad"; "de6ca37f82ab09b830eb44415b97107a";
+        "3b1f996702f63c41d62da5f3e75b14fb"; "9f6fe4268d0a70c1b7d5a1888a7528e4";
+      ] );
+    ( Prng.Lfsr64,
+      [
+        "c83825d6df5d6872817a9ececb384718"; "039d144e80fc7c57a30b58bb981191c6";
+        "81e5f53c14334d1403d31460bd2a1e06"; "ae96aef80ea793836f513a02ff7d73fd";
+        "2e1395e07c5214cefa4995016e75aa31"; "bd3dc6a251c9673a0bf37ec7b9b8749f";
+      ] );
+    ( Prng.Mwc32,
+      [
+        "b48bd122e760f6d8978504c698f33239"; "7c02fd8a2552535b99dceae875293a89";
+        "3ec3ac35e489223fb382b31e7f07fd68"; "0a37f7c6d818ea39994b5f31bb5e9fab";
+        "e0d47ffaa6f38cb67021e9ab723b2aa1"; "b8b6ce23e3da27122432dc2e58eb15e4";
+      ] );
+  ]
+
+let test_golden_streams () =
+  List.iter
+    (fun (algorithm, digests) ->
+      List.iter2
+        (fun (kind, draw) want ->
+          let b = Buffer.create 32_768 in
+          List.iter (fun seed -> draw (Prng.create ~algorithm seed) b) golden_seeds;
+          check Alcotest.string
+            (Printf.sprintf "%s %s" (Prng.algorithm_name algorithm) kind)
+            want
+            (Digest.to_hex (Digest.string (Buffer.contents b))))
+        golden_kinds digests)
+    golden_digests
+
 (* ------------------------------------------------------------------ *)
 (* Derived draws *)
 
@@ -273,6 +348,7 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_copy_replays;
           Alcotest.test_case "split independent" `Quick test_split_independent;
           Alcotest.test_case "algorithm accessor" `Quick test_algorithm_accessor;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
         ] );
       ( "draws",
         [

@@ -244,6 +244,76 @@ let test_mission_closed_loop_controls () =
   checkb "attitude bounded" true
     (Float.abs sc.Mission.final_theta_x < 2. && Float.abs sc.Mission.final_theta_y < 2.)
 
+(* md5 over the IEEE bits of every float a mission holds.  The simulated
+   cycle counts see these floats only through value-dependent FPU
+   latencies, so a changed sensor sample or command can hide from the
+   timing fixtures; it cannot hide from this digest. *)
+let mission_digest (m : Mission.t) =
+  let b = Buffer.create 65_536 in
+  let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let channel (c : Mission.channel_data) =
+    Array.iter add c.Mission.position;
+    Array.iter add c.Mission.rate;
+    Array.iter add c.Mission.acceleration
+  in
+  channel m.Mission.x;
+  channel m.Mission.y;
+  List.iter (Array.iter add)
+    [
+      m.Mission.ref_x;
+      m.Mission.ref_y;
+      m.Mission.covariance_init;
+      m.Mission.expected_cmd_x;
+      m.Mission.expected_cmd_y;
+    ];
+  add m.Mission.final_theta_x;
+  add m.Mission.final_theta_y;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let mission_golden =
+  [
+    ( 0L,
+      [
+        (1, "09864fa0a2cd9e27ed8ddec21ce80ab8");
+        (4, "3b3d2c521352b1a8cd86b56406e2e907");
+        (8, "1e60d0c84e473a0c7e87f1951ed2b69b");
+        (64, "c21f34f69041b280e83eb4f468564020");
+      ] );
+    ( 1L,
+      [
+        (1, "8d1e66efecbb287ab0b025b0f6361105");
+        (4, "6df3316860802f4f611c82f0387b0a04");
+        (8, "4e0eaab2078827891ccfec0ec49adf24");
+        (64, "ba356bf745a20e4c83b6b341d1255221");
+      ] );
+    ( 2017L,
+      [
+        (1, "162f8d22e5b11eeee56a136e046c0e26");
+        (4, "4cea775a7a8cb7a554579adca7b7b566");
+        (8, "b0dcfb5511748d4527c54836434b7020");
+        (64, "b5bc1fe842e7200dbec589fa6dad1cde");
+      ] );
+    ( -1L,
+      [
+        (1, "709eebc21463a9eb3d9b6609a7f103e5");
+        (4, "93f805683a04e2c25feaa9d0fc2879ad");
+        (8, "bfea52b12fb78bc49542bdc6798e9bc7");
+        (64, "4ccf5bf3656e0cd70289739679597c33");
+      ] );
+  ]
+
+let test_mission_golden () =
+  List.iter
+    (fun (seed, per_frames) ->
+      List.iter
+        (fun (frames, want) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %Ld frames %d" seed frames)
+            want
+            (mission_digest (Mission.generate ~frames ~seed ())))
+        per_frames)
+    mission_golden
+
 (* ------------------------------------------------------------------ *)
 (* Experiment harness *)
 
@@ -545,6 +615,7 @@ let () =
           Alcotest.test_case "sizes" `Quick test_mission_sizes;
           Alcotest.test_case "commands bounded" `Quick test_mission_commands_bounded;
           Alcotest.test_case "closed loop bounded" `Quick test_mission_closed_loop_controls;
+          Alcotest.test_case "golden" `Quick test_mission_golden;
         ] );
       ( "rtos",
         [
