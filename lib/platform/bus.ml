@@ -21,10 +21,12 @@ let create ~latencies ~contenders =
 
 let transaction t ~prng =
   t.transactions <- t.transactions + 1;
+  let contenders = t.contenders in
   let interference = ref 0 in
-  Array.iter
-    (fun pressure -> if Prng.float prng < pressure then interference := !interference + t.transfer)
-    t.contenders;
+  for i = 0 to Array.length contenders - 1 do
+    if Prng.float prng < Array.unsafe_get contenders i then
+      interference := !interference + t.transfer
+  done;
   t.transfer + !interference
 
 let count t = t.transactions

@@ -94,10 +94,11 @@ let set_of_addr t addr = set_of_line t (line_of_addr t addr)
 let find_slot t ~base line =
   let tags = t.tags in
   let stop = base + t.ways in
-  let rec go i =
-    if i >= stop then -1 else if Array.unsafe_get tags i = line then i else go (i + 1)
-  in
-  go base
+  let i = ref base in
+  while !i < stop && Array.unsafe_get tags !i <> line do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let touch t slot =
   t.clock <- t.clock + 1;
@@ -107,11 +108,11 @@ let touch t slot =
 let victim_slot t ~set ~base =
   let tags = t.tags in
   let stop = base + t.ways in
-  let rec find_invalid i =
-    if i >= stop then -1 else if Array.unsafe_get tags i = -1 then i else find_invalid (i + 1)
-  in
-  let invalid = find_invalid base in
-  if invalid >= 0 then invalid
+  let invalid = ref base in
+  while !invalid < stop && Array.unsafe_get tags !invalid <> -1 do
+    incr invalid
+  done;
+  if !invalid < stop then !invalid
   else begin
     match t.replacement with
     | Config.Lru ->

@@ -53,19 +53,20 @@ let page_of_addr t addr =
 let find_slot t page =
   let pages = t.pages in
   let stop = t.entries in
-  let rec go i =
-    if i >= stop then -1 else if Array.unsafe_get pages i = page then i else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < stop && Array.unsafe_get pages !i <> page do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let victim t =
   let pages = t.pages in
   let stop = t.entries in
-  let rec find_invalid i =
-    if i >= stop then -1 else if Array.unsafe_get pages i = -1 then i else find_invalid (i + 1)
-  in
-  let invalid = find_invalid 0 in
-  if invalid >= 0 then invalid
+  let invalid = ref 0 in
+  while !invalid < stop && Array.unsafe_get pages !invalid <> -1 do
+    incr invalid
+  done;
+  if !invalid < stop then !invalid
   else begin
     match t.replacement with
     | Config.Lru ->
