@@ -1,26 +1,32 @@
-type state = { mutable s0 : int64; mutable s1 : int64 }
+(* State [s0; s1] as two native-endian 64-bit words of one 16-byte
+   [Bytes]: reads and writes go through the unboxed primitives, so a draw
+   computes in registers and allocates nothing (mutable [int64] record
+   fields would box a fresh value on every write). *)
+type state = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let name = "xorshift128+"
 
 let create seed =
   let sm = Splitmix.create seed in
-  let s0 = Splitmix.next_nonzero sm in
-  let s1 = Splitmix.next_nonzero sm in
-  { s0; s1 }
+  let t = Bytes.create 16 in
+  set64 t 0 (Splitmix.next_nonzero sm);
+  set64 t 8 (Splitmix.next_nonzero sm);
+  t
 
-let ( ^^ ) = Int64.logxor
-let ( <<< ) = Int64.shift_left
-let ( >>> ) = Int64.shift_right_logical
-
-let next64 t =
-  let x = t.s0 and y = t.s1 in
+(* One xorshift128+ step; the upper 32 bits of the sum have the best
+   statistical quality. *)
+let next32 t =
+  let x = get64 t 0 and y = get64 t 8 in
   let result = Int64.add x y in
-  t.s0 <- y;
-  let x = x ^^ (x <<< 23) in
-  t.s1 <- x ^^ y ^^ (x >>> 17) ^^ (y >>> 26);
-  result
+  set64 t 0 y;
+  let x = Int64.logxor x (Int64.shift_left x 23) in
+  set64 t 8
+    (Int64.logxor
+       (Int64.logxor (Int64.logxor x y) (Int64.shift_right_logical x 17))
+       (Int64.shift_right_logical y 26));
+  Int64.to_int (Int64.shift_right_logical result 32)
 
-(* Upper 32 bits have the best statistical quality for xorshift+. *)
-let next32 t = Int64.to_int (Int64.shift_right_logical (next64 t) 32)
-
-let copy t = { s0 = t.s0; s1 = t.s1 }
+let copy = Bytes.copy
