@@ -1,4 +1,9 @@
-type state = { mutable r : int64 }
+(* The 64-bit register as one native-endian word of an 8-byte [Bytes],
+   read once and written once per draw (see {!Xorshift}). *)
+type state = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let name = "lfsr64"
 
@@ -7,16 +12,22 @@ let taps = 0xD800000000000000L
 
 let create seed =
   let sm = Splitmix.create seed in
-  { r = Splitmix.next_nonzero sm }
+  let t = Bytes.create 8 in
+  set64 t 0 (Splitmix.next_nonzero sm);
+  t
 
-let shift t =
-  let lsb = Int64.logand t.r 1L in
-  t.r <- Int64.shift_right_logical t.r 1;
-  if Int64.equal lsb 1L then t.r <- Int64.logxor t.r taps;
-  Int64.to_int lsb
-
+(* 32 Galois shifts, the first output bit landing in the most significant
+   position of the result. *)
 let next32 t =
-  let rec gather acc i = if i = 32 then acc else gather ((acc lsl 1) lor shift t) (i + 1) in
-  gather 0 0
+  let r = ref (get64 t 0) in
+  let acc = ref 0 in
+  for _ = 1 to 32 do
+    let lsb = Int64.logand !r 1L in
+    r := Int64.shift_right_logical !r 1;
+    if Int64.equal lsb 1L then r := Int64.logxor !r taps;
+    acc := (!acc lsl 1) lor Int64.to_int lsb
+  done;
+  set64 t 0 !r;
+  !acc
 
-let copy t = { r = t.r }
+let copy = Bytes.copy

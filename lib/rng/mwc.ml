@@ -1,8 +1,14 @@
-type state = { mutable x : int64 }
+(* x (low 32 bits) and carry (high 32 bits) packed in one native-endian
+   64-bit word of an 8-byte [Bytes], read and written unboxed (see
+   {!Xorshift}). *)
+type state = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let name = "mwc32"
 
-(* MWC with a = 4294957665 = 0xFFFFDA61: x and carry packed in 64 bits. *)
+(* MWC with a = 4294957665 = 0xFFFFDA61. *)
 let a = 0xFFFFDA61L
 
 let create seed =
@@ -11,12 +17,16 @@ let create seed =
   let x = Int64.logand (Splitmix.next sm) 0xFFFFFFFFL in
   let c = Int64.add 1L (Int64.rem (Splitmix.next_nonzero sm) (Int64.sub a 2L)) in
   let c = if Int64.compare c 0L < 0 then Int64.neg c else c in
-  { x = Int64.logor x (Int64.shift_left c 32) }
+  let t = Bytes.create 8 in
+  set64 t 0 (Int64.logor x (Int64.shift_left c 32));
+  t
 
-let copy t = { x = t.x }
+let copy = Bytes.copy
 
 let next32 t =
-  let x = Int64.logand t.x 0xFFFFFFFFL in
-  let c = Int64.shift_right_logical t.x 32 in
-  t.x <- Int64.add (Int64.mul a x) c;
-  Int64.to_int (Int64.logand t.x 0xFFFFFFFFL)
+  let v = get64 t 0 in
+  let x = Int64.logand v 0xFFFFFFFFL in
+  let c = Int64.shift_right_logical v 32 in
+  let v = Int64.add (Int64.mul a x) c in
+  set64 t 0 v;
+  Int64.to_int (Int64.logand v 0xFFFFFFFFL)

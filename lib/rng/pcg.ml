@@ -1,4 +1,9 @@
-type state = { mutable s : int64; inc : int64 }
+(* State word [s] at offset 0 and stream selector [inc] at offset 8 of one
+   16-byte [Bytes], read and written unboxed (see {!Xorshift}). *)
+type state = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let name = "pcg32"
 
@@ -9,16 +14,17 @@ let create seed =
   let initstate = Splitmix.next sm in
   (* The stream selector must be odd. *)
   let inc = Int64.logor (Splitmix.next sm) 1L in
-  let t = { s = 0L; inc } in
-  t.s <- Int64.add initstate inc;
-  t.s <- Int64.add (Int64.mul t.s multiplier) inc;
+  let t = Bytes.create 16 in
+  set64 t 8 inc;
+  let s = Int64.add initstate inc in
+  set64 t 0 (Int64.add (Int64.mul s multiplier) inc);
   t
 
-let copy t = { s = t.s; inc = t.inc }
+let copy = Bytes.copy
 
 let next32 t =
-  let old = t.s in
-  t.s <- Int64.add (Int64.mul old multiplier) t.inc;
+  let old = get64 t 0 in
+  set64 t 0 (Int64.add (Int64.mul old multiplier) (get64 t 8));
   let xorshifted =
     Int64.shift_right_logical (Int64.logxor (Int64.shift_right_logical old 18) old) 27
   in

@@ -45,9 +45,14 @@ let bits32 t = t.next32 ()
 
 let float t = Stdlib.float_of_int (bits32 t) *. 0x1p-32
 
-let rec float_pos t =
-  let u = float t in
-  if u > 0. then u else float_pos t
+(* [float t > 0.] exactly when its 32 bits are non-zero, so redrawing the
+   bits is the same stream as redrawing the float. *)
+let float_pos t =
+  let v = ref (bits32 t) in
+  while !v = 0 do
+    v := bits32 t
+  done;
+  Stdlib.float_of_int !v *. 0x1p-32
 
 let int_below t n =
   if not (n >= 1 && n <= 0x100000000) then
@@ -56,11 +61,11 @@ let int_below t n =
   else begin
     (* Rejection sampling over the largest multiple of [n] below 2^32. *)
     let limit = 0x100000000 - (0x100000000 mod n) in
-    let rec draw () =
-      let v = bits32 t in
-      if v < limit then v mod n else draw ()
-    in
-    draw ()
+    let v = ref (bits32 t) in
+    while !v >= limit do
+      v := bits32 t
+    done;
+    !v mod n
   end
 
 let int_in_range t ~lo ~hi =
