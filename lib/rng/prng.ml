@@ -43,11 +43,11 @@ let name t = t.name
 let algorithm t = t.algorithm
 let bits32 t = t.next32 ()
 
-let float t = Stdlib.float_of_int (bits32 t) *. 0x1p-32
+let[@inline] float t = Stdlib.float_of_int (bits32 t) *. 0x1p-32
 
 (* [float t > 0.] exactly when its 32 bits are non-zero, so redrawing the
    bits is the same stream as redrawing the float. *)
-let float_pos t =
+let[@inline] float_pos t =
   let v = ref (bits32 t) in
   while !v = 0 do
     v := bits32 t
