@@ -11,15 +11,15 @@ type channel = [ `Position | `Rate | `Acceleration ]
 let axes : axis list = [ `X; `Y ]
 let channels : channel list = [ `Position; `Rate; `Acceleration ]
 
-let axis_name = function `X -> "x" | `Y -> "y"
-
-let channel_name = function
-  | `Position -> "position"
-  | `Rate -> "rate"
-  | `Acceleration -> "acceleration"
-
+(* Literals, so the memory reload every run performs builds no string. *)
 let sym_sensor ~axis ~channel =
-  Printf.sprintf "sensor_%s_%s" (axis_name axis) (channel_name channel)
+  match (axis, channel) with
+  | `X, `Position -> "sensor_x_position"
+  | `X, `Rate -> "sensor_x_rate"
+  | `X, `Acceleration -> "sensor_x_acceleration"
+  | `Y, `Position -> "sensor_y_position"
+  | `Y, `Rate -> "sensor_y_rate"
+  | `Y, `Acceleration -> "sensor_y_acceleration"
 
 let sym_ref_x = "ref_x"
 let sym_ref_y = "ref_y"

@@ -85,6 +85,18 @@ let fresh_state () =
     covariance = Array.make (cov_n * cov_n) 0.;
   }
 
+let reset st =
+  st.filt_x <- 0.;
+  st.filt_y <- 0.;
+  st.integ_x <- 0.;
+  st.integ_y <- 0.;
+  st.prev_e_x <- 0.;
+  st.prev_e_y <- 0.;
+  st.cov_proxy <- 0.;
+  Array.fill st.history_x 0 history_length 0.;
+  Array.fill st.history_y 0 history_length 0.;
+  Array.fill st.covariance 0 (cov_n * cov_n) 0.
+
 let clamp ~limit v = if v >= limit then limit else if v <= -.limit then -.limit else v
 
 let sensor_channel g samples =

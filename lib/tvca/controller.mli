@@ -76,6 +76,9 @@ type state = {
 
 val fresh_state : unit -> state
 
+(** [reset st] puts [st] back where {!fresh_state} starts, in place. *)
+val reset : state -> unit
+
 (** [clamp ~limit v] — the exact branch structure the generated code uses:
     [if v >= limit then limit else if v <= -limit then -limit else v]. *)
 val clamp : limit:float -> float -> float

@@ -187,9 +187,6 @@ let fault_seed t ~run_index ~attempt =
 
 let schedule_seed t ~run_index = derive_schedule_seed t.base_seed run_index
 
-let scenario t ~run_index =
-  Mission.generate ~frames:t.frames ~gains:t.gains ~seed:(scenario_seed t ~run_index) ()
-
 (* ---- batched scratch -------------------------------------------------
 
    The unit of scheduling upstream stays the per-run closure (chunk layout,
@@ -205,12 +202,21 @@ let scenario t ~run_index =
    Domain-local storage means no shared mutable hot state between domains;
    the slot list is a tiny move-to-front LRU keyed by experiment identity,
    capped so long-lived domains running many experiments (test suites)
-   don't accumulate dead simulators. *)
+   don't accumulate dead simulators.
+
+   The scratch also owns one set of mission buffers.  Each run generates
+   its scenario into them, so the mission a run sees is valid until the
+   scratch's next run.  [s_scenario] remembers the seed the buffers hold
+   and the mission made from it: a run asking for that same seed again (a
+   retry keeps its scenario, a pinned-input leak run keeps its input)
+   skips generation. *)
 
 type scratch = {
   s_core : Platform.Core_sim.t;
   s_memory : Isa.Memory.t;
   s_runner : Isa.Executor.Decoded.Runner.t;
+  s_buffers : Mission.buffers;
+  mutable s_scenario : (int64 * Mission.t) option;
 }
 
 let max_scratch_slots = 8
@@ -246,7 +252,15 @@ let scratch_for t =
             Platform.Core_sim.create ~contenders:t.contenders ~config:t.config
               ~seed:0L ()
           in
-          let s = { s_core = core; s_memory = memory; s_runner = runner } in
+          let s =
+            {
+              s_core = core;
+              s_memory = memory;
+              s_runner = runner;
+              s_buffers = Mission.buffers ~frames:t.frames;
+              s_scenario = None;
+            }
+          in
           let kept =
             if List.length existing >= max_scratch_slots then
               List.filteri (fun i _ -> i < max_scratch_slots - 1) existing
@@ -254,6 +268,16 @@ let scratch_for t =
           in
           slots := (t, s) :: kept;
           s)
+
+(* Scenario [scenario_index] in the scratch's mission buffers. *)
+let scenario t s ~scenario_index =
+  let seed = scenario_seed t ~run_index:scenario_index in
+  match s.s_scenario with
+  | Some (held, sc) when Int64.equal held seed -> sc
+  | Some _ | None ->
+      let sc = Mission.generate_into ~gains:t.gains s.s_buffers ~seed in
+      s.s_scenario <- Some (seed, sc);
+      sc
 
 (* The per-run protocol on this domain's scratch, one profile stage per
    step: generate scenario [scenario_index] (the run's own scenario except
@@ -263,7 +287,7 @@ let scratch_for t =
    ([reset_run]) and resets the runner itself. *)
 let prepare_run t ~scenario_index ~run_index ~attempt =
   let s = scratch_for t in
-  let sc = Profile.time Profile.Scenario (fun () -> scenario t ~run_index:scenario_index) in
+  let sc = Profile.time Profile.Scenario (fun () -> scenario t s ~scenario_index) in
   Profile.time Profile.Reload (fun () ->
       Isa.Memory.clear s.s_memory;
       Mission.load_memory sc s.s_memory);

@@ -62,7 +62,13 @@ val schedule_seed : t -> run_index:int -> int64
     memory image, one pre-decoded runner) is reused across consecutive
     runs, with the full per-run protocol — fresh derived seeds, platform
     reseed, flush, zeroed and reloaded memory — replayed for every run, so
-    a result depends only on its arguments, never on the runs before it. *)
+    a result depends only on its arguments, never on the runs before it.
+
+    The scratch also owns one set of {!Mission.buffers}: a run generates its
+    input scenario into them, so that mission is valid only until the
+    scratch's next run.  A run asking for the scenario the buffers already
+    hold (a {!run_faulty} retry, a {!measure_fixed_scenario} run on the
+    same pinned input) skips generation. *)
 val run : t -> run_index:int -> Repro_platform.Metrics.t
 
 (** [measure t ~run_index] — execution time (cycles) only. *)

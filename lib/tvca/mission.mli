@@ -39,6 +39,22 @@ val default_frames : int
     variability across the 3,000 measurement runs. *)
 val generate : ?frames:int -> ?gains:Controller.gains -> seed:int64 -> unit -> t
 
+(** Storage for one mission of a fixed frame count: its arrays, the golden
+    controller's state and the controller's sensor windows.  Generating
+    into buffers allocates no array. *)
+type buffers
+
+(** [buffers ~frames] — raises [Invalid_argument] unless
+    [1 <= frames <= Controller.history_length]. *)
+val buffers : frames:int -> buffers
+
+(** [generate_into ?gains buffers ~seed] is [generate ~frames ?gains ~seed ()]
+    bit for bit, for the [frames] the buffers were made with, written into
+    [buffers].  The controller state is reset first, so nothing carries
+    over from an earlier mission.  The result shares its arrays with
+    [buffers]: it stays valid until the next [generate_into] on them. *)
+val generate_into : ?gains:Controller.gains -> buffers -> seed:int64 -> t
+
 (** [load_memory t memory] fills the data symbols of a program generated by
     {!Codegen.program} with this scenario's inputs (sensor windows,
     references, gain table; state and commands zeroed). *)

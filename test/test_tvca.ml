@@ -314,6 +314,23 @@ let test_mission_golden () =
         per_frames)
     mission_golden
 
+(* Missions generated into one set of buffers in the order A, B, A equal
+   fresh ones bit for bit: no controller, history or sensor state leaks
+   from one mission into the next.  B flies other gains. *)
+let test_mission_buffers_reused () =
+  let other = { gains with Controller.kp = 3.1; ki = 0.4 } in
+  List.iter
+    (fun frames ->
+      let b = Mission.buffers ~frames in
+      List.iter
+        (fun (what, seed, gains) ->
+          Alcotest.(check string)
+            (Printf.sprintf "frames %d, mission %s" frames what)
+            (mission_digest (Mission.generate ~frames ~gains ~seed ()))
+            (mission_digest (Mission.generate_into ~gains b ~seed)))
+        [ ("A", 2017L, gains); ("B", -1L, other); ("A again", 2017L, gains) ])
+    [ 1; 8; 64 ]
+
 (* ------------------------------------------------------------------ *)
 (* Experiment harness *)
 
@@ -616,6 +633,7 @@ let () =
           Alcotest.test_case "commands bounded" `Quick test_mission_commands_bounded;
           Alcotest.test_case "closed loop bounded" `Quick test_mission_closed_loop_controls;
           Alcotest.test_case "golden" `Quick test_mission_golden;
+          Alcotest.test_case "buffers reused A, B, A" `Quick test_mission_buffers_reused;
         ] );
       ( "rtos",
         [
