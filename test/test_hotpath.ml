@@ -444,6 +444,117 @@ let test_decode_cache_bounded () =
   Alcotest.(check int) "re-insertion respects the cap" cap
     (T.Experiment.decode_cache_size ())
 
+(* ------------------------------------------------------------------ *)
+(* Allocation: a run allocates a bounded number of minor-heap words,
+   independent of its instruction count.  These are counts, not timings,
+   and they repeat exactly from run to run.  Before the scans, the
+   generators and the missions stopped allocating, a TVCA frames-8 run
+   allocated ~199,000 words in [reseed] + [run_decoded] (~31,000 at
+   frames 1) and ~277,000 in [Experiment.measure], and one [bits32] draw
+   allocated 3 to 149 words depending on the generator. *)
+
+let platforms = [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ]
+
+(* Minor words per call of [f i] for i = 1 .. runs, after one uncounted
+   call [f 0] that builds whatever [f] caches. *)
+let words_per_call ~runs f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to runs do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+(* [Core_sim.reseed] + [run_decoded] alone, per run, on a memory image
+   reloaded (uncounted) with one of four missions before every run. *)
+let run_decoded_words ~frames config =
+  let exp = T.Experiment.create ~frames ~config ~base_seed:2017L () in
+  let program = T.Experiment.program exp in
+  let decoded = Isa.Executor.Decoded.decode ~program ~layout:(T.Experiment.layout exp) in
+  let memory = Isa.Memory.create program in
+  let runner = Isa.Executor.Decoded.Runner.create ~decoded ~memory () in
+  let core = P.Core_sim.create ~config ~seed:0L () in
+  let missions =
+    Array.init 4 (fun i -> T.Mission.generate ~frames ~seed:(Int64.of_int i) ())
+  in
+  let seeds = Array.init 41 (fun i -> Int64.of_int (1000 + i)) in
+  let words = ref 0. in
+  for i = 0 to 40 do
+    Isa.Memory.clear memory;
+    T.Mission.load_memory missions.(i land 3) memory;
+    let before = Gc.minor_words () in
+    P.Core_sim.reseed core ~seed:seeds.(i);
+    ignore (P.Core_sim.run_decoded core ~runner : P.Metrics.t);
+    if i > 0 then words := !words +. (Gc.minor_words () -. before)
+  done;
+  !words /. 40.
+
+let run_decoded_bound = 1_000.
+
+let test_run_decoded_words () =
+  List.iter
+    (fun (pname, config) ->
+      let words = run_decoded_words ~frames:8 config in
+      if words >= run_decoded_bound then
+        Alcotest.failf "%s: reseed + run_decoded at frames 8 allocated %.0f words a run, want < %.0f"
+          pname words run_decoded_bound)
+    platforms
+
+(* 81,615 instructions at frames 8 against 10,164 at frames 1: what is
+   left grows with the long FP operations, whose two operands the sink
+   receives boxed. *)
+let test_run_decoded_flat () =
+  List.iter
+    (fun (pname, config) ->
+      let w8 = run_decoded_words ~frames:8 config and w1 = run_decoded_words ~frames:1 config in
+      if w8 -. w1 >= 500. then
+        Alcotest.failf "%s: frames 8 allocated %.0f words a run, frames 1 %.0f: grows by %.0f, want < 500"
+          pname w8 w1 (w8 -. w1))
+    platforms
+
+(* The whole per-run protocol, scenario generation included. *)
+let measure_bound = 15_000.
+
+let test_measure_words () =
+  List.iter
+    (fun (pname, config) ->
+      let exp = T.Experiment.create ~config ~base_seed:2017L () in
+      let words =
+        words_per_call ~runs:40 (fun i -> ignore (T.Experiment.measure exp ~run_index:i : float))
+      in
+      if words >= measure_bound then
+        Alcotest.failf "%s: Experiment.measure allocated %.0f words a run, want < %.0f" pname
+          words measure_bound)
+    platforms
+
+(* A pinned-input run finds its mission already in the scratch's buffers,
+   so the only words left are the run's own. *)
+let test_pinned_input_reuses_mission () =
+  List.iter
+    (fun (pname, config) ->
+      let exp = T.Experiment.create ~config ~base_seed:2017L () in
+      let words =
+        words_per_call ~runs:40 (fun i ->
+            ignore (T.Experiment.measure_fixed_scenario exp ~scenario_index:3 ~run_index:i : float))
+      in
+      if words >= run_decoded_bound then
+        Alcotest.failf "%s: a pinned-input run allocated %.0f words, want < %.0f" pname words
+          run_decoded_bound)
+    platforms
+
+let test_draws_allocate_nothing () =
+  List.iter
+    (fun algorithm ->
+      let g = Prng.create ~algorithm 2017L in
+      List.iter
+        (fun (what, draw) ->
+          let words = words_per_call ~runs:10_000 (fun _ -> ignore (draw g : int)) in
+          if words <> 0. then
+            Alcotest.failf "%s: %s allocated %.2f words a draw, want 0"
+              (Prng.algorithm_name algorithm) what words)
+        [ ("bits32", Prng.bits32); ("int_below 6", fun g -> Prng.int_below g 6) ])
+    Prng.all_algorithms
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -457,6 +568,19 @@ let () =
         ] );
       ( "counters",
         [ Alcotest.test_case "decode cache + batch exercised" `Quick test_hotpath_counters ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "reseed + run_decoded < 1,000 words a run" `Quick
+            test_run_decoded_words;
+          Alcotest.test_case "run_decoded words flat in the program length" `Quick
+            test_run_decoded_flat;
+          Alcotest.test_case "Experiment.measure < 15,000 words a run" `Quick
+            test_measure_words;
+          Alcotest.test_case "pinned-input run reuses its mission" `Quick
+            test_pinned_input_reuses_mission;
+          Alcotest.test_case "bits32 and int_below draw without allocating" `Quick
+            test_draws_allocate_nothing;
+        ] );
       ( "lru",
         [
           Alcotest.test_case "decode cache bounded with LRU eviction" `Quick
