@@ -177,9 +177,9 @@ let validate_probability p =
 
 let profile_arg =
   let doc =
-    "Enable the stage-resolved micro-profiler: campaign wall time is attributed to \
-     pipeline stages (codegen, decode, execute, flush, seed derivation, trace, store, \
-     analysis) and the table is printed after the report.  With --trace the totals are \
+    "Enable the stage-resolved micro-profiler: campaign wall time and minor-heap words \
+     are attributed to pipeline stages (codegen, decode, execute, flush, seed \
+     derivation, trace, store, analysis) and the table is printed after the report.  With --trace the totals are \
      also recorded as profile.* counters, rendered by `trace summary` as the \
      stage-profile section."
   in

@@ -4,12 +4,14 @@ let counter_prefix = "profile."
 
 let record_counters counters =
   List.iter
-    (fun { stage; ns; calls } ->
+    (fun { stage; ns; minor_words; calls } ->
       if calls > 0 then begin
-        Trace.Counters.add counters
-          (counter_prefix ^ stage_name stage ^ "_ns")
-          (Int64.to_int ns);
-        Trace.Counters.add counters (counter_prefix ^ stage_name stage ^ "_calls") calls
+        let add suffix v =
+          Trace.Counters.add counters (counter_prefix ^ stage_name stage ^ suffix) v
+        in
+        add "_ns" (Int64.to_int ns);
+        add "_minor_words" minor_words;
+        add "_calls" calls
       end)
     (snapshot ())
 

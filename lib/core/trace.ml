@@ -951,6 +951,7 @@ let summarize events =
           {
             Repro_profile.stage;
             ns = Int64.of_int (lookup stage "_ns");
+            minor_words = lookup stage "_minor_words";
             calls = lookup stage "_calls";
           })
         Repro_profile.stages

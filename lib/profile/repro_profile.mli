@@ -50,19 +50,15 @@ val enabled : unit -> bool
 (** Monotonic timestamp in nanoseconds. *)
 val now_ns : unit -> int64
 
-(** [time stage f] runs [f ()], attributing its wall time to [stage] when
-    the profiler is enabled.  Exceptions are re-raised after attribution.
-    Nested annotations double-count by design (a parent stage includes its
-    children); the pipeline annotates disjoint stages, so report totals
-    stay additive. *)
+(** [time stage f] runs [f ()], attributing its wall time and the minor-heap
+    words the calling domain allocated meanwhile ([Gc.minor_words]) to
+    [stage] when the profiler is enabled.  Exceptions are re-raised after
+    attribution.  Nested annotations double-count by design (a parent stage
+    includes its children); the pipeline annotates disjoint stages, so
+    report totals stay additive. *)
 val time : stage -> (unit -> 'a) -> 'a
 
-(** [add stage ~ns] attributes [ns] nanoseconds (and one call) directly —
-    for callers that already hold their own timestamps.  No-op when
-    disabled. *)
-val add : stage -> ns:int64 -> unit
-
-type entry = { stage : stage; ns : int64; calls : int }
+type entry = { stage : stage; ns : int64; minor_words : int; calls : int }
 
 (** Totals since the last [reset], in {!stages} order, including zero
     entries — so a report can show which stages never ran. *)
@@ -72,7 +68,8 @@ val snapshot : unit -> entry list
 val reset : unit -> unit
 
 (** Render a snapshot as an aligned text table: one line per stage with
-    total ms, call count and per-call cost, sorted by descending total;
+    total ms, call count, and per call ns and minor-heap words, sorted by
+    descending total;
     stages with zero calls are summarized on a trailing line.  Returns
     [""] for an all-zero snapshot. *)
 val render : entry list -> string

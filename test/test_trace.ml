@@ -247,6 +247,57 @@ let test_mem_trace_stream_and_drain () =
     | Trace.Phase_start _ :: _ -> true
     | _ -> false)
 
+(* The stage profiler counts the minor-heap words a stage allocates, folds
+   them into the trace as profile.<stage>_minor_words, and the summary
+   prints them per call beside the time. *)
+let test_profile_minor_words () =
+  let module P = M.Profile in
+  let was_enabled = P.enabled () in
+  P.reset ();
+  P.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      P.set_enabled was_enabled;
+      P.reset ())
+  @@ fun () ->
+  for _ = 1 to 4 do
+    (* 101 words: a header and 100 fields *)
+    P.time P.Scenario (fun () -> ignore (Sys.opaque_identity (Array.make 100 0)))
+  done;
+  let e = List.find (fun (e : P.entry) -> e.P.stage = P.Scenario) (P.snapshot ()) in
+  checki "calls" 4 e.P.calls;
+  checkb
+    (Printf.sprintf "4 x 101 words, little else (got %d)" e.P.minor_words)
+    true
+    (e.P.minor_words >= 404 && e.P.minor_words < 450);
+  let path = temp_path () in
+  let t = Trace.create ~path () in
+  P.record_counters (Trace.counters t);
+  Trace.close t;
+  let events =
+    match Trace.read_file path with
+    | Ok events -> events
+    | Error e -> Alcotest.failf "read_file: %s" e
+  in
+  Sys.remove path;
+  checkb "counter in the trace" true
+    (List.exists
+       (function
+         | Trace.Counter { name = "profile.scenario_minor_words"; value } ->
+             value = e.P.minor_words
+         | _ -> false)
+       events);
+  let row =
+    List.find_opt
+      (fun l -> String.length l > 10 && String.sub l 0 10 = "  scenario")
+      (String.split_on_char '\n' (Trace.summarize events))
+  in
+  match row with
+  | Some l ->
+      let per_call = Printf.sprintf "%.1f words/call" (float_of_int e.P.minor_words /. 4.) in
+      checkb (Printf.sprintf "%S ends with %S" l per_call) true
+        (String.ends_with ~suffix:per_call l)
+  | None -> Alcotest.fail "no scenario row in the summary's stage profile"
+
 (* ------------------------------------------------------------------ *)
 (* File round-trip *)
 
@@ -438,6 +489,7 @@ let () =
           Alcotest.test_case "per-request scoping" `Quick test_counters_scoped;
           Alcotest.test_case "in-memory stream & drain" `Quick
             test_mem_trace_stream_and_drain;
+          Alcotest.test_case "stage profile minor words" `Quick test_profile_minor_words;
         ] );
       ( "file",
         [
