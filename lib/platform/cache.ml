@@ -8,7 +8,10 @@ type outcome = Hit | Miss
    masks so the per-access path divides nothing, and the placement /
    replacement modes are hoisted out of [config] into immediate fields so
    each access dispatches on one word.  [find_slot] returns a sentinel int
-   instead of an [option]: the lookup path allocates nothing. *)
+   instead of an [option], and the scans below are loops, not local
+   closures (which non-flambda ocamlopt allocates on every call): the
+   lookup path allocates nothing, as test_hotpath's "allocation" group
+   pins. *)
 type t = {
   config : Config.cache_config;
   sets : int;
@@ -90,7 +93,9 @@ let set_of_line t line =
 let set_of_addr t addr = set_of_line t (line_of_addr t addr)
 
 (* Flat index of [line] within the set starting at [base = set * ways], or
-   -1 when absent.  No allocation; bounds are established by construction. *)
+   -1 when absent: the first match in way order.  No allocation (the index
+   is a local ref, which the compiler keeps in a register); bounds are
+   established by construction. *)
 let find_slot t ~base line =
   let tags = t.tags in
   let stop = base + t.ways in

@@ -48,8 +48,10 @@ let create ~entries ~page_bytes ~replacement ~prng =
 let page_of_addr t addr =
   if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_bytes
 
-(* Index of [page], or -1 when absent — sentinel instead of an [option], so
-   the per-access lookup allocates nothing. *)
+(* Index of [page], or -1 when absent: the first match in entry order.  A
+   sentinel instead of an [option], and a loop instead of a local closure,
+   so the per-access lookup allocates nothing (pinned by test_hotpath's
+   "allocation" group). *)
 let find_slot t page =
   let pages = t.pages in
   let stop = t.entries in

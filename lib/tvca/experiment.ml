@@ -270,7 +270,7 @@ let scratch_for t =
           s)
 
 (* Scenario [scenario_index] in the scratch's mission buffers. *)
-let scenario t s ~scenario_index =
+let scratch_mission t s ~scenario_index =
   let seed = scenario_seed t ~run_index:scenario_index in
   match s.s_scenario with
   | Some (held, sc) when Int64.equal held seed -> sc
@@ -287,7 +287,7 @@ let scenario t s ~scenario_index =
    ([reset_run]) and resets the runner itself. *)
 let prepare_run t ~scenario_index ~run_index ~attempt =
   let s = scratch_for t in
-  let sc = Profile.time Profile.Scenario (fun () -> scenario t s ~scenario_index) in
+  let sc = Profile.time Profile.Scenario (fun () -> scratch_mission t s ~scenario_index) in
   Profile.time Profile.Reload (fun () ->
       Isa.Memory.clear s.s_memory;
       Mission.load_memory sc s.s_memory);
