@@ -24,3 +24,12 @@ module type S = sig
   (** [copy s] snapshots the state: the copy replays the same stream. *)
   val copy : state -> state
 end
+
+(** Unboxed access to the native-endian 64-bit words of a [Bytes], where
+    the generators keep their state: a read or write boxes no [int64], so
+    a draw allocates nothing (a mutable [int64] record field boxes a fresh
+    value on every write).  No bounds check. *)
+module Word : sig
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+end

@@ -1,9 +1,8 @@
-(* The 64-bit register as one native-endian word of an 8-byte [Bytes],
-   read once and written once per draw (see {!Xorshift}). *)
+(* The 64-bit register as the one word of an 8-byte [Bytes], read once
+   and written once per draw, unboxed ({!Generator.Word}). *)
 type state = Bytes.t
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+open Generator.Word
 
 let name = "lfsr64"
 

@@ -1,10 +1,8 @@
-(* x (low 32 bits) and carry (high 32 bits) packed in one native-endian
-   64-bit word of an 8-byte [Bytes], read and written unboxed (see
-   {!Xorshift}). *)
+(* x (low 32 bits) and carry (high 32 bits) packed in the one 64-bit word
+   of an 8-byte [Bytes], read and written unboxed ({!Generator.Word}). *)
 type state = Bytes.t
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+open Generator.Word
 
 let name = "mwc32"
 

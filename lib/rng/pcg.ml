@@ -1,9 +1,8 @@
 (* State word [s] at offset 0 and stream selector [inc] at offset 8 of one
-   16-byte [Bytes], read and written unboxed (see {!Xorshift}). *)
+   16-byte [Bytes], read and written unboxed ({!Generator.Word}). *)
 type state = Bytes.t
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+open Generator.Word
 
 let name = "pcg32"
 

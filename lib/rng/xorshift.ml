@@ -1,11 +1,8 @@
-(* State [s0; s1] as two native-endian 64-bit words of one 16-byte
-   [Bytes]: reads and writes go through the unboxed primitives, so a draw
-   computes in registers and allocates nothing (mutable [int64] record
-   fields would box a fresh value on every write). *)
+(* State [s0; s1] as the two 64-bit words of one 16-byte [Bytes], read
+   and written unboxed ({!Generator.Word}), so a draw allocates nothing. *)
 type state = Bytes.t
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+open Generator.Word
 
 let name = "xorshift128+"
 
