@@ -19,9 +19,9 @@ val counter_prefix : string
 
 (** [record_counters counters] adds every non-empty stage total of the
     current snapshot to [counters] as ["profile.<stage>_ns"],
-    ["profile.<stage>_minor_words"] and ["profile.<stage>_calls"].  Additions commute, so merging snapshots
-    from several flushes (or processes sharing a trace file) stays
-    well-defined. *)
+    ["profile.<stage>_minor_words"] and ["profile.<stage>_calls"].
+    Additions commute, so merging snapshots from several flushes (or
+    processes sharing a trace file) stays well-defined. *)
 val record_counters : Trace.Counters.t -> unit
 
 (** The current snapshot rendered as the aligned stage table ([""] when

@@ -1,9 +1,9 @@
 (** Stage-resolved micro-profiler for the campaign pipeline.
 
-    Attributes wall time to the stages a run passes through — codegen,
-    decode, scenario, reload, reseed, flush, execute, trace, store,
-    analysis — so a perf regression names the stage that caused it
-    instead of hiding in a campaign-level total.
+    Attributes wall time and minor-heap words to the stages a run passes
+    through — codegen, decode, scenario, reload, reseed, flush, execute,
+    trace, store, analysis — so a perf regression names the stage that
+    caused it instead of hiding in a campaign-level total.
 
     Design constraints, in order:
 
@@ -69,7 +69,6 @@ val reset : unit -> unit
 
 (** Render a snapshot as an aligned text table: one line per stage with
     total ms, call count, and per call ns and minor-heap words, sorted by
-    descending total;
-    stages with zero calls are summarized on a trailing line.  Returns
-    [""] for an all-zero snapshot. *)
+    descending total; stages with zero calls are summarized on a trailing
+    line.  Returns [""] for an all-zero snapshot. *)
 val render : entry list -> string
