@@ -496,8 +496,9 @@ let test_run_decoded_words () =
     (fun (pname, config) ->
       let words = run_decoded_words ~frames:8 config in
       if words >= run_decoded_bound then
-        Alcotest.failf "%s: reseed + run_decoded at frames 8 allocated %.0f words a run, want < %.0f"
-          pname words run_decoded_bound)
+        Alcotest.failf
+          "%s: reseed + run_decoded at frames 8 allocated %.0f words a run, want < %.0f" pname
+          words run_decoded_bound)
     platforms
 
 (* 81,615 instructions at frames 8 against 10,164 at frames 1: what is
@@ -506,9 +507,11 @@ let test_run_decoded_words () =
 let test_run_decoded_flat () =
   List.iter
     (fun (pname, config) ->
-      let w8 = run_decoded_words ~frames:8 config and w1 = run_decoded_words ~frames:1 config in
+      let w8 = run_decoded_words ~frames:8 config in
+      let w1 = run_decoded_words ~frames:1 config in
       if w8 -. w1 >= 500. then
-        Alcotest.failf "%s: frames 8 allocated %.0f words a run, frames 1 %.0f: grows by %.0f, want < 500"
+        Alcotest.failf
+          "%s: frames 8 allocated %.0f words a run, frames 1 %.0f: grows by %.0f, want < 500"
           pname w8 w1 (w8 -. w1))
     platforms
 
@@ -520,7 +523,8 @@ let test_measure_words () =
     (fun (pname, config) ->
       let exp = T.Experiment.create ~config ~base_seed:2017L () in
       let words =
-        words_per_call ~runs:40 (fun i -> ignore (T.Experiment.measure exp ~run_index:i : float))
+        words_per_call ~runs:40 (fun i ->
+            ignore (T.Experiment.measure exp ~run_index:i : float))
       in
       if words >= measure_bound then
         Alcotest.failf "%s: Experiment.measure allocated %.0f words a run, want < %.0f" pname
@@ -535,7 +539,8 @@ let test_pinned_input_reuses_mission () =
       let exp = T.Experiment.create ~config ~base_seed:2017L () in
       let words =
         words_per_call ~runs:40 (fun i ->
-            ignore (T.Experiment.measure_fixed_scenario exp ~scenario_index:3 ~run_index:i : float))
+            ignore
+              (T.Experiment.measure_fixed_scenario exp ~scenario_index:3 ~run_index:i : float))
       in
       if words >= run_decoded_bound then
         Alcotest.failf "%s: a pinned-input run allocated %.0f words, want < %.0f" pname words
