@@ -501,7 +501,7 @@ let test_run_decoded_words () =
           words run_decoded_bound)
     platforms
 
-(* 81,615 instructions at frames 8 against 10,164 at frames 1: what is
+(* ~81,600 instructions a run at frames 8 against ~10,200 at frames 1: what is
    left grows with the long FP operations, whose two operands the sink
    receives boxed. *)
 let test_run_decoded_flat () =
