@@ -131,28 +131,6 @@ let resolve_jobs = function
       Format.eprintf "mbpta_cli: --jobs must be >= 0 (got %d)@." j;
       exit 2
 
-let dispatch_arg =
-  let doc =
-    "Scheduling granularity of the store checkpoint walk: $(b,chunk) (one store \
-     chunk per domain-pool fan-out; the reference schedule), $(b,auto) \
-     (calibrate the per-chunk cost on the first uncached chunk and batch \
-     fan-outs to roughly 50ms of work), or an integer batch size.  Purely \
-     operational: samples and record bytes are identical under every choice."
-  in
-  Arg.(value & opt string "chunk" & info [ "dispatch" ] ~docv:"MODE" ~doc)
-
-let resolve_dispatch s : M.Parallel.dispatch =
-  match s with
-  | "chunk" -> `Chunk
-  | "auto" -> `Auto
-  | s -> (
-      match int_of_string_opt s with
-      | Some b when b >= 1 -> `Batch b
-      | _ ->
-          Format.eprintf
-            "mbpta_cli: --dispatch must be chunk, auto, or a batch size >= 1 (got %s)@." s;
-          exit 2)
-
 (* Usage errors share one shape: message on stderr, exit 2 (the cmdliner
    convention resolve_jobs established). *)
 let usage_error fmt =
@@ -385,11 +363,9 @@ let base_config ~subcommand ~runs ~seed ~frames =
 
 (* ------------------------------ analyze ------------------------------ *)
 
-let analyze spec csv_dir jobs dispatch profile trace_path trace_level cache_dir resume
-    no_cache cache_sync shard workers worker_deadline worker_retries worker_backoff =
+let analyze spec csv_dir jobs profile trace_path trace_level cache_dir resume no_cache
+    cache_sync shard workers worker_deadline worker_retries worker_backoff =
   let jobs = resolve_jobs jobs in
-  let dispatch_s = dispatch in
-  let dispatch = resolve_dispatch dispatch in
   if profile then M.Profile.set_enabled true;
   let spec = validated spec in
   let runs = spec.Cs.runs in
@@ -442,7 +418,7 @@ let analyze spec csv_dir jobs dispatch profile trace_path trace_level cache_dir 
     let worker_argv k =
       Array.of_list
         ((Sys.executable_name :: "analyze" :: Cs.to_args spec)
-        @ [ "--jobs"; string_of_int jobs; "--dispatch"; dispatch_s ]
+        @ [ "--jobs"; string_of_int jobs ]
         @ [ "--shard"; Printf.sprintf "%d/%d" k workers; "--cache-dir"; shard_dir k ]
         @ if cache_sync then [ "--cache-sync" ] else [])
     in
@@ -538,7 +514,7 @@ let analyze spec csv_dir jobs dispatch profile trace_path trace_level cache_dir 
               match open_session () with Ok s -> s | Error e -> usage_error "%s" e)
         in
         Fun.protect ~finally:(fun () -> M.Store.close session) @@ fun () ->
-        match Cs.collect_shard ~jobs ?trace ~dispatch ~store:session spec with
+        match Cs.collect_shard ~jobs ?trace ~store:session spec with
         | Error f ->
             Format.eprintf "shard %d/%d failed: %a@." k n M.Protocol.pp_failure f;
             1
@@ -558,7 +534,7 @@ let analyze spec csv_dir jobs dispatch profile trace_path trace_level cache_dir 
       with_store ~cache_dir ~resume ~no_cache ~sync:cache_sync ~config:store_config
         ~runs ~resilient
       @@ fun store ->
-      match Cs.run ~jobs ?trace ~dispatch ?store spec with
+      match Cs.run ~jobs ?trace ?store spec with
   | Error f ->
       Format.eprintf "campaign failed: %a@." M.Protocol.pp_failure f;
       1
@@ -618,10 +594,10 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const analyze $ spec_term $ csv_dir $ jobs_arg $ dispatch_arg $ profile_arg
-      $ trace_arg $ trace_level_arg $ cache_dir_arg $ resume_arg $ no_cache_arg
-      $ cache_sync_arg $ shard_arg $ workers_arg $ worker_deadline_arg
-      $ worker_retries_arg $ worker_backoff_arg)
+      const analyze $ spec_term $ csv_dir $ jobs_arg $ profile_arg $ trace_arg
+      $ trace_level_arg $ cache_dir_arg $ resume_arg $ no_cache_arg $ cache_sync_arg
+      $ shard_arg $ workers_arg $ worker_deadline_arg $ worker_retries_arg
+      $ worker_backoff_arg)
 
 (* -------------------------------- iid -------------------------------- *)
 

@@ -76,7 +76,7 @@ let finish ?jobs ?trace ~options ~engineering_factor ~det_sample ~rand_sample
   in
   { det_sample; rand_sample; analysis; comparison; det_resilience; rand_resilience }
 
-let run ?jobs ?trace ?dispatch ?store input =
+let run ?jobs ?trace ?store input =
   (match trace with
   | Some t -> Trace.emit t (Trace.Campaign_start { runs = input.runs; resilient = false })
   | None -> ());
@@ -94,8 +94,7 @@ let run ?jobs ?trace ?dispatch ?store input =
               match store with
               | None -> Parallel.init ?trace ?jobs input.runs measure
               | Some session ->
-                  Store.collect ?trace ?jobs ?dispatch session ~phase input.runs
-                    measure
+                  Store.collect ?trace ?jobs session ~phase input.runs measure
             in
             (match trace with
             | Some t -> Trace.emit_sample t ~phase sample
@@ -119,28 +118,27 @@ let run ?jobs ?trace ?dispatch ?store input =
    accounting and analysis) over the merged record.  Because chunk layout
    and per-run values are pure functions of the run index, the chunks a
    shard collects are byte-identical to the single-process record's. *)
-let collect_shard ?jobs ?trace ?dispatch ~store input =
+let collect_shard ?jobs ?trace ~store input =
   if input.runs < 1 then
     Error (Protocol.Not_enough_runs { have = input.runs; need = 1 })
   else begin
     let collect phase measure =
       in_phase trace phase (fun () ->
-          ignore
-            (Store.collect ?trace ?jobs ?dispatch store ~phase input.runs measure))
+          ignore (Store.collect ?trace ?jobs store ~phase input.runs measure))
     in
     collect phase_collect_det input.measure_det;
     collect phase_collect_rand input.measure_rand;
     Ok ()
   end
 
-let collect_shard_resilient ?jobs ?trace ?dispatch ~store input =
+let collect_shard_resilient ?jobs ?trace ~store input =
   let { base; policy; measure_det_outcome; measure_rand_outcome } = input in
   if base.runs < 1 then Error (Protocol.Not_enough_runs { have = base.runs; need = 1 })
   else begin
     let collect phase measure =
       in_phase trace phase (fun () ->
           ignore
-            (Store.collect_trails ?trace ?jobs ?dispatch store ~phase base.runs
+            (Store.collect_trails ?trace ?jobs store ~phase base.runs
                (Resilience.trail ~policy ~measure)))
     in
     collect phase_collect_det measure_det_outcome;
@@ -156,7 +154,7 @@ let failure_of_resilience_error : Resilience.error -> Protocol.failure = functio
   | Resilience.Invalid_policy reason ->
       Protocol.Invalid_sample { index = -1; value = Float.nan; reason }
 
-let run_resilient ?jobs ?trace ?dispatch ?store input =
+let run_resilient ?jobs ?trace ?store input =
   let { base; policy; measure_det_outcome; measure_rand_outcome } = input in
   (match trace with
   | Some t -> Trace.emit t (Trace.Campaign_start { runs = base.runs; resilient = true })
@@ -164,7 +162,7 @@ let run_resilient ?jobs ?trace ?dispatch ?store input =
   let supervise phase measure =
     in_phase trace phase (fun () ->
         let store = Option.map (fun s -> (s, phase)) store in
-        Resilience.supervise ?jobs ?trace ?dispatch ?store ~policy ~runs:base.runs
+        Resilience.supervise ?jobs ?trace ?store ~policy ~runs:base.runs
           ~measure ()
         |> Result.map_error failure_of_resilience_error)
   in

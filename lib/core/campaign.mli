@@ -82,17 +82,10 @@ and comparison = Report.comparison
     calls neither measurement function at all, and an interrupted campaign
     resumed from its record returns samples bit-identical to a cold
     sequential run (the determinism contract above extends to every
-    cached/computed split).
-
-    [dispatch] (store-backed campaigns only) sets the scheduling
-    granularity of the checkpoint walk — how many store chunks one
-    domain-pool fan-out covers; see {!Parallel.dispatch}.  Purely
-    operational: every persisted byte and every sample is independent of
-    the dispatch choice. *)
+    cached/computed split). *)
 val run :
   ?jobs:int ->
   ?trace:Trace.t ->
-  ?dispatch:Parallel.dispatch ->
   ?store:Store.session ->
   input ->
   (t, Protocol.failure) Stdlib.result
@@ -109,7 +102,6 @@ val run :
 val run_resilient :
   ?jobs:int ->
   ?trace:Trace.t ->
-  ?dispatch:Parallel.dispatch ->
   ?store:Store.session ->
   resilient_input ->
   (t, Protocol.failure) Stdlib.result
@@ -125,7 +117,6 @@ val run_resilient :
 val collect_shard :
   ?jobs:int ->
   ?trace:Trace.t ->
-  ?dispatch:Parallel.dispatch ->
   store:Store.session ->
   input ->
   (unit, Protocol.failure) Stdlib.result
@@ -139,7 +130,6 @@ val collect_shard :
 val collect_shard_resilient :
   ?jobs:int ->
   ?trace:Trace.t ->
-  ?dispatch:Parallel.dispatch ->
   store:Store.session ->
   resilient_input ->
   (unit, Protocol.failure) Stdlib.result

@@ -35,108 +35,30 @@ let init ?trace ?jobs n f =
    worker computes only its chunk span [lo, n) while the chunk boundaries
    stay the global multiples of [chunk_size], so shard-produced chunks are
    byte-for-byte the chunks a full walk would have produced. *)
-(* Scheduling granularity: how many checkpoint chunks one fan-out covers.
-   The chunk layout itself (and therefore every persisted byte) is a pure
-   function of [n] and [chunk_size] — dispatch only groups consecutive
-   uncached chunks into one [init] call, then slices and persists them in
-   ascending chunk order, so the persist sequence is indistinguishable
-   from the chunk-at-a-time walk.  [`Auto] times the first uncached chunk
-   alone and rounds the measured cost onto {!Repro_parallel.dispatch_grid}
-   via {!Repro_parallel.batch_of_cost}; because [f] is pure in the run
-   index, the choice affects wall-clock only, never a sample bit. *)
-type dispatch = [ `Chunk | `Batch of int | `Auto ]
-
-(* One fan-out should amortize scheduling overhead over roughly this much
-   work; chunks already past it dispatch one at a time. *)
-let auto_target_ns = 50_000_000L
-
-let emit_dispatch_note trace msg =
-  match trace with
-  | Some t when Trace.enabled t Trace.Debug -> Trace.emit t (Trace.Note msg)
-  | _ -> ()
-
-let init_checkpointed ?trace ?jobs ?(lo = 0) ?(dispatch = `Chunk) ~chunk_size ~lookup
-    ~persist n f =
+let init_checkpointed ?trace ?jobs ?(lo = 0) ~chunk_size ~lookup ~persist n f =
   if n < 0 then invalid_arg "Parallel.init_checkpointed: negative length";
   if chunk_size < 1 then invalid_arg "Parallel.init_checkpointed: chunk_size must be >= 1";
   if lo < 0 || lo > n then invalid_arg "Parallel.init_checkpointed: lo out of range";
-  (match dispatch with
-  | `Batch b when b < 1 ->
-      invalid_arg "Parallel.init_checkpointed: dispatch batch must be >= 1"
-  | _ -> ());
-  let batch = ref (match dispatch with `Batch b -> b | `Chunk | `Auto -> 1) in
-  let calibrating = ref (dispatch = `Auto) in
-  let cached ~lo ~len =
-    match lookup ~lo ~len with
-    | None -> None
-    | Some a ->
-        if Array.length a <> len then
-          invalid_arg
-            (Printf.sprintf
-               "Parallel.init_checkpointed: cached chunk at %d has %d values, expected \
-                %d"
-               lo (Array.length a) len);
-        Some a
-  in
-  let compute_one lo len =
-    let a = init ?trace ?jobs len (fun i -> f (lo + i)) in
-    persist ~lo a;
-    a
-  in
   let rec go lo acc =
     if lo >= n then Array.concat (List.rev acc)
     else begin
       let len = Stdlib.min chunk_size (n - lo) in
-      match cached ~lo ~len with
-      | Some a -> go (lo + len) (a :: acc)
-      | None ->
-          if !calibrating then begin
-            (* First uncached chunk: compute it alone, timed, then pin the
-               batch size from its cost scaled to a full chunk. *)
-            let t0 = Repro_profile.now_ns () in
-            let a = compute_one lo len in
-            let dt = Int64.sub (Repro_profile.now_ns ()) t0 in
-            let chunk_ns =
-              Int64.div (Int64.mul dt (Int64.of_int chunk_size)) (Int64.of_int len)
-            in
-            batch := Repro_parallel.batch_of_cost ~chunk_ns ~target_ns:auto_target_ns;
-            calibrating := false;
-            emit_dispatch_note trace
-              (Printf.sprintf
-                 "dispatch: calibrated batch of %d chunks (%Ldns per chunk)" !batch
-                 chunk_ns);
-            go (lo + len) (a :: acc)
-          end
-          else if !batch <= 1 then go (lo + len) (compute_one lo len :: acc)
-          else begin
-            (* Group up to [batch] consecutive uncached chunks into one
-               fan-out.  The probe at each boundary reads one cached chunk
-               that the main loop will read again — an accepted duplicate —
-               but never computes anything out of order. *)
-            let span = ref len in
-            let more = ref true in
-            while
-              !more && !span < !batch * chunk_size && lo + !span < n
-            do
-              let clo = lo + !span in
-              let clen = Stdlib.min chunk_size (n - clo) in
-              match cached ~lo:clo ~len:clen with
-              | Some _ -> more := false
-              | None -> span := !span + clen
-            done;
-            let big = init ?trace ?jobs !span (fun i -> f (lo + i)) in
-            let slices = ref [] in
-            let off = ref 0 in
-            while !off < !span do
-              let clo = lo + !off in
-              let clen = Stdlib.min chunk_size (n - clo) in
-              let a = Array.sub big !off clen in
-              persist ~lo:clo a;
-              slices := a :: !slices;
-              off := !off + clen
-            done;
-            go (lo + !span) (!slices @ acc)
-          end
+      let a =
+        match lookup ~lo ~len with
+        | Some a ->
+            if Array.length a <> len then
+              invalid_arg
+                (Printf.sprintf
+                   "Parallel.init_checkpointed: cached chunk at %d has %d values, \
+                    expected %d"
+                   lo (Array.length a) len);
+            a
+        | None ->
+            let a = init ?trace ?jobs len (fun i -> f (lo + i)) in
+            persist ~lo a;
+            a
+      in
+      go (lo + len) (a :: acc)
     end
   in
-  if lo >= n then [||] else go lo []
+  go lo []

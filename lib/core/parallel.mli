@@ -29,26 +29,7 @@ val default_jobs : unit -> int
     of [(jobs, n)], so it varies with the job count by construction). *)
 val init : ?trace:Trace.t -> ?jobs:int -> int -> (int -> 'a) -> 'a array
 
-(** Scheduling granularity for {!init_checkpointed}: how many checkpoint
-    chunks one domain-pool fan-out covers.
-
-    - [`Chunk] — one chunk per fan-out; the historical behaviour and the
-      reference schedule.
-    - [`Batch b] — group up to [b] consecutive uncached chunks into one
-      fan-out ([b >= 1]; [`Batch 1] is [`Chunk]).
-    - [`Auto] — compute the first uncached chunk alone, time it with the
-      monotonic clock, and pin the batch size by rounding the measured
-      per-chunk cost onto {!Repro_parallel.dispatch_grid} so one fan-out
-      covers roughly 50ms of work.
-
-    Dispatch is purely operational: the checkpoint-chunk layout — and so
-    every persisted byte and every sample — is a pure function of [n] and
-    [chunk_size]; chunks are still persisted in ascending order at the
-    same barriers.  The calibration decision is recorded as a Debug-level
-    trace [Note] (absent from default-level traces, like [Chunk] events). *)
-type dispatch = [ `Chunk | `Batch of int | `Auto ]
-
-(** [init_checkpointed ?trace ?jobs ?lo ?dispatch ~chunk_size ~lookup ~persist n f] —
+(** [init_checkpointed ?trace ?jobs ?lo ~chunk_size ~lookup ~persist n f] —
     {!init} with chunk-granular checkpoint barriers for the measurement
     store ({!Store}).
 
@@ -59,7 +40,9 @@ type dispatch = [ `Chunk | `Batch of int | `Auto ]
     computed on the domain pool and handed to [persist ~lo] at the chunk
     barrier, on the calling domain.  Under the purity contract of {!init}
     the result is bit-identical to [init n f] at every [jobs] count and for
-    every cached/computed split.
+    every cached/computed split.  If [f] raises inside a chunk, every
+    earlier chunk has already been persisted and the exception escapes as
+    {!init} raises it, so the store holds a clean prefix.
 
     [lo] (default [0]) starts the walk at that index instead of 0, walking
     only the span [lo, n) — the shard-worker mode of the distributed
@@ -69,13 +52,11 @@ type dispatch = [ `Chunk | `Batch of int | `Auto ]
     and the returned array holds just the [n - lo] span values.
 
     Raises [Invalid_argument] on [n < 0], [chunk_size < 1], [lo] outside
-    [[0, n]], a [`Batch] size below 1, or a cached chunk whose length does
-    not match the layout. *)
+    [[0, n]], or a cached chunk whose length does not match the layout. *)
 val init_checkpointed :
   ?trace:Trace.t ->
   ?jobs:int ->
   ?lo:int ->
-  ?dispatch:dispatch ->
   chunk_size:int ->
   lookup:(lo:int -> len:int -> 'a array option) ->
   persist:(lo:int -> 'a array -> unit) ->

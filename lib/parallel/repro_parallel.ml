@@ -109,34 +109,3 @@ let init ?on_chunk ?jobs n f =
       layout arrays;
     out
   end
-
-(* Cost-calibrated dispatch granularity.
-
-   Checkpoint chunks are a pure function of the run count (store layout),
-   but how many of them a scheduler hands out per fan-out is purely
-   operational — like the worker cap above, it may depend on measured
-   machine speed without perturbing results.  The batch size is still
-   pinned to a coarse power-of-two grid so that a noisy calibration
-   measurement almost always lands on the same value, keeping schedules
-   (not results — those are invariant) reproducible across runs. *)
-
-let dispatch_grid = [ 1; 2; 4; 8; 16; 32; 64 ]
-
-let batch_of_cost ~chunk_ns ~target_ns =
-  if Int64.compare target_ns 1L < 0 then
-    invalid_arg "Parallel.batch_of_cost: target must be positive";
-  let chunk_ns =
-    if Int64.compare chunk_ns 1L < 0 then 1L else chunk_ns
-  in
-  let covers g =
-    (* g * chunk_ns >= target_ns, overflow-safe: chunk_ns >= 1 and the
-       grid is tiny, so the product fits unless chunk_ns is astronomical —
-       in which case the smallest batch already covers the target. *)
-    Int64.compare (Int64.mul (Int64.of_int g) chunk_ns) target_ns >= 0
-  in
-  let rec pick = function
-    | [] -> assert false (* the grid is a non-empty constant *)
-    | [ g ] -> g
-    | g :: rest -> if covers g then g else pick rest
-  in
-  pick dispatch_grid

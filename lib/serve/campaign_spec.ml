@@ -294,13 +294,12 @@ let input ?counters s =
          ~measure_rand_outcome:(measure_outcome rand "rand.") ())
   end
 
-let run ?jobs ?trace ?dispatch ?store s =
+let run ?jobs ?trace ?store s =
   match input ?counters:(Option.map M.Trace.counters trace) s with
-  | `Plain input -> M.Campaign.run ?jobs ?trace ?dispatch ?store input
-  | `Resilient input -> M.Campaign.run_resilient ?jobs ?trace ?dispatch ?store input
+  | `Plain input -> M.Campaign.run ?jobs ?trace ?store input
+  | `Resilient input -> M.Campaign.run_resilient ?jobs ?trace ?store input
 
-let collect_shard ?jobs ?trace ?dispatch ~store s =
+let collect_shard ?jobs ?trace ~store s =
   match input ?counters:(Option.map M.Trace.counters trace) s with
-  | `Plain input -> M.Campaign.collect_shard ?jobs ?trace ?dispatch ~store input
-  | `Resilient input ->
-      M.Campaign.collect_shard_resilient ?jobs ?trace ?dispatch ~store input
+  | `Plain input -> M.Campaign.collect_shard ?jobs ?trace ~store input
+  | `Resilient input -> M.Campaign.collect_shard_resilient ?jobs ?trace ~store input

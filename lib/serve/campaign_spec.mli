@@ -103,7 +103,6 @@ val measure :
 val run :
   ?jobs:int ->
   ?trace:M.Trace.t ->
-  ?dispatch:M.Parallel.dispatch ->
   ?store:M.Store.session ->
   t ->
   (M.Campaign.t, M.Protocol.failure) result
@@ -113,7 +112,6 @@ val run :
 val collect_shard :
   ?jobs:int ->
   ?trace:M.Trace.t ->
-  ?dispatch:M.Parallel.dispatch ->
   store:M.Store.session ->
   t ->
   (unit, M.Protocol.failure) result

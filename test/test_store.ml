@@ -1126,59 +1126,51 @@ let test_index_sidecar () =
   | l -> Alcotest.failf "expected 1 record, found %d" (List.length l));
   Alcotest.(check bool) "stale sidecar rebuilt" true (read_file idx <> junk)
 
-(* --- cost-calibrated dispatch ------------------------------------------- *)
+(* ------------------------------------------------------------------ *)
+(* checkpoint schedule *)
 
-let test_dispatch_identity () =
-  (* Every dispatch mode must produce bit-identical samples and, for equal
-     stores, byte-identical records. *)
-  with_dirs 2 @@ fun dirs ->
-  let d_chunk, d_auto = (List.nth dirs 0, List.nth dirs 1) in
+exception Crash of int
+
+(* The checkpoint walk at any job count: record bytes are a function of the
+   run count alone, a measurement that fails under the domain pool leaves
+   exactly the chunks before the failing one, and a resume at another job
+   count completes the record to the cold bytes. *)
+let test_schedule_identity () =
+  let runs = 32 in
   let key = Store.key ~chunk_size:8 config in
-  let run dir dispatch jobs =
+  let collect dir ~resume jobs f =
     let root = Store.open_root ~dir in
-    let s = open_exn ~chunk_size:8 root ~key ~runs:32 ~resilient:false in
-    let v = Store.collect s ~jobs ~dispatch ~phase:"collect_det" 32 awkward in
-    Store.close s;
-    v
+    let s = open_exn ~chunk_size:8 ~resume root ~key ~runs ~resilient:false in
+    Fun.protect ~finally:(fun () -> Store.close s) @@ fun () ->
+    Store.collect s ~jobs ~phase:session_phase runs f
   in
-  let reference = run d_chunk `Chunk 1 in
-  let auto = run d_auto `Auto 4 in
-  check_bits "`Auto == `Chunk samples" reference auto;
-  Alcotest.(check string) "byte-identical records across dispatch modes"
-    (read_file (record_file (Store.open_root ~dir:d_chunk) key))
-    (read_file (record_file (Store.open_root ~dir:d_auto) key));
-  (* batched dispatch against a fresh store, then crash-resume under `Auto *)
-  let d_batch = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf d_batch) @@ fun () ->
-  let root = Store.open_root ~dir:d_batch in
-  let s = open_exn ~chunk_size:8 root ~key ~runs:32 ~resilient:false in
-  let fail_after_two i =
-    if i >= 16 then failwith "injected crash mid-batch" else awkward i
-  in
-  (* `Batch 2 on 8-run chunks: the first fan-out covers runs [0,16) and
-     persists both chunks at its barrier; the second fan-out crashes before
-     persisting anything, so exactly one whole batch survives. *)
-  (match Store.collect s ~jobs:1 ~dispatch:(`Batch 2) ~phase:"collect_det" 32 fail_after_two with
-  | _ -> Alcotest.fail "expected the injected crash"
-  | exception Failure _ -> Store.close s);
-  let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:32 ~resilient:false in
-  Alcotest.(check int) "crash loses at most one batch" 16
-    (Store.cached_runs r ~phase:"collect_det");
-  let resumed = Store.collect r ~jobs:4 ~dispatch:`Auto ~phase:"collect_det" 32 awkward in
+  let record dir = read_file (record_file (Store.open_root ~dir) key) in
+  with_dirs 4 @@ fun dirs ->
+  let cold_dir = List.hd dirs in
+  let cold = collect cold_dir ~resume:false 1 awkward in
+  let cold_record = record cold_dir in
+  List.iter2
+    (fun dir jobs ->
+      check_bits (Printf.sprintf "jobs %d samples" jobs) cold
+        (collect dir ~resume:false jobs awkward);
+      Alcotest.(check string) (Printf.sprintf "jobs %d record bytes" jobs) cold_record
+        (record dir))
+    [ List.nth dirs 1; List.nth dirs 2 ]
+    [ 2; 4 ];
+  (* Runs 17 onward raise, so at jobs 2 both halves of the third chunk
+     [16, 24) fail; the lower half's exception is the one that escapes. *)
+  let crash_dir = List.nth dirs 3 in
+  let failing i = if i >= 17 then raise (Crash i) else awkward i in
+  (match collect crash_dir ~resume:false 2 failing with
+  | _ -> Alcotest.fail "expected the measurement to raise"
+  | exception Crash i -> Alcotest.(check int) "the lowest failing run's exception" 17 i);
+  let root = Store.open_root ~dir:crash_dir in
+  let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs ~resilient:false in
+  Alcotest.(check int) "the two chunks before the failure survive" 16
+    (Store.cached_runs r ~phase:session_phase);
   Store.close r;
-  check_bits "batched crash + auto resume == cold" reference resumed
-
-let test_batch_of_cost () =
-  let pick chunk_ns = Repro_parallel.batch_of_cost ~chunk_ns ~target_ns:50_000_000L in
-  Alcotest.(check int) "50ms chunk -> 1" 1 (pick 50_000_000L);
-  Alcotest.(check int) "30ms chunk -> 2" 2 (pick 30_000_000L);
-  Alcotest.(check int) "10ms chunk -> 8" 8 (pick 10_000_000L);
-  Alcotest.(check int) "1ms chunk -> 64" 64 (pick 1_000_000L);
-  Alcotest.(check int) "1ns chunk caps at the grid max" 64 (pick 1L);
-  Alcotest.(check int) "non-positive cost clamps to 1ns" 64 (pick 0L);
-  match Repro_parallel.batch_of_cost ~chunk_ns:1L ~target_ns:0L with
-  | _ -> Alcotest.fail "target_ns < 1 must be rejected"
-  | exception Invalid_argument _ -> ()
+  check_bits "resume at jobs 4 == cold" cold (collect crash_dir ~resume:true 4 awkward);
+  Alcotest.(check string) "resumed record bytes == cold" cold_record (record crash_dir)
 
 (* In child mode the process holds the lock or merges, and never returns. *)
 let () =
@@ -1257,11 +1249,10 @@ let () =
           Alcotest.test_case "merge memory does not grow with the record" `Quick
             test_merge_memory_flat;
         ] );
-      ( "dispatch",
+      ( "schedule",
         [
-          Alcotest.test_case "dispatch modes are sample-identical" `Quick
-            test_dispatch_identity;
-          Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
+          Alcotest.test_case "same record at any jobs, crash + resume" `Quick
+            test_schedule_identity;
         ] );
       ( "export",
         [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
