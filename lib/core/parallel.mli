@@ -3,8 +3,11 @@
     Built on OCaml 5 [Domain] only (no external dependencies) and
     deliberately work-stealing-free: the index range is split into [jobs]
     contiguous chunks {e before} any domain starts, each chunk is evaluated
-    in ascending index order on its own domain, and results are written back
-    at their original offsets.
+    in ascending index order by one worker, and results are written back
+    at their original offsets.  At most [Domain.recommended_domain_count ()]
+    workers run at once (the calling domain is one of them); they pull
+    chunk indices from a shared counter, so which worker takes which chunk
+    is operational only.
 
     {b Determinism contract.}  If [f i] is a pure function of [i] — which
     the campaign layer guarantees by deriving every run's PRNG seed and

@@ -3,8 +3,11 @@
 
     Built on OCaml 5 [Domain] only and deliberately work-stealing-free: the
     index range is split into [jobs] contiguous chunks {e before} any domain
-    starts, each chunk is evaluated in ascending index order on its own
-    domain, and results are written back at their original offsets.
+    starts, each chunk is evaluated in ascending index order by one worker,
+    and results are written back at their original offsets.  At most
+    [Domain.recommended_domain_count ()] workers run at once (the calling
+    domain is one of them); they pull chunk indices from a shared counter,
+    so which worker takes which chunk is operational only.
 
     This module lives below the statistics and EVT layers so that analysis
     loops (bootstrap replicates, convergence studies) can fan out over the
