@@ -1146,7 +1146,7 @@ let test_schedule_identity () =
   in
   let record dir = read_file (record_file (Store.open_root ~dir) key) in
   with_dirs 4 @@ fun dirs ->
-  let cold_dir = List.hd dirs in
+  let cold_dir, crash_dir = (List.nth dirs 0, List.nth dirs 1) in
   let cold = collect cold_dir ~resume:false 1 awkward in
   let cold_record = record cold_dir in
   List.iter2
@@ -1155,11 +1155,10 @@ let test_schedule_identity () =
         (collect dir ~resume:false jobs awkward);
       Alcotest.(check string) (Printf.sprintf "jobs %d record bytes" jobs) cold_record
         (record dir))
-    [ List.nth dirs 1; List.nth dirs 2 ]
+    [ List.nth dirs 2; List.nth dirs 3 ]
     [ 2; 4 ];
   (* Runs 17 onward raise, so at jobs 2 both halves of the third chunk
      [16, 24) fail; the lower half's exception is the one that escapes. *)
-  let crash_dir = List.nth dirs 3 in
   let failing i = if i >= 17 then raise (Crash i) else awkward i in
   (match collect crash_dir ~resume:false 2 failing with
   | _ -> Alcotest.fail "expected the measurement to raise"
