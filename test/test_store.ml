@@ -1171,6 +1171,110 @@ let test_schedule_identity () =
   check_bits "resume at jobs 4 == cold" cold (collect crash_dir ~resume:true 4 awkward);
   Alcotest.(check string) "resumed record bytes == cold" cold_record (record crash_dir)
 
+(* ------------------------------------------------------------------ *)
+(* chunk-line mutations *)
+
+(* Mutants of a finished record, three ways: the record cut at every byte
+   offset; one bit flipped in each byte of a chunk line, left unsealed;
+   and the same flips in the line's body, resealed with [Store.seal] so
+   that every decoder behind the checksum sees them.  Whatever the mutant,
+   a deep listing returns a status (never [Complete] for an unsealed
+   flip), and a resumed session either collects or fails with [Error] or
+   [Sys_error]: no other exception escapes. *)
+
+type mutant = Truncated | Flipped | Resealed
+
+let mutant_name = function
+  | Truncated -> "truncated"
+  | Flipped -> "flipped"
+  | Resealed -> "resealed"
+
+let mutation_trail i : Store.trail =
+  match i mod 3 with
+  | 0 -> [ Store.Completed (float_of_int i /. 4.) ]
+  | 1 -> [ Store.Timeout "wd"; Store.Completed (-0.) ]
+  | _ -> [ Store.Crashed "trap"; Store.Corrupted "sum"; Store.Completed 1e-300 ]
+
+(* Byte range [start, stop) of line [k] of [s], 0 being the meta line. *)
+let line_span s k =
+  let rec start i k = if k = 0 then i else start (String.index_from s i '\n' + 1) (k - 1) in
+  let a = start 0 k in
+  (a, String.index_from s a '\n')
+
+(* Byte [i] of the line that starts at [s.[at]] gets bit [i mod 8] flipped. *)
+let flip_bit s ~at i =
+  Bytes.set s (at + i) (Char.chr (Char.code (Bytes.get s (at + i)) lxor (1 lsl (i land 7))))
+
+let mutants record ~line =
+  let a, b = line_span record line in
+  let truncated = List.init (String.length record) (fun k -> String.sub record 0 k) in
+  let flipped =
+    List.init (b - a) (fun i ->
+        let s = Bytes.of_string record in
+        flip_bit s ~at:a i;
+        Bytes.to_string s)
+  in
+  (* the body is the line without its [,"sum":"<md5>"] trailer, closed
+     by the '}' that [Store.seal] drops again *)
+  let body_len = b - a - String.length ",\"sum\":\"\"}" - 32 in
+  let resealed =
+    List.init body_len (fun i ->
+        let body = Bytes.of_string (String.sub record a body_len ^ "}") in
+        flip_bit body ~at:0 i;
+        String.sub record 0 a
+        ^ Store.seal (Bytes.to_string body)
+        ^ String.sub record b (String.length record - b))
+  in
+  List.map (fun m -> (Truncated, m)) truncated
+  @ List.map (fun m -> (Flipped, m)) flipped
+  @ List.map (fun m -> (Resealed, m)) resealed
+
+let test_chunk_line_mutants ~runs ~chunk_size ~resilient () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size config in
+  let phase = "collect_rand" in
+  let collect s =
+    if resilient then ignore (Store.collect_trails s ~jobs:1 ~phase runs mutation_trail)
+    else ignore (Store.collect s ~jobs:1 ~phase runs awkward)
+  in
+  let s = open_exn ~chunk_size root ~key ~runs ~resilient in
+  collect s;
+  Store.close s;
+  let file = record_file root key in
+  let record = read_file file in
+  (* the middle chunk line: a flip there is mid-record damage *)
+  let line = ((runs + chunk_size - 1) / chunk_size + 1) / 2 in
+  List.iteri
+    (fun i (kind, bytes) ->
+      (* a fresh mutant with no sidecar or lock file, rewritten in place:
+         truncating a file to zero and refilling it is slow on some file
+         systems *)
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ file ^ ".idx"; file ^ ".lock" ];
+      let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 file in
+      output_string oc bytes;
+      flush oc;
+      Unix.ftruncate (Unix.descr_of_out_channel oc) (String.length bytes);
+      close_out oc;
+      let what = Printf.sprintf "%s mutant %d" (mutant_name kind) i in
+      (match (kind, Store.ls root) with
+      | Flipped, [ { Store.status = Store.Complete; _ } ] ->
+          Alcotest.failf "%s: an unsealed flip listed as Complete" what
+      | _, [ _ ] -> ()
+      | _, l -> Alcotest.failf "%s: %d entries listed" what (List.length l)
+      | exception e -> Alcotest.failf "%s: ls raised %s" what (Printexc.to_string e));
+      match
+        match
+          Store.open_session ~chunk_size ~resume:true root ~key ~config ~runs ~resilient
+        with
+        | Error _ -> ()
+        | Ok s -> Fun.protect ~finally:(fun () -> Store.close s) (fun () -> collect s)
+      with
+      | () | (exception Sys_error _) -> ()
+      | exception e -> Alcotest.failf "%s: session raised %s" what (Printexc.to_string e))
+    (mutants record ~line)
+
 (* In child mode the process holds the lock or merges, and never returns. *)
 let () =
   match Sys.argv with
@@ -1252,6 +1356,13 @@ let () =
         [
           Alcotest.test_case "same record at any jobs, crash + resume" `Quick
             test_schedule_identity;
+        ] );
+      ( "mutation",
+        [
+          Alcotest.test_case "fault-free record: cuts and bit flips" `Quick
+            (test_chunk_line_mutants ~runs:20 ~chunk_size:8 ~resilient:false);
+          Alcotest.test_case "resilient record: cuts and bit flips" `Quick
+            (test_chunk_line_mutants ~runs:13 ~chunk_size:4 ~resilient:true);
         ] );
       ( "export",
         [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
