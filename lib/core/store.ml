@@ -50,29 +50,28 @@ let seal body =
     (Digest.to_hex (Digest.string body))
 
 let trailer_len = String.length ",\"sum\":\"\"}" + 32
+let trailer_head = ",\"sum\":\""
 
-(* Structural half of [unseal]: recover the body without paying for the
-   digest.  Reads that follow a verified scan (or a stat-fresh index
-   adoption) use this directly — see [read_chunk_at]. *)
-let strip_seal line =
+(* The one check of a trailer's shape: where [,"sum":"<32 chars>"}]
+   starts in [line], or [None].  Scans verify the digest on top of it
+   ([unseal]); lookups and warm reads check the shape alone (see
+   [read_chunk]). *)
+let trailer_start line =
   let n = String.length line in
-  if n <= trailer_len then Error `No_sum
-  else begin
-    let start = n - trailer_len in
-    if
-      String.sub line start 8 <> ",\"sum\":\""
-      || line.[n - 2] <> '"'
-      || line.[n - 1] <> '}'
-    then Error `No_sum
-    else Ok (String.sub line 0 start ^ "}")
-  end
+  let start = n - trailer_len in
+  let rec head i =
+    i = String.length trailer_head || (line.[start + i] = trailer_head.[i] && head (i + 1))
+  in
+  if n > trailer_len && head 0 && line.[n - 2] = '"' && line.[n - 1] = '}' then Some start
+  else None
 
 let unseal line =
-  match strip_seal line with
-  | Error _ as e -> e
-  | Ok body ->
-      let sum = String.sub line (String.length line - trailer_len + 8) 32 in
-      if Digest.to_hex (Digest.string body) = sum then Ok body else Error `Bad_sum
+  match trailer_start line with
+  | None -> Error `No_sum
+  | Some start ->
+      let body = String.sub line 0 start ^ "}" in
+      if Digest.to_hex (Digest.string body) = String.sub line (start + 8) 32 then Ok body
+      else Error `Bad_sum
 
 (* ------------------------------------------------------------------ *)
 (* Binary float payloads
@@ -505,32 +504,46 @@ type parsed_chunk = {
    hostile input and must be quarantined, never merged or resumed). *)
 type defect = { d_reason : string; d_tampered : bool }
 
-(* Fast header peek for the pinned v3 fault-free frame
-   [{"kind":"chunk","phase":"…","lo":N,"n":N,"enc":"f64le","bits":"…"}]:
-   returns [(phase, lo, n, bits_start, bits_len)] without building a JSON
-   tree, or [None] to fall back to the full parser (escaped phase names,
-   hand-written records). *)
-(* Windowed core: [body.[0 .. stop)] must be the frame with its final '}'
-   cut off — i.e. [stop - 1] is the closing quote of the bits string.
-   The window form lets the chunk reader peek a sealed record line in
-   place ([stop] set just before the [,"sum":…}] trailer) without copying
-   the body out first. *)
-let peek_v3_core body ~stop =
+(* ------------------------------------------------------------------ *)
+(* Chunk frames
+
+   [decode_frame] is the one decoder of a chunk line: every scan, lookup
+   and warm read calls it.  It reads the frame in place: [line.[0 ..
+   stop)] is the frame less its closing '}', i.e. a sealed line cut at its
+   trailer.  The pinned fault-free frame
+
+     {"kind":"chunk","phase":"…","lo":N,"n":N,"enc":"f64le","bits":"…"}
+
+   is read field by field, with no body copy and no JSON tree.  Resilient
+   [rchunk] lines, and fault-free frames the pinned reader declines (an
+   escaped phase name, a hand-written record), go through the JSON parser
+   over a copy of the body.  The caller's [sink] says how far to decode
+   the payload. *)
+type sink =
+  | Length  (* check the payload's length against the header only: shallow scans *)
+  | Payload  (* decode the payload: deep scans and lookups *)
+  | Slice of { scratch : Bytes.t; dst : float array; at : int; len : int }
+      (* decode a [len]-run fault-free chunk straight into [dst.(at) ..]
+         through the caller's raw-bytes [scratch], with no per-chunk
+         array: warm reads *)
+
+(* [(phase, lo, n, bits_start, bits_len)] of a pinned frame, or [None]. *)
+let pinned_frame line ~stop =
   let starts_with p i =
-    i + String.length p <= stop && String.sub body i (String.length p) = p
+    i + String.length p <= stop && String.sub line i (String.length p) = p
   in
   let prefix = "{\"kind\":\"chunk\",\"phase\":\"" in
-  if stop > String.length body || not (starts_with prefix 0) then None
+  if stop > String.length line || not (starts_with prefix 0) then None
   else begin
     let pstart = String.length prefix in
     let rec scan_str i =
       if i >= stop then None
-      else match body.[i] with '"' -> Some i | '\\' -> None | _ -> scan_str (i + 1)
+      else match line.[i] with '"' -> Some i | '\\' -> None | _ -> scan_str (i + 1)
     in
     let scan_int i =
       let rec go i acc any =
-        if i < stop && body.[i] >= '0' && body.[i] <= '9' then
-          go (i + 1) ((acc * 10) + (Char.code body.[i] - 48)) true
+        if i < stop && line.[i] >= '0' && line.[i] <= '9' then
+          go (i + 1) ((acc * 10) + (Char.code line.[i] - 48)) true
         else if any then Some (acc, i)
         else None
       in
@@ -539,76 +552,106 @@ let peek_v3_core body ~stop =
     let ( let* ) o f = Option.bind o f in
     let expect lit i = if starts_with lit i then Some (i + String.length lit) else None in
     let* pend = scan_str pstart in
-    let phase = String.sub body pstart (pend - pstart) in
+    let phase = String.sub line pstart (pend - pstart) in
     let* i = expect ",\"lo\":" (pend + 1) in
     let* lo, i = scan_int i in
     let* i = expect ",\"n\":" i in
     let* n, i = scan_int i in
     let* bstart = expect ",\"enc\":\"f64le\",\"bits\":\"" i in
-    if stop < bstart + 1 || body.[stop - 1] <> '"' then None
+    if stop < bstart + 1 || line.[stop - 1] <> '"' then None
     else Some (phase, lo, n, bstart, stop - 1 - bstart)
   end
 
-let peek_v3_header body =
-  let len = String.length body in
-  if len < 1 || body.[len - 1] <> '}' then None else peek_v3_core body ~stop:(len - 1)
+(* The JSON route: [body] is a whole frame. *)
+let parsed_frame ~resilient body =
+  match Json.of_string body with
+  | Error e -> Error (Printf.sprintf "unreadable (%s)" e)
+  | Ok j -> (
+      let str f = Option.bind (Json.member f j) Json.to_str in
+      let int f = Option.bind (Json.member f j) Json.to_int in
+      let payload =
+        match str "kind" with
+        | Some "chunk" when not resilient -> (
+            match (str "bits", int "n") with
+            | Some bits, Some n -> Result.map (fun a -> Floats a) (F64.decode bits ~n)
+            | Some _, None -> Error "binary chunk without a run count"
+            | None, _ -> Error "chunk without a bits payload")
+        | Some "rchunk" when resilient -> (
+            match Json.member "runs" j with
+            | Some v -> Result.map (fun a -> Trails a) (trails_of_json v)
+            | None -> Error "rchunk without runs")
+        | Some k -> Error (Printf.sprintf "unexpected line kind %S" k)
+        | None -> Error "line without a kind"
+      in
+      match (str "phase", int "lo", payload) with
+      | Some phase, Some lo, Ok p -> Ok (phase, lo, p)
+      | _, _, Error e -> Error e
+      | _ -> Error "chunk without phase/lo")
 
-(* Fully decode one chunk body.  Fault-free frames are header-peeked;
-   resilient [rchunk] lines, and fault-free frames the peek declines (an
-   escaped phase name), go through the JSON parser. *)
-let payload_of_body ~resilient body =
-  let full () =
-    match Json.of_string body with
-    | Error e -> Error (Printf.sprintf "unreadable (%s)" e)
-    | Ok j -> (
-        let str f = Option.bind (Json.member f j) Json.to_str in
-        let int f = Option.bind (Json.member f j) Json.to_int in
-        let payload =
-          match str "kind" with
-          | Some "chunk" when not resilient -> (
-              match (str "bits", int "n") with
-              | Some bits, Some n -> Result.map (fun a -> Floats a) (F64.decode bits ~n)
-              | Some _, None -> Error "binary chunk without a run count"
-              | None, _ -> Error "chunk without a bits payload")
-          | Some "rchunk" when resilient -> (
-              match Json.member "runs" j with
-              | Some v -> Result.map (fun a -> Trails a) (trails_of_json v)
-              | None -> Error "rchunk without runs")
-          | Some k -> Error (Printf.sprintf "unexpected line kind %S" k)
-          | None -> Error "line without a kind"
-        in
-        match (str "phase", int "lo", payload) with
-        | Some phase, Some lo, Ok p -> Ok (phase, lo, p)
-        | _, _, (Error _ as e) -> e
-        | _ -> Error "chunk without phase/lo")
+(* [(phase, lo, runs, payload)]: [payload] is [Some] whenever the decode
+   built one — always under [Payload], never under [Slice]. *)
+let decode_frame ~resilient sink line ~stop =
+  let runs_mismatch n len =
+    Error (Printf.sprintf "chunk holds %d runs, layout expects %d" n len)
   in
-  if resilient then full ()
-  else
-    match peek_v3_header body with
-    | None -> full ()
-    | Some (phase, lo, n, bstart, blen) ->
-        Result.map
-          (fun a -> (phase, lo, Floats a))
-          (F64.decode_window body ~pos:bstart ~len:blen ~n)
+  match if resilient then None else pinned_frame line ~stop with
+  | Some (phase, lo, n, pos, len) -> (
+      let chunk payload = Ok (phase, lo, n, payload) in
+      match sink with
+      | Length ->
+          if n < 0 then Error "chunk with a negative run count"
+          else if len <> b64_len (8 * n) then
+            Error
+              (Printf.sprintf "binary payload is %d base64 bytes, %d runs need %d" len n
+                 (b64_len (8 * n)))
+          else chunk None
+      | Payload ->
+          Result.bind (F64.decode_window line ~pos ~len ~n) (fun a ->
+              chunk (Some (Floats a)))
+      | Slice s ->
+          if n <> s.len then runs_mismatch n s.len
+          else
+            Result.bind
+              (F64.decode_into line ~pos ~len ~n ~scratch:s.scratch s.dst ~at:s.at)
+              (fun () -> chunk None))
+  | None -> (
+      match parsed_frame ~resilient (String.sub line 0 stop ^ "}") with
+      | Error e -> Error e
+      | Ok (phase, lo, p) -> (
+          let n = payload_len p in
+          match (sink, p) with
+          | (Length | Payload), _ -> Ok (phase, lo, n, Some p)
+          | Slice s, Floats a when n = s.len ->
+              Array.blit a 0 s.dst s.at n;
+              Ok (phase, lo, n, None)
+          | Slice s, _ -> runs_mismatch n s.len))
 
-(* Cheap header of one chunk body: [(phase, lo, len)].  Fault-free
-   chunks are header-peeked — the payload is length-checked but not
-   decoded — which is what makes shallow scans O(header) per chunk. *)
-let header_of_body ~resilient body =
-  let via_payload () =
-    Result.map (fun (p, lo, pl) -> (p, lo, payload_len pl)) (payload_of_body ~resilient body)
-  in
-  if resilient then via_payload ()
-  else
-    match peek_v3_header body with
-    | None -> via_payload ()
-    | Some (phase, lo, n, _, blen) ->
-        if n < 0 then Error "chunk with a negative run count"
-        else if blen <> b64_len (8 * n) then
-          Error
-            (Printf.sprintf "binary payload is %d base64 bytes, %d runs need %d" blen n
-               (b64_len (8 * n)))
-        else Ok (phase, lo, n)
+(* ------------------------------------------------------------------ *)
+(* Chunk layout *)
+
+(* The one layout step, replayed over a scanned record's lines and over
+   sidecar rows alike: a chunk must sit at its phase's write frontier,
+   inside the span, with the length the fixed layout gives its offset.
+   On success the phase's frontier moves past it. *)
+let layout_step m frontier ~phase ~lo ~len =
+  let front = match Hashtbl.find_opt frontier phase with Some f -> f | None -> m.m_lo in
+  let expected = Stdlib.min m.m_csize (m.m_runs - lo) in
+  if lo <> front then
+    Error (Printf.sprintf "%s chunk at %d, expected frontier %d" phase lo front)
+  else if lo >= m.m_hi then Error "chunk beyond the record's span"
+  else if len <> expected then
+    Error (Printf.sprintf "chunk at %d has %d runs, layout expects %d" lo len expected)
+  else begin
+    Hashtbl.replace frontier phase (lo + expected);
+    Ok ()
+  end
+
+(* The one completeness rule: every phase the record holds reaches the
+   end of its span.  An empty span is complete with no chunk at all. *)
+let record_complete m frontier =
+  m.m_lo >= m.m_hi
+  || Hashtbl.length frontier > 0
+     && Hashtbl.fold (fun _ f complete -> complete && f >= m.m_hi) frontier true
 
 type parsed_record = {
   r_meta : meta;
@@ -618,23 +661,6 @@ type parsed_record = {
   r_defect : defect option;  (* first invalid line, if any *)
   r_valid_end : int;  (* byte offset just past the last valid line *)
 }
-
-(* Copy [n] bytes between channels through a bounded buffer. *)
-let copy_buf_len = 65536
-
-let copy_bytes ic oc n =
-  if n > 0 then begin
-    let buf = Bytes.create (Stdlib.min n copy_buf_len) in
-    let rec go remaining =
-      if remaining > 0 then begin
-        let k = Stdlib.min remaining (Bytes.length buf) in
-        really_input ic buf 0 k;
-        output oc buf 0 k;
-        go (remaining - k)
-      end
-    in
-    go n
-  end
 
 (* Stream over a record file, validating every line against the fixed
    layout and the per-phase write frontier, in O(line) memory.  Anything
@@ -675,72 +701,48 @@ let scan_record ?(deep = false) file =
                 in
                 go ()
               in
+              let sink = if deep then Payload else Length in
               (try
                  while !defect = None do
                    let off = pos_in ic in
                    let line = input_line ic in
                    incr lineno;
                    let lineno = !lineno in
-                   if line <> "" (* tolerate blank lines *) then begin
-                     let body =
-                       match unseal line with
-                       | Ok body -> Ok (body, String.sub line (String.length line - 34) 32)
-                       | Error `Bad_sum ->
+                   if line <> "" (* tolerate blank lines *) then
+                     match unseal line with
+                     | Error `Bad_sum ->
+                         fail ~tampered:true "line %d: checksum mismatch (bit flip or edit)"
+                           lineno
+                     | Error `No_sum ->
+                         if rest_blank () then
+                           fail "line %d: torn tail (no checksum trailer)" lineno
+                         else
                            fail ~tampered:true
-                             "line %d: checksum mismatch (bit flip or edit)" lineno;
-                           Error ()
-                       | Error `No_sum ->
-                           (if rest_blank () then
-                              fail "line %d: torn tail (no checksum trailer)" lineno
-                            else
-                              fail ~tampered:true
-                                "line %d: checksum trailer missing mid-record" lineno);
-                           Error ()
-                     in
-                     match body with
-                     | Error () -> ()
-                     | Ok (body, c_sum) -> (
-                         let header =
-                           if deep then
-                             Result.map
-                               (fun (p, lo, pl) -> (p, lo, payload_len pl))
-                               (payload_of_body ~resilient:r_meta.m_resilient body)
-                           else header_of_body ~resilient:r_meta.m_resilient body
+                             "line %d: checksum trailer missing mid-record" lineno
+                     | Ok body -> (
+                         let stop = String.length body - 1 in
+                         let chunk =
+                           Result.bind
+                             (decode_frame ~resilient:r_meta.m_resilient sink line ~stop)
+                             (fun (phase, lo, len, _) ->
+                               Result.map
+                                 (fun () -> (phase, lo, len))
+                                 (layout_step r_meta frontier ~phase ~lo ~len))
                          in
-                         match header with
+                         match chunk with
                          | Error e -> fail "line %d: %s" lineno e
                          | Ok (c_phase, c_lo, c_len) ->
-                             let front =
-                               match Hashtbl.find_opt frontier c_phase with
-                               | Some f -> f
-                               | None -> r_meta.m_lo
-                             in
-                             let expected =
-                               Stdlib.min r_meta.m_csize (r_meta.m_runs - c_lo)
-                             in
-                             if c_lo <> front then
-                               fail "line %d: %s chunk at %d, expected frontier %d"
-                                 lineno c_phase c_lo front
-                             else if c_lo >= r_meta.m_hi then
-                               fail "line %d: chunk beyond the record's span" lineno
-                             else if c_len <> expected then
-                               fail "line %d: chunk at %d has %d runs, layout expects %d"
-                                 lineno c_lo c_len expected
-                             else begin
-                               Hashtbl.replace frontier c_phase (c_lo + expected);
-                               chunks :=
-                                 {
-                                   c_phase;
-                                   c_lo;
-                                   c_len;
-                                   c_off = off;
-                                   c_bytes = String.length line;
-                                   c_sum;
-                                 }
-                                 :: !chunks;
-                               valid_end := pos_in ic
-                             end)
-                   end
+                             chunks :=
+                               {
+                                 c_phase;
+                                 c_lo;
+                                 c_len;
+                                 c_off = off;
+                                 c_bytes = String.length line;
+                                 c_sum = String.sub line (stop + 8) 32;
+                               }
+                               :: !chunks;
+                             valid_end := pos_in ic)
                  done
                with End_of_file -> ());
               Ok
@@ -814,8 +816,10 @@ let write_index ~file ~meta_sum ~bytes chunks =
 
 (* Hand-rolled row parse ([%S %d %d %d %d]): [Scanf] costs microseconds
    per row, which at million-run index sizes puts whole milliseconds back
-   into a warm open.  Phase names containing escapes (never produced by
-   the harness, but legal) take the [Scanf] slow path. *)
+   into a warm open.  A row it declines, such as a phase name holding an
+   escape (legal, but never written by the harness), voids the sidecar:
+   the record then takes the verified scan, as on any other sidecar
+   problem. *)
 let parse_index_row line =
   let len = String.length line in
   if len < 2 || line.[0] <> '"' then None
@@ -825,13 +829,7 @@ let parse_index_row line =
       else match line.[i] with '"' -> Some i | '\\' -> None | _ -> close (i + 1)
     in
     match close 1 with
-    | None -> (
-        match
-          Scanf.sscanf line "%S %d %d %d %d" (fun c_phase c_lo c_len c_off c_bytes ->
-              { c_phase; c_lo; c_len; c_off; c_bytes; c_sum = "" })
-        with
-        | row -> Some row
-        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+    | None -> None
     | Some q -> (
         let c_phase = String.sub line 1 (q - 1) in
         let ints = ref [] in
@@ -885,30 +883,109 @@ let read_index ~file ~meta_sum =
         end
       with Scanf.Scan_failure _ | Failure _ | End_of_file | Sys_error _ -> None)
 
-(* Replay the fixed layout over sidecar rows: every chunk at its phase
-   frontier with the exact expected length.  Returns the per-phase
+(* Replay the fixed layout over sidecar rows.  Returns the per-phase
    frontier (what an [ls] needs) or [None] if the rows are inconsistent
    with the meta line. *)
 let index_frontier m rows =
   let frontier = Hashtbl.create 4 in
-  let ok =
-    List.for_all
-      (fun c ->
-        let front =
-          match Hashtbl.find_opt frontier c.c_phase with
-          | Some f -> f
-          | None -> m.m_lo
-        in
-        let expected = Stdlib.min m.m_csize (m.m_runs - c.c_lo) in
-        c.c_lo = front && c.c_lo < m.m_hi && c.c_len = expected && c.c_off > 0
-        && c.c_bytes > 0
-        && begin
-             Hashtbl.replace frontier c.c_phase (c.c_lo + expected);
-             true
-           end)
-      rows
+  let fits c =
+    c.c_off > 0 && c.c_bytes > 0
+    && Result.is_ok (layout_step m frontier ~phase:c.c_phase ~lo:c.c_lo ~len:c.c_len)
   in
-  if ok then Some frontier else None
+  if List.for_all fits rows then Some frontier else None
+
+let read_first_line file =
+  match open_in_bin file with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match input_line ic with
+          | line -> Some line
+          | exception End_of_file -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Record copies *)
+
+let fsync_channel ~file oc =
+  match Unix.fsync (Unix.descr_of_out_channel oc) with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (Printf.sprintf "store: fsync %s: %s" file (Unix.error_message e)))
+
+(* Copy [n] bytes between channels through a bounded buffer. *)
+let copy_buf_len = 65536
+
+let copy_bytes ic oc n =
+  if n > 0 then begin
+    let buf = Bytes.create (Stdlib.min n copy_buf_len) in
+    let rec go remaining =
+      if remaining > 0 then begin
+        let k = Stdlib.min remaining (Bytes.length buf) in
+        really_input ic buf 0 k;
+        output oc buf 0 k;
+        go (remaining - k)
+      end
+    in
+    go n
+  end
+
+(* The one record copier: [meta], then each chunk line copied verbatim
+   from its [(file, chunk)] byte range through a bounded buffer.  The
+   rewrite after a torn tail, [merge] and [export_to] all write records
+   this way, in O(chunk) memory.  [before_chunk] runs ahead of each line
+   (merge's crash-injection budget).  Returns the chunks at their offsets
+   in the copy, and the copy's byte size. *)
+let copy_record ?(before_chunk = ignore) oc ~meta chunks =
+  let handles = Hashtbl.create 4 in
+  Fun.protect ~finally:(fun () -> Hashtbl.iter (fun _ ic -> close_in_noerr ic) handles)
+  @@ fun () ->
+  List.iter
+    (fun (f, _) ->
+      if not (Hashtbl.mem handles f) then Hashtbl.replace handles f (open_in_bin f))
+    chunks;
+  output_string oc meta;
+  output_char oc '\n';
+  let copied, bytes =
+    List.fold_left
+      (fun (copied, pos) (f, c) ->
+        before_chunk ();
+        let ic = Hashtbl.find handles f in
+        seek_in ic c.c_off;
+        copy_bytes ic oc c.c_bytes;
+        output_char oc '\n';
+        ({ c with c_off = pos } :: copied, pos + c.c_bytes + 1))
+      ([], String.length meta + 1)
+      chunks
+  in
+  (List.rev copied, bytes)
+
+(* [copy_record] into [tmp], renamed over [file] once whole, so a crash at
+   any point leaves the previous record intact.  The sidecar, stale from
+   then on, goes first. *)
+let rewrite_record ?before_chunk ~sync ~tmp file ~meta chunks =
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 tmp in
+  let copied =
+    try
+      let copied = copy_record ?before_chunk oc ~meta chunks in
+      flush oc;
+      if sync then fsync_channel ~file:tmp oc;
+      close_out oc;
+      copied
+    with e ->
+      close_out_noerr oc;
+      raise e
+  in
+  (try Sys.remove (index_path file) with Sys_error _ -> ());
+  Sys.rename tmp file;
+  copied
+
+(* Set a record aside as [<file>.quarantined], which [ls] lists as
+   [Corrupt] and [gc] reclaims, and drop its sidecar. *)
+let quarantine_file file =
+  (try Sys.rename file (file ^ ".quarantined") with Sys_error _ -> ());
+  try Sys.remove (index_path file) with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Sessions *)
@@ -951,12 +1028,6 @@ let set_fail_after s n = s.fail_after <- Some n
 
 let fail_after_from_env () =
   Option.bind (Sys.getenv_opt "MBPTA_STORE_FAIL_AFTER_CHUNKS") int_of_string_opt
-
-let fsync_channel ~file oc =
-  match Unix.fsync (Unix.descr_of_out_channel oc) with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (Printf.sprintf "store: fsync %s: %s" file (Unix.error_message e)))
 
 (* ------------------------------------------------------------------ *)
 (* Advisory writer locks.
@@ -1116,6 +1187,18 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
        metadata agreement check below passes, [meta] is byte-identical to
        the record's on-disk meta line. *)
     let meta_sum = Digest.to_hex (Digest.string meta) in
+    (* What this campaign's record must say about itself. *)
+    let want =
+      {
+        m_key = skey;
+        m_runs = runs;
+        m_resilient = resilient;
+        m_csize = chunk_size;
+        m_config = List.sort compare config;
+        m_lo = s_lo;
+        m_hi = s_hi;
+      }
+    in
     let fresh () =
       (* Eager meta write: an unwritable store fails before any simulation
          time is spent, and a killed campaign always leaves a parseable
@@ -1152,32 +1235,12 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
          check.  Only complete records qualify — every append path
          scans. *)
       let warm_adopt () =
-        let first_line =
-          match open_in_bin file with
-          | exception Sys_error _ -> None
-          | ic -> (
-              Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-              match input_line ic with
-              | line -> Some line
-              | exception End_of_file -> None)
-        in
-        if first_line <> Some meta then None
+        if read_first_line file <> Some meta then None
         else
           match read_index ~file ~meta_sum with
           | None -> None
           | Some rows -> (
-              let m =
-                {
-                  m_key = skey;
-                  m_runs = runs;
-                  m_resilient = resilient;
-                  m_csize = chunk_size;
-                  m_config = config;
-                  m_lo = s_lo;
-                  m_hi = s_hi;
-                }
-              in
-              match index_frontier m rows with
+              match index_frontier want rows with
               | None -> None
               | Some frontier ->
                   let bytes = file_bytes file in
@@ -1191,13 +1254,7 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
                       rows
                     && !pos = bytes
                   in
-                  let covered =
-                    Hashtbl.fold (fun _ f acc -> Stdlib.min f acc) frontier max_int
-                  in
-                  let is_complete =
-                    s_hi <= s_lo || (Hashtbl.length frontier > 0 && covered >= s_hi)
-                  in
-                  if tiled && is_complete then
+                  if tiled && record_complete want frontier then
                     Some
                       (mk_session ~idx_fresh:true ~skey ~file ~csize:chunk_size ~runs
                          ~resilient ~span ~sync ~meta_sum
@@ -1210,88 +1267,46 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
       | None ->
       match scan_record file with
       | Error e -> Error (unreadable_error ~file e)
+      | Ok r when { r.r_meta with m_config = List.sort compare r.r_meta.m_config } <> want
+        ->
+          Error
+            (Printf.sprintf
+               "store: %s: record metadata disagrees with this campaign (inspect with \
+                `cache ls`, reclaim with `cache gc`)"
+               file)
       | Ok r -> (
-          let m = r.r_meta in
-          if
-            m.m_key <> skey || m.m_runs <> runs || m.m_resilient <> resilient
-            || m.m_csize <> chunk_size
-            || (m.m_lo, m.m_hi) <> span
-            || List.sort compare m.m_config <> List.sort compare config
-          then
-            Error
-              (Printf.sprintf
-                 "store: %s: record metadata disagrees with this campaign (inspect \
-                  with `cache ls`, reclaim with `cache gc`)"
-                 file)
-          else
-            match r.r_defect with
-            | Some d when d.d_tampered && resume ->
-                Error
-                  (Printf.sprintf
-                     "store: %s: %s — record fails its integrity check; quarantine it \
-                      or reclaim with `cache gc`"
-                     file d.d_reason)
-            | Some d when d.d_tampered -> fresh ()
-            | _ ->
-                let covered =
-                  Hashtbl.fold (fun _ f acc -> Stdlib.min f acc) r.r_frontier max_int
+          match r.r_defect with
+          | Some d when d.d_tampered && resume ->
+              Error
+                (Printf.sprintf
+                   "store: %s: %s — record fails its integrity check; quarantine it or \
+                    reclaim with `cache gc`"
+                   file d.d_reason)
+          | Some d when d.d_tampered -> fresh ()
+          | _ ->
+              let adopt ~index ~end_off ~lock =
+                mk_session ~skey ~file ~csize:chunk_size ~runs ~resilient ~span ~sync
+                  ~meta_sum ~index ~end_off ~frontier:r.r_frontier ~oc:None ~lock ()
+              in
+              if r.r_defect = None && record_complete want r.r_frontier then
+                Ok
+                  (adopt ~index:(index_of_chunks r.r_chunks) ~end_off:r.r_valid_end
+                     ~lock:None)
+              else if not resume then fresh ()
+              else if r.r_defect = None && r.r_valid_end = file_bytes file then
+                (* Clean partial record: append in place. *)
+                Ok
+                  (adopt ~index:(index_of_chunks r.r_chunks) ~end_off:r.r_valid_end
+                     ~lock:(keep ()))
+              else
+                (* Resume after a torn tail (or stray blank lines): rewrite
+                   the record to exactly the valid prefix, so the on-disk
+                   bytes and the in-memory index agree before we append. *)
+                let chunks, end_off =
+                  rewrite_record ~sync ~tmp:(file ^ ".tmp") file ~meta
+                    (List.map (fun c -> (file, c)) r.r_chunks)
                 in
-                let is_complete =
-                  r.r_defect = None
-                  && (s_hi <= s_lo
-                     || (Hashtbl.length r.r_frontier > 0 && covered >= s_hi))
-                in
-                let adopt ~index ~end_off ~lock =
-                  mk_session ~skey ~file ~csize:chunk_size ~runs ~resilient ~span ~sync
-                    ~meta_sum ~index ~end_off ~frontier:r.r_frontier ~oc:None ~lock ()
-                in
-                if is_complete then
-                  Ok
-                    (adopt ~index:(index_of_chunks r.r_chunks) ~end_off:r.r_valid_end
-                       ~lock:None)
-                else if not resume then fresh ()
-                else if r.r_defect = None && r.r_valid_end = file_bytes file then
-                  (* Clean partial record: append in place. *)
-                  Ok
-                    (adopt ~index:(index_of_chunks r.r_chunks) ~end_off:r.r_valid_end
-                       ~lock:(keep ()))
-                else begin
-                  (* Resume after a torn tail (or stray blank lines): rewrite
-                     the record to exactly the valid prefix — streamed in
-                     O(chunk) pieces, atomically via tmp + rename — so the
-                     on-disk bytes and the in-memory index agree before we
-                     append. *)
-                  let tmp = file ^ ".tmp" in
-                  let src = open_in_bin file in
-                  let index, end_off =
-                    Fun.protect ~finally:(fun () -> close_in_noerr src) @@ fun () ->
-                    let oc =
-                      open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 tmp
-                    in
-                    try
-                      output_string oc meta;
-                      output_char oc '\n';
-                      let index = Hashtbl.create 16 in
-                      let pos = ref (String.length meta + 1) in
-                      List.iter
-                        (fun c ->
-                          seek_in src c.c_off;
-                          copy_bytes src oc c.c_bytes;
-                          output_char oc '\n';
-                          Hashtbl.replace index (c.c_phase, c.c_lo) (!pos, c.c_bytes);
-                          pos := !pos + c.c_bytes + 1)
-                        r.r_chunks;
-                      flush oc;
-                      if sync then fsync_channel ~file:tmp oc;
-                      close_out oc;
-                      Sys.rename tmp file;
-                      (index, !pos)
-                    with e ->
-                      close_out_noerr oc;
-                      raise e
-                  in
-                  Ok (adopt ~index ~end_off ~lock:(keep ()))
-                end)
+                Ok (adopt ~index:(index_of_chunks chunks) ~end_off ~lock:(keep ())))
     end
   end
 
@@ -1357,19 +1372,6 @@ let session_ic s =
       s.ic <- Some ic;
       ic
 
-(* Seek to an indexed chunk and decode it.  The seal digest is NOT
-   recomputed here: every path that builds a session index has already
-   vouched for these bytes — a full scan md5-verified each line, a warm
-   adoption pinned the record's exact size+mtime+meta against a sidecar
-   that was only ever written over verified chunks, and a writer session
-   wrote the line itself.  Re-hashing per read would make warm queries
-   O(record) in digest work again (the very cost the index removes);
-   [cache verify] remains the offline deep check.  The structural checks
-   below (trailer shape, phase/offset, run count) still catch a file
-   swapped or resized behind the open session — that is an I/O-level
-   fault, not a cache miss, and it raises.  The channel is explicit so
-   parallel warm reads can decode chunks over per-worker channels; the
-   session wrapper below feeds it the session's lazy handle. *)
 let chunk_fail ~file ~phase ~lo fmt =
   Printf.ksprintf
     (fun m ->
@@ -1380,13 +1382,23 @@ let chunk_fail ~file ~phase ~lo fmt =
               file phase lo m)))
     fmt
 
-(* Read the sealed chunk line at [off, off+bytes) and locate its body end
-   (the start of the [","sum":…"] trailer).  Raises through [chunk_fail]
-   on truncation or a malformed trailer.  With [buf], the line is read
-   through the caller's reusable buffer (grown on size change) — the
-   returned string then aliases it and is only valid until the next read
+(* The one reader behind lookups and warm reads: seek to an indexed
+   chunk line and decode it into [sink].  The seal digest is NOT
+   recomputed here: every path that builds a session index has already
+   vouched for these bytes — a full scan md5-verified each line, a warm
+   adoption pinned the record's exact size+mtime+meta against a sidecar
+   that was only ever written over verified chunks, and a writer session
+   wrote the line itself.  Re-hashing per read would make warm queries
+   O(record) in digest work again (the very cost the index removes);
+   [cache verify] remains the offline deep check.  The structural checks
+   (trailer shape, frame, phase/offset, run count) still catch a file
+   swapped or resized behind the open session — that is an I/O-level
+   fault, not a cache miss, and it raises [Sys_error].  The channel is
+   explicit so parallel warm reads can decode chunks over per-worker
+   channels.  With [buf], the line is read through the caller's reusable
+   buffer (grown on a size change), which it aliases until the next read
    through the same buffer. *)
-let input_sealed_line ?buf ~file ~phase ~lo ic (off, bytes) =
+let read_chunk ?buf ~file ~resilient ic ~phase ~lo (off, bytes) sink =
   let fail fmt = chunk_fail ~file ~phase ~lo fmt in
   seek_in ic off;
   let line =
@@ -1402,89 +1414,24 @@ let input_sealed_line ?buf ~file ~phase ~lo ic (off, bytes) =
         | () -> Bytes.unsafe_to_string b
         | exception End_of_file -> fail "record truncated")
   in
-  let n_line = String.length line in
-  if n_line <= trailer_len then fail "checksum trailer missing";
-  let start = n_line - trailer_len in
-  if
-    not
-      (line.[start] = ','
-      && line.[start + 1] = '"'
-      && line.[start + 2] = 's'
-      && line.[start + 3] = 'u'
-      && line.[start + 4] = 'm'
-      && line.[start + 5] = '"'
-      && line.[start + 6] = ':'
-      && line.[start + 7] = '"'
-      && line.[n_line - 2] = '"'
-      && line.[n_line - 1] = '}')
-  then fail "checksum trailer missing";
-  (line, start)
-
-let read_chunk_line ~file ~resilient ic ~phase ~lo loc =
-  let fail fmt = chunk_fail ~file ~phase ~lo fmt in
-  let line, start = input_sealed_line ~file ~phase ~lo ic loc in
-  (* Fault-free frames are peeked and decoded in place — the bits span
-     sits at the same offsets in the sealed line as in the body, so no
-     body copy is needed.  Resilient lines, and frames the peek declines
-     (an escaped phase name), take the body-copy route through the full
-     parser. *)
-  let fast =
-    if resilient then None
-    else
-      match peek_v3_core line ~stop:start with
-      | None -> None
-      | Some (p, l, nrun, bstart, blen) -> (
-          match F64.decode_window line ~pos:bstart ~len:blen ~n:nrun with
-          | Ok a -> Some (p, l, Floats a)
-          | Error e -> fail "%s" e)
-  in
-  let p, l, payload =
-    match fast with
-    | Some r -> r
-    | None -> (
-        let body = String.sub line 0 start ^ "}" in
-        match payload_of_body ~resilient body with
-        | Error e -> fail "%s" e
-        | Ok r -> r)
-  in
-  if p <> phase || l <> lo then fail "phase/offset mismatch";
-  payload
-
-(* Warm-materialization reader: decode the fault-free chunk at [loc]
-   straight into [dst.(at) .. dst.(at + len - 1)].  The fast path never
-   allocates a per-chunk array; a frame the header peek declines (an
-   escaped phase name) falls back to the full parser and a blit.  Only
-   called on complete non-resilient records. *)
-let read_chunk_floats_into ~file ic ~phase ~lo loc ~buf ~scratch dst ~at ~len =
-  let fail fmt = chunk_fail ~file ~phase ~lo fmt in
-  let line, start = input_sealed_line ~buf ~file ~phase ~lo ic loc in
-  match peek_v3_core line ~stop:start with
-  | Some (p, l, nrun, bstart, blen) ->
-      if p <> phase || l <> lo then fail "phase/offset mismatch";
-      if nrun <> len then fail "chunk holds %d runs, layout expects %d" nrun len;
-      (match F64.decode_into line ~pos:bstart ~len:blen ~n:nrun ~scratch dst ~at with
-      | Ok () -> ()
-      | Error e -> fail "%s" e)
-  | None -> (
-      let body = String.sub line 0 start ^ "}" in
-      match payload_of_body ~resilient:false body with
+  match trailer_start line with
+  | None -> fail "checksum trailer missing"
+  | Some stop -> (
+      match decode_frame ~resilient sink line ~stop with
       | Error e -> fail "%s" e
-      | Ok (p, l, Floats a) ->
-          if p <> phase || l <> lo then fail "phase/offset mismatch";
-          if Array.length a <> len then
-            fail "chunk holds %d runs, layout expects %d" (Array.length a) len;
-          Array.blit a 0 dst at len
-      | Ok (_, _, p) -> fail "chunk holds %d runs, layout expects %d" (payload_len p) len)
-
-let read_chunk_at s ~phase ~lo loc =
-  read_chunk_line ~file:s.file ~resilient:s.s_resilient (session_ic s) ~phase ~lo loc
+      | Ok (p, l, _, _) when p <> phase || l <> lo -> fail "phase/offset mismatch"
+      | Ok (_, _, n, payload) -> (n, payload))
 
 let lookup_payload s ~phase ~lo ~len =
   match Hashtbl.find_opt s.index (phase, lo) with
   | None -> None
-  | Some loc ->
-      let p = read_chunk_at s ~phase ~lo loc in
-      if payload_len p = len then Some p else None
+  | Some loc -> (
+      match
+        read_chunk ~file:s.file ~resilient:s.s_resilient (session_ic s) ~phase ~lo loc
+          Payload
+      with
+      | n, Some p when n = len -> Some p
+      | _ -> None)
 
 let persist_payload s ~phase ~lo payload =
   if s.closed then invalid_arg "Store.persist: session is closed";
@@ -1632,8 +1579,9 @@ let collect_cached_parallel ?trace ?jobs s ~phase =
             with_ic @@ fun (ic, scratch, buf) ->
             (* workers write disjoint [out] slices: chunk ci owns
                [ci * csize, ci * csize + len) *)
-            read_chunk_floats_into ~file:s.file ic ~phase ~lo loc ~buf ~scratch out
-              ~at:(lo - s.s_lo) ~len)
+            ignore
+              (read_chunk ~buf ~file:s.file ~resilient:false ic ~phase ~lo loc
+                 (Slice { scratch; dst = out; at = lo - s.s_lo; len })))
   in
   out
 
@@ -1676,34 +1624,23 @@ type entry = {
   status : status;
 }
 
-let read_first_line file =
-  match open_in_bin file with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | line -> Some line
-          | exception End_of_file -> None)
-
 (* Shared status classifier: the same verdict whether the phase frontiers
    came from a full scan or from a fresh sidecar. *)
-let classify_entry ~file ~entry_key ~bytes m ~phases ~defect =
-  let covered = List.fold_left (fun acc (_, f) -> Stdlib.min acc f) max_int phases in
+let classify_entry ~file ~entry_key ~bytes m frontier ~defect =
+  let phases =
+    Hashtbl.fold (fun p f acc -> (p, f) :: acc) frontier [] |> List.sort compare
+  in
   let status =
     match defect with
     | Some d when d.d_tampered -> Corrupt d.d_reason
     | Some d when phases = [] -> Corrupt d.d_reason
     | Some d -> Partial (Printf.sprintf "valid prefix kept, tail dropped: %s" d.d_reason)
+    | None when record_complete m frontier -> Complete
+    | None when phases = [] -> Partial "no samples collected yet"
     | None ->
-        if m.m_runs = 0 || m.m_lo >= m.m_hi || (phases <> [] && covered >= m.m_hi) then
-          Complete
-        else if phases = [] then Partial "no samples collected yet"
-        else
-          Partial
-            (String.concat ", "
-               (List.map (fun (p, f) -> Printf.sprintf "%s %d/%d" p f m.m_runs) phases))
+        Partial
+          (String.concat ", "
+             (List.map (fun (p, f) -> Printf.sprintf "%s %d/%d" p f m.m_runs) phases))
   in
   {
     file;
@@ -1743,7 +1680,7 @@ let entry_of_file ?(deep = true) t name =
         | `Unsupported schema -> Unsupported schema);
     }
   in
-  let check_key m k =
+  let check_key m =
     let derived = key ~chunk_size:m.m_csize m.m_config in
     if m.m_key <> entry_key then
       Some (Printf.sprintf "meta key %s does not match filename" m.m_key)
@@ -1751,30 +1688,22 @@ let entry_of_file ?(deep = true) t name =
       Some
         (Printf.sprintf "content digest %s does not match filename (record edited?)"
            derived)
-    else k
+    else None
   in
   let scanned ~deep =
     match scan_record ~deep file with
     | Error e -> refused e
     | Ok r -> (
-        let m = r.r_meta in
-        match check_key m None with
+        match check_key r.r_meta with
         | Some reason -> refused (`Corrupt reason)
         | None ->
-            let phases =
-              Hashtbl.fold (fun p f acc -> (p, f) :: acc) r.r_frontier []
-              |> List.sort compare
-            in
             (* A clean, fully-accounted record earns a sidecar rebuild so
                the next header-only listing skips the scan. *)
             if r.r_defect = None && r.r_valid_end = bytes then
-              (match read_first_line file with
-              | Some meta_ln ->
-                  write_index ~file
-                    ~meta_sum:(Digest.to_hex (Digest.string meta_ln))
-                    ~bytes r.r_chunks
-              | None -> ());
-            classify_entry ~file ~entry_key ~bytes m ~phases ~defect:r.r_defect)
+              write_index ~file
+                ~meta_sum:(Digest.to_hex (Digest.string r.r_meta_line))
+                ~bytes r.r_chunks;
+            classify_entry ~file ~entry_key ~bytes r.r_meta r.r_frontier ~defect:r.r_defect)
   in
   if deep then scanned ~deep:true
   else
@@ -1784,17 +1713,13 @@ let entry_of_file ?(deep = true) t name =
         match parse_meta meta_ln with
         | Error e -> refused e
         | Ok m -> (
-            match check_key m None with
+            match check_key m with
             | Some reason -> refused (`Corrupt reason)
             | None -> (
                 let meta_sum = Digest.to_hex (Digest.string meta_ln) in
                 match Option.bind (read_index ~file ~meta_sum) (index_frontier m) with
                 | Some frontier ->
-                    let phases =
-                      Hashtbl.fold (fun p f acc -> (p, f) :: acc) frontier []
-                      |> List.sort compare
-                    in
-                    classify_entry ~file ~entry_key ~bytes m ~phases ~defect:None
+                    classify_entry ~file ~entry_key ~bytes m frontier ~defect:None
                 | None -> scanned ~deep:false)))
 
 let quarantine_suffix = ".jsonl.quarantined"
@@ -1904,8 +1829,7 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
   let coverage = ref [] in
   let records_merged = ref 0 in
   let note_quarantine file reason =
-    (try Sys.rename file (file ^ ".quarantined") with Sys_error _ -> ());
-    (try Sys.remove (index_path file) with Sys_error _ -> ());
+    quarantine_file file;
     quarantined := (file, reason) :: !quarantined
   in
   let skip file reason = skipped := (file, reason ^ "; left in place") :: !skipped in
@@ -2053,50 +1977,16 @@ let merge ?trace ?fail_after ?(sync = false) ~src dst =
           (* Stream the composed record chunk by chunk out of the source
              files — peak memory is one copy buffer, independent of
              campaign size. *)
-          let handles = Hashtbl.create 4 in
-          let handle f =
-            match Hashtbl.find_opt handles f with
-            | Some ic -> ic
-            | None ->
-                let ic = open_in_bin f in
-                Hashtbl.replace handles f ic;
-                ic
+          let chunks, bytes =
+            rewrite_record
+              ~before_chunk:(fun () ->
+                burn ();
+                incr written)
+              ~sync ~tmp:(dst_file ^ ".merge.tmp") dst_file ~meta:meta_ln lines
           in
-          let close_handles () =
-            Hashtbl.iter (fun _ ic -> close_in_noerr ic) handles;
-            Hashtbl.reset handles
-          in
-          let tmp = dst_file ^ ".merge.tmp" in
-          let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 tmp in
-          let pos = ref (String.length meta_ln + 1) in
-          let new_chunks = ref [] in
-          (try
-             output_string oc meta_ln;
-             output_char oc '\n';
-             List.iter
-               (fun (f, c) ->
-                 burn ();
-                 let ic = handle f in
-                 seek_in ic c.c_off;
-                 copy_bytes ic oc c.c_bytes;
-                 output_char oc '\n';
-                 new_chunks := { c with c_off = !pos } :: !new_chunks;
-                 pos := !pos + c.c_bytes + 1;
-                 incr written)
-               lines;
-             flush oc;
-             if sync then fsync_channel ~file:tmp oc
-           with e ->
-             close_out_noerr oc;
-             close_handles ();
-             raise e);
-          close_out oc;
-          close_handles ();
-          (try Sys.remove (index_path dst_file) with Sys_error _ -> ());
-          Sys.rename tmp dst_file;
           write_index ~file:dst_file
             ~meta_sum:(Digest.to_hex (Digest.string meta_ln))
-            ~bytes:!pos (List.rev !new_chunks);
+            ~bytes chunks;
           incr records_merged
         end
   in
@@ -2146,14 +2036,6 @@ let export_to t ~key:skey oc =
         | Some d when d.d_tampered ->
             Error (Printf.sprintf "store: %s: %s" file d.d_reason)
         | _ ->
-            let ic = open_in_bin file in
-            Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-            output_string oc r.r_meta_line;
-            output_char oc '\n';
-            List.iter
-              (fun c ->
-                seek_in ic c.c_off;
-                copy_bytes ic oc c.c_bytes;
-                output_char oc '\n')
-              r.r_chunks;
+            let chunks = List.map (fun c -> (file, c)) r.r_chunks in
+            ignore (copy_record oc ~meta:r.r_meta_line chunks);
             Ok ())
