@@ -484,7 +484,9 @@ let analyze spec csv_dir jobs profile trace_path trace_level cache_dir resume no
          and exit — no analysis, no report.  Always resumes (a retried
          worker continues from its last checkpoint chunk); a record it
          cannot resume is quarantined and the span recomputed, so retries
-         converge instead of wedging. *)
+         converge instead of wedging.  A record that another process is
+         still writing is never quarantined: the worker fails on its lock
+         (exit 2) and leaves it alone. *)
       let dir = Option.get cache_dir in
       let spans =
         M.Coordinator.shard_spans ~shards:n ~chunk_size:M.Store.default_chunk_size ~runs
@@ -507,11 +509,11 @@ let analyze spec csv_dir jobs profile trace_path trace_level cache_dir resume no
           match open_session () with
           | Ok s -> s
           | Error e -> (
-              Format.eprintf "mbpta_cli: %s; quarantining it and recomputing the shard@."
-                e;
-              let file = Filename.concat dir (key ^ ".jsonl") in
-              (try Sys.rename file (file ^ ".quarantined") with Sys_error _ -> ());
-              match open_session () with Ok s -> s | Error e -> usage_error "%s" e)
+              match M.Store.quarantine store ~key with
+              | Error q -> usage_error "%s" q
+              | Ok () -> (
+                  Format.eprintf "mbpta_cli: %s; quarantined it, recomputing the shard@." e;
+                  match open_session () with Ok s -> s | Error e -> usage_error "%s" e))
         in
         Fun.protect ~finally:(fun () -> M.Store.close session) @@ fun () ->
         match Cs.collect_shard ~jobs ?trace ~store:session spec with

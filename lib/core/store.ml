@@ -1735,7 +1735,7 @@ let quarantined_entry t name =
     phases = [];
     shard = None;
     bytes = file_bytes file;
-    status = Corrupt "quarantined (failed an integrity check during merge)";
+    status = Corrupt "quarantined (failed an integrity check)";
   }
 
 let ls ?(deep = true) t =
@@ -1776,6 +1776,18 @@ let gc ?(partial = false) t =
       0 victims
   in
   (victims, freed)
+
+let quarantine t ~key:skey =
+  let file = Filename.concat t.root (skey ^ ".jsonl") in
+  match acquire_lock ~file with
+  | Error e -> Error e
+  | Ok lockfd -> (
+      Fun.protect ~finally:(fun () -> release_lock ~file lockfd) @@ fun () ->
+      match Option.map parse_meta (read_first_line file) with
+      | Some (Error (`Unsupported _ as other)) -> Error (unreadable_error ~file other)
+      | _ ->
+          quarantine_file file;
+          Ok ())
 
 let pp_entry ppf e =
   let status =

@@ -333,6 +333,15 @@ val gc : ?partial:bool -> t -> entry list * int
     resumable).  [Unsupported] records are never removed.  Returns the
     removed entries and the bytes freed. *)
 
+val quarantine : t -> key:string -> (unit, string) result
+(** Set the record for [key] aside: rename it to [<key>.jsonl.quarantined]
+    (which {!ls} lists as [Corrupt] and {!gc} removes) and drop its [.idx]
+    sidecar.  This runs under the key's writer lock, so it never touches a
+    record that a session of this or another process has open: that is
+    [Error] naming the holder, with the record and sidecar left as they
+    are.  A record of another schema is [Error] too, and left in place; a
+    missing record is [Ok]. *)
+
 val pp_entry : Format.formatter -> entry -> unit
 
 (** {1 Merge and export — distributed campaigns} *)

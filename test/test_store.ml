@@ -1003,6 +1003,38 @@ let test_writer_lock_two_processes () =
   | Ok s -> Store.close s
   | Error e -> Alcotest.failf "lock must die with its process: %s" e
 
+(* A shard worker that cannot open its record quarantines it.  The
+   quarantine takes the key's writer lock, so a record that a session
+   still holds — another worker appending to it — is refused and left
+   exactly as it is, sidecar included; once the session closes it is
+   renamed aside and listed as quarantined. *)
+let test_quarantine_under_lock () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size:8 config in
+  let file = record_file root key in
+  let idx = file ^ ".idx" in
+  interrupt (open_exn ~chunk_size:8 root ~key ~runs:30 ~resilient:false) ~runs:30 ~after:2
+    awkward;
+  let writer = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:30 ~resilient:false in
+  let record = read_file file and sidecar = read_file idx in
+  (match Store.quarantine root ~key with
+  | Ok () -> Alcotest.fail "quarantined a record that a session holds"
+  | Error e -> Alcotest.(check bool) "refusal names the lock" true (contains e "locked"));
+  Alcotest.(check string) "record left in place" record (read_file file);
+  Alcotest.(check string) "sidecar left in place" sidecar (read_file idx);
+  Store.close writer;
+  (match Store.quarantine root ~key with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "quarantine after close: %s" e);
+  Alcotest.(check bool) "record renamed aside" true
+    (Sys.file_exists (file ^ ".quarantined") && not (Sys.file_exists file));
+  Alcotest.(check bool) "sidecar removed" false (Sys.file_exists idx);
+  match Store.ls root with
+  | [ { Store.file = f; status = Store.Corrupt reason; _ } ] ->
+      Alcotest.(check string) "ls lists the quarantined file" (file ^ ".quarantined") f;
+      Alcotest.(check bool) "status says quarantined" true (contains reason "quarantined")
+  | l -> Alcotest.failf "expected one quarantined entry, found %d entries" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* graceful shutdown (signal -> checkpoint barrier -> resume) *)
 
@@ -1306,6 +1338,8 @@ let () =
             test_writer_lock_in_process;
           Alcotest.test_case "two processes racing on one key" `Quick
             test_writer_lock_two_processes;
+          Alcotest.test_case "quarantine refuses a locked record" `Quick
+            test_quarantine_under_lock;
         ] );
       ( "shutdown",
         [
