@@ -299,17 +299,10 @@ let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
     end
   end
 
-let collect_and_analyze ?options ?jobs ?store ~runs ~measure () =
+let collect_and_analyze ?options ?jobs ~runs ~measure () =
   (* Explicit ascending loop: [Array.init]'s evaluation order is
-     unspecified, and stateful measurement sources rely on run order.  The
-     store path is sequential too ([jobs:1]), so checkpointing keeps the
-     exact call order a stateful [measure] depends on. *)
-  let xs =
-    match store with
-    | None -> Parallel.init ~jobs:1 runs measure
-    | Some (session, phase) -> Store.collect ~jobs:1 session ~phase runs measure
-  in
-  analyze ?options ?jobs xs
+     unspecified, and stateful measurement sources rely on run order. *)
+  analyze ?options ?jobs (Parallel.init ~jobs:1 runs measure)
 
 let standard_cutoffs = [ 1e-6; 1e-7; 1e-8; 1e-9; 1e-10; 1e-11; 1e-12; 1e-13; 1e-14; 1e-15 ]
 

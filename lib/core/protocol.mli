@@ -123,19 +123,10 @@ val analyze :
     analyzes them.  Collection is {e strictly sequential} in ascending run
     order — this is the entry point for stateful measurement sources (e.g.
     a shared synthetic generator); a pure [measure] can use
-    {!Campaign.run}'s domain-parallel collection instead.
-
-    With [store] — an open {!Store.session} plus the phase name to file
-    chunks under — the sequential collection checkpoints at every chunk
-    barrier and replays recorded chunks without calling [measure].  Note
-    that with a {e stateful} [measure] a partially cached record changes
-    which calls [measure] receives (cached runs are skipped); the
-    bit-identical resume contract requires the pure-function-of-index
-    contract, exactly as parallel collection does. *)
+    {!Campaign.run}'s domain-parallel collection instead. *)
 val collect_and_analyze :
   ?options:options ->
   ?jobs:int ->
-  ?store:Store.session * string ->
   runs:int ->
   measure:(int -> float) ->
   unit ->
