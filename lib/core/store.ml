@@ -25,7 +25,15 @@
 
    This build reads and writes [schema_version] only.  A record whose
    intact meta line names any other schema is [Unsupported]: listed,
-   never collected, exported, merged, quarantined or deleted. *)
+   never collected, exported, merged, quarantined or deleted.
+
+   Each job is done in one place.  One frame decoder ([decode_frame])
+   reads every chunk line, for scans, lookups and warm reads alike; the
+   trailer's shape ([trailer_start]), the layout ([layout_step]),
+   completeness ([record_complete]) and the record copy ([copy_record])
+   each have one function too.  A sidecar row that the hand-rolled row
+   parser declines (a phase name holding an escape) voids the sidecar,
+   and the record takes the verified scan. *)
 
 module Json = Trace.Json
 
@@ -1624,6 +1632,21 @@ type entry = {
   status : status;
 }
 
+(* The entry of a file whose record was not read: its status and size,
+   nothing else. *)
+let unread_entry ~file ~entry_key ~bytes status =
+  {
+    file;
+    entry_key;
+    runs = 0;
+    resilient = false;
+    config = [];
+    phases = [];
+    shard = None;
+    bytes;
+    status;
+  }
+
 (* Shared status classifier: the same verdict whether the phase frontiers
    came from a full scan or from a fresh sidecar. *)
 let classify_entry ~file ~entry_key ~bytes m frontier ~defect =
@@ -1664,21 +1687,9 @@ let entry_of_file ?(deep = true) t name =
   let file = Filename.concat t.root name in
   let entry_key = Filename.chop_suffix name ".jsonl" in
   let bytes = file_bytes file in
-  let refused (e : unreadable) =
-    {
-      file;
-      entry_key;
-      runs = 0;
-      resilient = false;
-      config = [];
-      phases = [];
-      shard = None;
-      bytes;
-      status =
-        (match e with
-        | `Corrupt reason -> Corrupt reason
-        | `Unsupported schema -> Unsupported schema);
-    }
+  let refused : unreadable -> entry = function
+    | `Corrupt reason -> unread_entry ~file ~entry_key ~bytes (Corrupt reason)
+    | `Unsupported schema -> unread_entry ~file ~entry_key ~bytes (Unsupported schema)
   in
   let check_key m =
     let derived = key ~chunk_size:m.m_csize m.m_config in
@@ -1726,17 +1737,10 @@ let quarantine_suffix = ".jsonl.quarantined"
 
 let quarantined_entry t name =
   let file = Filename.concat t.root name in
-  {
-    file;
-    entry_key = Filename.chop_suffix name quarantine_suffix;
-    runs = 0;
-    resilient = false;
-    config = [];
-    phases = [];
-    shard = None;
-    bytes = file_bytes file;
-    status = Corrupt "quarantined (failed an integrity check)";
-  }
+  unread_entry ~file
+    ~entry_key:(Filename.chop_suffix name quarantine_suffix)
+    ~bytes:(file_bytes file)
+    (Corrupt "quarantined (failed an integrity check)")
 
 let ls ?(deep = true) t =
   let names = Sys.readdir t.root |> Array.to_list in

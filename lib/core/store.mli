@@ -42,7 +42,8 @@
     tears at most the last line; the valid prefix stays trustworthy and
     resumable).  Tampered records are refused by resume, reported
     [Corrupt] by [cache verify], and quarantined — renamed to
-    [<file>.quarantined] — by {!merge}, never merged.
+    [<file>.quarantined] — by {!merge} or a shard worker's {!quarantine},
+    never merged.
 
     {b One schema.}  This build reads and writes {!schema_version} only.
     A record whose meta line names any other schema, older or newer, is
@@ -67,12 +68,15 @@
     ([<key>.jsonl.idx]) caches the byte layout for header-only listings
     and warm opens; it is a derived cache, honored only when it stamps the
     record's exact byte size, mtime and meta digest, and rebuilt from the
-    record otherwise.  The trust model is git's index: the sidecar is only
-    ever written over chunks whose seals were verified (by the writer at
-    append time, or by the full scan that rebuilt it), so a session
-    adopting a stamped sidecar decodes chunks without re-hashing each line
-    — structural checks still catch a record swapped behind the session,
-    and [cache verify] remains the offline deep check.
+    record otherwise; a row that does not parse (a phase name holding an
+    escape) voids it, and the record takes the verified scan.  The trust
+    model is git's index: the sidecar is only ever written over chunks
+    whose seals were verified (by the writer at append time, or by the
+    full scan that rebuilt it), so a session adopting a stamped sidecar
+    decodes chunks without re-hashing each line — structural checks still
+    catch a record swapped behind the session, and [cache verify] remains
+    the offline deep check.  Every scan, lookup and warm read decodes a
+    chunk line through one frame decoder.
 
     {b Determinism contract.}  Chunk layout is a pure function of the run
     count (never of [--jobs] or the shard count), each
@@ -337,8 +341,8 @@ val quarantine : t -> key:string -> (unit, string) result
 (** Set the record for [key] aside: rename it to [<key>.jsonl.quarantined]
     (which {!ls} lists as [Corrupt] and {!gc} removes) and drop its [.idx]
     sidecar.  This runs under the key's writer lock, so it never touches a
-    record that a session of this or another process has open: that is
-    [Error] naming the holder, with the record and sidecar left as they
+    record that a writer session of this or another process holds: that
+    is [Error] naming the holder, with the record and sidecar left as they
     are.  A record of another schema is [Error] too, and left in place; a
     missing record is [Ok]. *)
 

@@ -1029,11 +1029,22 @@ let test_quarantine_under_lock () =
   Alcotest.(check bool) "record renamed aside" true
     (Sys.file_exists (file ^ ".quarantined") && not (Sys.file_exists file));
   Alcotest.(check bool) "sidecar removed" false (Sys.file_exists idx);
-  match Store.ls root with
+  (match Store.ls root with
   | [ { Store.file = f; status = Store.Corrupt reason; _ } ] ->
       Alcotest.(check string) "ls lists the quarantined file" (file ^ ".quarantined") f;
       Alcotest.(check bool) "status says quarantined" true (contains reason "quarantined")
-  | l -> Alcotest.failf "expected one quarantined entry, found %d entries" (List.length l)
+  | l -> Alcotest.failf "expected one quarantined entry, found %d entries" (List.length l));
+  (* another build's record is never quarantined *)
+  let config = [ ("schema", "store/v4") ] in
+  let key = Store.key ~chunk_size:8 config in
+  fabricate_legacy root ~schema:"store/v4" ~key ~config ~chunk_size:8 ~runs:0 awkward;
+  let record = read_file (record_file root key) in
+  (match Store.quarantine root ~key with
+  | Ok () -> Alcotest.fail "quarantined a record of another schema"
+  | Error e ->
+      Alcotest.(check bool) "refusal names the schema" true (contains e "store/v4"));
+  Alcotest.(check string) "record of another schema left in place" record
+    (read_file (record_file root key))
 
 (* ------------------------------------------------------------------ *)
 (* graceful shutdown (signal -> checkpoint barrier -> resume) *)
