@@ -388,6 +388,117 @@ let test_golden_fixture () =
         fixture_path
 
 (* ------------------------------------------------------------------ *)
+(* Three drivers, one clock: a runner run to completion, run supervised
+   with nothing to supervise, and stepped one instruction at a time through
+   [Core_sim.sink] (the RTOS's path) leaves the same metrics, and the same
+   clock when the program raises mid-run. *)
+
+module Runner = Isa.Executor.Decoded.Runner
+
+let stepped core runner =
+  P.Core_sim.reset_run core;
+  let sink = P.Core_sim.sink core in
+  while not (Runner.finished runner) do
+    Runner.step runner ~sink
+  done;
+  let st = Runner.stats runner in
+  P.Core_sim.snapshot core ~instructions:st.Isa.Executor.retired
+    ~fp_long_ops:st.Isa.Executor.fp_long_ops ~taken_branches:st.Isa.Executor.taken_branches
+
+let drivers =
+  [
+    ("run_decoded", fun core runner -> P.Core_sim.run_decoded core ~runner);
+    ("supervised", fun core runner -> P.Core_sim.run_decoded_faulty core ~runner ());
+    ("stepped", stepped);
+  ]
+
+let driver_platforms =
+  ("DET", P.Config.deterministic, [])
+  :: ("RAND", P.Config.mbpta_compliant, [])
+  :: variant_platforms
+
+(* Each driver on a fresh core, memory image and runner of the same seeds:
+   the core, and the run's metrics or the [Invalid_argument] it raised. *)
+let drive ~config ~contenders ~seed ~program ~load driver =
+  let memory = Isa.Memory.create program in
+  load memory;
+  let decoded = Isa.Executor.Decoded.decode ~program ~layout:(Isa.Layout.sequential program) in
+  let runner = Runner.create ~decoded ~memory () in
+  let core = P.Core_sim.create ~contenders ~config ~seed () in
+  (core, match driver core runner with m -> Ok m | exception Invalid_argument e -> Error e)
+
+let test_drivers_agree () =
+  List.iter
+    (fun (pname, config, contenders) ->
+      List.iter
+        (fun (k : K.t) ->
+          List.iter
+            (fun seed ->
+              let run (dname, driver) =
+                match
+                  drive ~config ~contenders ~seed:(Int64.add 1000L seed) ~program:k.K.program
+                    ~load:(fun m -> k.K.load_input m (Prng.create seed))
+                    driver
+                with
+                | _, Ok m -> pp_metrics m
+                | _, Error e -> Alcotest.failf "%s %s: %s raised %s" pname k.K.name dname e
+              in
+              let want = run (List.hd drivers) in
+              List.iter
+                (fun d ->
+                  checks
+                    (Printf.sprintf "%s %s seed %Ld: %s" pname k.K.name seed (fst d))
+                    want (run d))
+                (List.tl drivers))
+            golden_seeds)
+        (K.all ()))
+    driver_platforms
+
+(* A loop over [d] that reads one element past its end: every class of
+   timed work happens before the out-of-bounds read raises. *)
+let raising_program () =
+  let module B = Isa.Builder in
+  let module I = Isa.Instr in
+  let b = B.create ~name:"raises" in
+  B.declare_data b ~symbol:"d" ~elements:24;
+  B.label b "main";
+  B.emit b (I.Li (1, 0));
+  B.emit b (I.Li (2, 1));
+  B.label b "loop";
+  B.emit b (I.Fld (0, B.at ~index_reg:1 "d"));
+  B.emit b (I.Fadd (1, 1, 0));
+  B.emit b (I.Fdiv (2, 1, 0));
+  B.emit b (I.Fsqrt (3, 2));
+  B.emit b (I.Fst (3, B.at ~index_reg:1 "d"));
+  B.emit b (I.Mul (3, 1, 2));
+  B.emit b (I.Add (1, 1, 2));
+  B.emit b (I.Jmp "loop");
+  B.build b ~entry:"main"
+
+let test_drivers_raise_alike () =
+  let program = raising_program () in
+  let load m =
+    for i = 0 to 23 do
+      Isa.Memory.set m "d" i (float_of_int ((3 * i) + 1) /. 7.)
+    done
+  in
+  List.iter
+    (fun (pname, config, contenders) ->
+      let clock (dname, driver) =
+        match drive ~config ~contenders ~seed:7L ~program ~load driver with
+        | core, Error _ -> P.Core_sim.cycles core
+        | _, Ok _ -> Alcotest.failf "%s %s: the run did not raise" pname dname
+      in
+      let want = clock (List.hd drivers) in
+      checkb (pname ^ ": the clock ran before the raise") true (want > 0);
+      List.iter
+        (fun d ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s clock at the raise" pname (fst d)) want
+            (clock d))
+        (List.tl drivers))
+    driver_platforms
+
+(* ------------------------------------------------------------------ *)
 (* Instrumentation sanity: the decode cache and batch scratches are
    actually exercised by the above (a healthy hot path reuses both). *)
 
@@ -570,6 +681,13 @@ let () =
         [
           Alcotest.test_case "trace+store byte identity, jobs 1 and 4" `Quick
             test_campaign_byte_identity;
+        ] );
+      ( "drivers",
+        [
+          Alcotest.test_case "run = supervised = stepped, every kernel and platform" `Quick
+            test_drivers_agree;
+          Alcotest.test_case "a raise leaves one clock in all three" `Quick
+            test_drivers_raise_alike;
         ] );
       ( "counters",
         [ Alcotest.test_case "decode cache + batch exercised" `Quick test_hotpath_counters ] );
