@@ -99,31 +99,54 @@ let element_index (a : raddr) regs =
   idx
 
 (* Timing consumer of the runner.  Nothing is allocated per executed
-   instruction: the runner calls the per-work-class hook directly —
-   [on_fetch] first for every instruction (base cycle + instruction fetch),
-   then at most one work hook.  Work classes that add no latency in the
-   platform model (integer ALU, nop, not-taken branches) get no hook call
-   at all. *)
+   instruction.  The costs that are the same every time for a given
+   instruction and config live in the sink as ints, and the runner adds
+   them to the sink's clock itself: the base cycle and L1 hit of a fetch
+   on the previous fetch's IL1 line, FADD/FMUL-class latency, integer
+   multiply and the taken-branch flush.  Only a fetch from another line,
+   a data access and FDIV/FSQRT call a closure. *)
 type sink = {
   on_fetch : int -> unit;
-  on_int_mul : unit -> unit;
   on_read : int -> unit;
   on_write : int -> unit;
-  on_fp_short : Instr.fpu_op -> unit;
   on_fp_long : Instr.fpu_op -> float -> float -> unit;
-  on_taken : unit -> unit;
+  fp_short : int;
+  int_mul : int;
+  branch_taken : int;
+  same_line : int;
+  line_shift : int;
+  mutable cycles : int;
+  mutable fetch_line : int;
+  mutable pending_line_hits : int;
 }
 
-let no_timing =
+let no_timing () =
   {
     on_fetch = ignore;
-    on_int_mul = ignore;
     on_read = ignore;
     on_write = ignore;
-    on_fp_short = ignore;
     on_fp_long = (fun _ _ _ -> ());
-    on_taken = ignore;
+    fp_short = 0;
+    int_mul = 0;
+    branch_taken = 0;
+    same_line = 0;
+    line_shift = 0;
+    cycles = 0;
+    fetch_line = -1;
+    pending_line_hits = 0;
   }
+
+(* The fetch of every instruction: on the previous fetch's line it is the
+   fixed [same_line] cost and one more pending hit, elsewhere the sink's
+   [on_fetch], which decides whether to arm [fetch_line]. *)
+let[@inline] fetch (sink : sink) addr =
+  if addr lsr sink.line_shift = sink.fetch_line then begin
+    sink.cycles <- sink.cycles + sink.same_line;
+    sink.pending_line_hits <- sink.pending_line_hits + 1
+  end
+  else sink.on_fetch addr
+
+let[@inline] add_cycles (sink : sink) n = sink.cycles <- sink.cycles + n
 
 module Decoded = struct
   (* The memory-independent half of the decode: everything [resolve] can
@@ -248,14 +271,15 @@ module Decoded = struct
       }
 
     (* One instruction: architectural effects first (including any
-       out-of-bounds raise), then the timing hooks.  A run that crashes
-       mid-instruction has therefore made exactly the platform accesses
-       (and PRNG draws) of the instructions before it; the committed engine
-       fixture pins this order. *)
+       out-of-bounds raise), then the fetch, then at most one work event or
+       fixed cost.  A run that crashes mid-instruction has therefore made
+       exactly the platform accesses (and PRNG draws) of the instructions
+       before it, and its clock holds exactly their cycles; the committed
+       engine fixture pins this order. *)
     let[@inline] exec_one t (sink : sink) =
       let pc = t.pc in
       let op = t.code.(pc) in
-      let fetch = t.fetch_addrs.(pc) in
+      let addr = t.fetch_addrs.(pc) in
       t.retired <- t.retired + 1;
       let next = pc + 1 in
       let regs = t.regs and fregs = t.fregs in
@@ -263,101 +287,101 @@ module Decoded = struct
       | RLi (rd, v) ->
           regs.(rd) <- v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RAdd (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) + regs.(r2);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RAddi (rd, r1, v) ->
           regs.(rd) <- regs.(r1) + v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RSub (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) - regs.(r2);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RMul (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) * regs.(r2);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_int_mul ()
+          fetch sink addr;
+          add_cycles sink sink.int_mul
       | RFli (fd, v) ->
           fregs.(fd) <- v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RFld (fd, a) ->
           let idx = element_index a regs in
           fregs.(fd) <- a.values.(idx);
           t.loads <- t.loads + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch sink addr;
           sink.on_read (a.byte_base + (idx * Layout.element_bytes))
       | RFst (fs, a) ->
           let idx = element_index a regs in
           a.values.(idx) <- fregs.(fs);
           t.stores <- t.stores + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch sink addr;
           sink.on_write (a.byte_base + (idx * Layout.element_bytes))
       | RFadd (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) +. fregs.(f2);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fetch sink addr;
+          add_cycles sink sink.fp_short
       | RFsub (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) -. fregs.(f2);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fetch sink addr;
+          add_cycles sink sink.fp_short
       | RFmul (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) *. fregs.(f2);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fmul_op
+          fetch sink addr;
+          add_cycles sink sink.fp_short
       | RFdiv (fd, f1, f2) ->
           let x = fregs.(f1) and y = fregs.(f2) in
           fregs.(fd) <- x /. y;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch sink addr;
           sink.on_fp_long Instr.Fdiv_op x y
       | RFsqrt (fd, f1) ->
           let x = fregs.(f1) in
           fregs.(fd) <- sqrt x;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch sink addr;
           sink.on_fp_long Instr.Fsqrt_op x 0.
       | RFabs (fd, f1) ->
           fregs.(fd) <- Float.abs fregs.(f1);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fetch sink addr;
+          add_cycles sink sink.fp_short
       | RFmov (fd, f1) ->
           fregs.(fd) <- fregs.(f1);
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fetch sink addr;
+          add_cycles sink sink.fp_short
       | RFcvt (rd, f1) ->
           regs.(rd) <- int_of_float fregs.(f1);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RIcvt (fd, r1) ->
           fregs.(fd) <- float_of_int regs.(r1);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RBlt (r1, r2, l) ->
           t.branches <- t.branches + 1;
           let cond = regs.(r1) < regs.(r2) in
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RBge (r1, r2, l) ->
           t.branches <- t.branches + 1;
@@ -365,12 +389,12 @@ module Decoded = struct
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RBeq (r1, r2, l) ->
           t.branches <- t.branches + 1;
@@ -378,12 +402,12 @@ module Decoded = struct
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RBne (r1, r2, l) ->
           t.branches <- t.branches + 1;
@@ -391,12 +415,12 @@ module Decoded = struct
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RFblt (f1, f2, l) ->
           t.branches <- t.branches + 1;
@@ -404,12 +428,12 @@ module Decoded = struct
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RFbge (f1, f2, l) ->
           t.branches <- t.branches + 1;
@@ -417,19 +441,19 @@ module Decoded = struct
           if cond then begin
             t.taken <- t.taken + 1;
             t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
+            fetch sink addr;
+            add_cycles sink sink.branch_taken
           end
           else begin
             t.pc <- next;
-            sink.on_fetch fetch
+            fetch sink addr
           end
       | RJmp l ->
           t.branches <- t.branches + 1;
           t.taken <- t.taken + 1;
           t.pc <- l;
-          sink.on_fetch fetch;
-          sink.on_taken ()
+          fetch sink addr;
+          add_cycles sink sink.branch_taken
       | RCall l ->
           if t.sp >= max_call_depth then raise (Stack_overflow_ t.name);
           t.call_stack.(t.sp) <- next;
@@ -437,8 +461,8 @@ module Decoded = struct
           t.branches <- t.branches + 1;
           t.taken <- t.taken + 1;
           t.pc <- l;
-          sink.on_fetch fetch;
-          sink.on_taken ()
+          fetch sink addr;
+          add_cycles sink sink.branch_taken
       | RRet ->
           t.branches <- t.branches + 1;
           t.taken <- t.taken + 1;
@@ -447,14 +471,14 @@ module Decoded = struct
              t.sp <- t.sp - 1;
              t.pc <- t.call_stack.(t.sp)
            end);
-          sink.on_fetch fetch;
-          sink.on_taken ()
+          fetch sink addr;
+          add_cycles sink sink.branch_taken
       | RNop ->
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch sink addr
       | RHalt ->
           t.running <- false;
-          sink.on_fetch fetch
+          fetch sink addr
 
     (* The Runaway bound moves out of the inner loop: execute in blocks of
        at most [block] instructions, re-checking the remaining budget only
@@ -516,10 +540,11 @@ module Decoded = struct
        a not-taken branch, so step without timing and read the branch
        counters around each instruction. *)
     let path_signature t =
+      let sink = no_timing () in
       let h = ref 0 in
       while t.running do
         let branches = t.branches and taken = t.taken in
-        step t ~sink:no_timing;
+        step t ~sink;
         if t.branches <> branches then
           h := ((!h * 16777619) lxor if t.taken <> taken then 1 else 2) land max_int
       done;
@@ -531,7 +556,7 @@ let runner ?max_instructions ~program ~layout ~memory () =
   Decoded.Runner.create ?max_instructions ~decoded:(Decoded.decode ~program ~layout) ~memory ()
 
 let run ?max_instructions ~program ~layout ~memory () =
-  Decoded.Runner.run (runner ?max_instructions ~program ~layout ~memory ()) ~sink:no_timing
+  Decoded.Runner.run (runner ?max_instructions ~program ~layout ~memory ()) ~sink:(no_timing ())
 
 let path_signature ?max_instructions ~program ~layout ~memory () =
   Decoded.Runner.path_signature (runner ?max_instructions ~program ~layout ~memory ())

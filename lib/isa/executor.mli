@@ -32,30 +32,50 @@ type stats = {
     A program is decoded once ({!Decoded.decode} — label targets, data
     bases and fetch addresses all resolved to flat arrays), linked against
     a live memory image once per {!Decoded.Runner}, and streams timing
-    through a {!sink} of per-work-class hooks with no per-instruction
-    allocation.
+    into a {!sink} with no per-instruction allocation.
 
-    The call sequence seen by the platform model is, per instruction:
-    architectural effects, then fetch, then at most one work event.  Cycle
-    counts, stats and PRNG draw order follow from it; the committed fixture
-    [test/fixtures/engine_golden.txt] pins them bit for bit. *)
+    The order seen by the platform model is, per instruction:
+    architectural effects, then the fetch, then at most one work event or
+    fixed cost.  Cycle counts, stats and PRNG draw order follow from it;
+    the committed fixture [test/fixtures/engine_golden.txt] pins them bit
+    for bit. *)
 
-(** Per-work-class timing hooks; see {!Decoded}.  [on_fetch] is called once
-    per executed instruction with its fetch address; work classes with zero
-    platform latency (integer ALU, nop, not-taken branches) get no further
-    call. *)
+(** The platform's timing model as the runner sees it: a clock, the costs
+    that are the same every time for a given instruction and config, and
+    closures for the events whose cost depends on platform state.
+
+    Per instruction the runner first fetches.  A fetch whose address, shifted
+    right by [line_shift], equals [fetch_line] adds [same_line] to [cycles]
+    and one to [pending_line_hits]; any other fetch calls [on_fetch] with
+    its address, which may set [fetch_line] to arm that fold for the next
+    fetch (a sink that never sets it sees every fetch).  Then FADD/FSUB/
+    FMUL/FABS/FMOV add [fp_short], MUL adds [int_mul], a taken branch, jump,
+    call or return adds [branch_taken], a load calls [on_read], a store
+    [on_write] and FDIV/FSQRT [on_fp_long].  Integer ALU, conversions, nop
+    and not-taken branches add nothing past the fetch.  So [cycles] is
+    exact after every instruction, including one that raises.
+
+    The runner writes [cycles], [fetch_line] and [pending_line_hits]; the
+    sink's owner reads them and may change them between instructions, e.g.
+    to add idle cycles or to apply the pending hits. *)
 type sink = {
-  on_fetch : int -> unit;
-  on_int_mul : unit -> unit;
+  on_fetch : int -> unit;  (** fetch from a line other than [fetch_line], byte address *)
   on_read : int -> unit;  (** data read, byte address *)
   on_write : int -> unit;  (** data write, byte address *)
-  on_fp_short : Instr.fpu_op -> unit;
-  on_fp_long : Instr.fpu_op -> float -> float -> unit;  (** op, operands *)
-  on_taken : unit -> unit;  (** taken-branch redirect *)
+  on_fp_long : Instr.fpu_op -> float -> float -> unit;  (** FDIV/FSQRT, operands *)
+  fp_short : int;  (** cycles of an FADD/FMUL-class operation *)
+  int_mul : int;  (** cycles of an integer multiply *)
+  branch_taken : int;  (** cycles of a taken-branch redirect *)
+  same_line : int;  (** cycles of a fetch from [fetch_line] *)
+  line_shift : int;  (** [addr lsr line_shift] is the line of byte [addr] *)
+  mutable cycles : int;  (** the clock *)
+  mutable fetch_line : int;  (** the line a fetch folds on; -1 for none *)
+  mutable pending_line_hits : int;  (** folded fetches not yet applied by the owner *)
 }
 
-(** The sink of an untimed run: every hook ignores its event. *)
-val no_timing : sink
+(** [no_timing ()] — a fresh sink for an untimed run: every cost is 0,
+    every closure ignores its event, and no fetch folds. *)
+val no_timing : unit -> sink
 
 module Decoded : sig
   type t

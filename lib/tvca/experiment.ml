@@ -458,6 +458,6 @@ let path_signature t ~run_index =
 let check_functional t ~run_index =
   let s, sc = untimed_runner t ~run_index in
   let (_ : Isa.Executor.stats) =
-    Isa.Executor.Decoded.Runner.run s.s_runner ~sink:Isa.Executor.no_timing
+    Isa.Executor.Decoded.Runner.run s.s_runner ~sink:(Isa.Executor.no_timing ())
   in
   output_error t sc s.s_memory

@@ -405,15 +405,14 @@ let test_retire_stream_matches () =
   let layout = Layout.sequential p in
   let events = ref [] in
   let record e = events := e :: !events in
+  (* [on_fetch] never arms [fetch_line], so no fetch folds *)
   let sink =
     {
+      (Executor.no_timing ()) with
       Executor.on_fetch = (fun a -> record (Fetch a));
-      on_int_mul = (fun () -> record Other);
       on_read = (fun a -> record (Read a));
       on_write = (fun a -> record (Write a));
-      on_fp_short = (fun _ -> record Other);
       on_fp_long = (fun _ _ _ -> record Other);
-      on_taken = (fun () -> record Other);
     }
   in
   let decoded = Executor.Decoded.decode ~program:p ~layout in
@@ -429,6 +428,72 @@ let test_retire_stream_matches () =
         a;
       checki "write addr" (Layout.data_address layout ~symbol:"d" ~element:1) b'
   | _ -> Alcotest.fail "unexpected event stream"
+
+let test_same_line_fetches_fold () =
+  (* a sink that arms [fetch_line] on every [on_fetch]: a straight-line
+     program over two 32-byte IL1 lines calls [on_fetch] once per line, and
+     the runner adds every other fetch and every fixed cost to the clock *)
+  let b = Builder.create ~name:"fold" in
+  Builder.label b "main";
+  Builder.emit b (I.Li (0, 3));
+  Builder.emit b (I.Li (1, 4));
+  Builder.emit b (I.Mul (2, 0, 1));
+  Builder.emit b (I.Fli (0, 1.5));
+  Builder.emit b (I.Fadd (1, 0, 0));
+  Builder.emit b (I.Fmul (2, 1, 0));
+  Builder.emit b (I.Jmp "next");
+  Builder.label b "next";
+  Builder.emit b (I.Fsub (3, 2, 1));
+  Builder.emit b (I.Fabs (4, 3));
+  Builder.emit b (I.Fmov (5, 4));
+  Builder.emit b (I.Add (3, 2, 2));
+  Builder.emit b (I.Blt (3, 0, "main"));
+  Builder.emit b (I.Mul (4, 3, 3));
+  Builder.emit b I.Nop;
+  Builder.emit b I.Halt;
+  let p = Builder.build b ~entry:"main" in
+  let layout = Layout.sequential p in
+  let n = Program.length p in
+  let line pc = Layout.code_address layout pc lsr 5 in
+  checki "the program spans two lines" 2 (line (n - 1) - line 0 + 1);
+  let fetched = ref [] in
+  let rec sink =
+    {
+      Executor.on_fetch =
+        (fun a ->
+          fetched := a :: !fetched;
+          sink.Executor.fetch_line <- a lsr 5);
+      on_read = ignore;
+      on_write = ignore;
+      on_fp_long = (fun _ _ _ -> ());
+      fp_short = 3;
+      int_mul = 5;
+      branch_taken = 7;
+      same_line = 2;
+      line_shift = 5;
+      cycles = 0;
+      fetch_line = -1;
+      pending_line_hits = 0;
+    }
+  in
+  let runner =
+    Executor.Decoded.Runner.create ~decoded:(Executor.Decoded.decode ~program:p ~layout)
+      ~memory:(Memory.create p) ()
+  in
+  let stats = Executor.Decoded.Runner.run runner ~sink in
+  checki "every instruction retired" n stats.Executor.retired;
+  checkb "one on_fetch per line, at its first instruction" true
+    (List.rev !fetched
+    = List.filter_map
+        (fun pc ->
+          if pc = 0 || line pc <> line (pc - 1) then Some (Layout.code_address layout pc)
+          else None)
+        (List.init n Fun.id));
+  checki "the other fetches are pending" (n - 2) sink.Executor.pending_line_hits;
+  (* 2 MUL, 5 FADD/FMUL class, 1 taken jump (the BLT falls through) *)
+  checki "clock = folded fetches + fixed costs"
+    ((2 * (n - 2)) + (2 * 5) + (5 * 3) + 7)
+    sink.Executor.cycles
 
 let test_layout_independence_of_semantics =
   (* results do not depend on the layout, only timing would *)
@@ -504,13 +569,13 @@ let test_runner_restart_and_siblings () =
   in
   let j1 = job 1 and j2 = job 2 in
   while not (Runner.finished j1 && Runner.finished j2) do
-    Runner.step j1 ~sink:Executor.no_timing;
-    Runner.step j2 ~sink:Executor.no_timing
+    Runner.step j1 ~sink:(Executor.no_timing ());
+    Runner.step j2 ~sink:(Executor.no_timing ())
   done;
   checkf "job 1 stored its r10" 1. (Memory.get memory "d" 1);
   checkf "job 2 stored its r10" 2. (Memory.get memory "d" 2);
   checki "each job retired its own 3 instructions" 3 (Runner.stats j1).Executor.retired;
-  Runner.step j1 ~sink:Executor.no_timing;
+  Runner.step j1 ~sink:(Executor.no_timing ());
   checki "step after finishing is a no-op" 3 (Runner.stats j1).Executor.retired;
   checkb "the template runner never ran" false (Runner.finished linked);
   List.iter
@@ -677,6 +742,7 @@ let () =
           Alcotest.test_case "ret at top level" `Quick test_ret_at_top_level_halts;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "retire stream" `Quick test_retire_stream_matches;
+          Alcotest.test_case "same-line fetches fold" `Quick test_same_line_fetches_fold;
           test_layout_independence_of_semantics;
           Alcotest.test_case "path signature" `Quick test_path_signature_distinguishes;
           Alcotest.test_case "runner restart and siblings" `Quick
