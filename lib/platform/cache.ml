@@ -208,8 +208,9 @@ let flush t =
 
 (* ---- SEU injection hooks (driven by Fault) ---- *)
 
+(* An upset reaches bits 0-29 of a tag, as {!Fault} draws them. *)
 let inject_tag_flip t ~set ~way ~bit =
-  if set < 0 || set >= t.sets || way < 0 || way >= t.ways then
+  if set < 0 || set >= t.sets || way < 0 || way >= t.ways || bit < 0 || bit >= 30 then
     invalid_arg "Cache.inject_tag_flip: site out of range";
   let slot = (set * t.ways) + way in
   let tag = t.tags.(slot) in
@@ -217,7 +218,7 @@ let inject_tag_flip t ~set ~way ~bit =
     (* Flipping a tag bit re-labels the stored line: the original line will
        now miss, and the aliased line would falsely hit.  Keep the result
        non-negative so it never collides with the invalid sentinel. *)
-    t.tags.(slot) <- tag lxor (1 lsl (bit land 29)) land max_int;
+    t.tags.(slot) <- tag lxor (1 lsl bit) land max_int;
     t.mru <- -1
   end
 

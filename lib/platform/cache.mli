@@ -63,7 +63,8 @@ val line_shift : t -> int
     flip on an invalid way is absorbed (no architectural state held).  A
     valid-bit flip invalidates a valid line, or revives an invalid way with
     [garbage_line] — a stale/garbage tag, as after an upset in the valid
-    bit. *)
+    bit.  [bit] must lie in [[0, 30)]; it and the site raise
+    [Invalid_argument] out of range. *)
 
 val inject_tag_flip : t -> set:int -> way:int -> bit:int -> unit
 val inject_valid_flip : t -> set:int -> way:int -> garbage_line:int -> unit

@@ -137,13 +137,15 @@ let flush t =
 let entries t = t.entries
 let page_shift t = t.page_shift
 
-(* SEU hook: flip one bit of a stored page number.  An upset in an invalid
-   entry has no architectural state to corrupt and is absorbed. *)
+(* SEU hook: flip one of bits 0-29 of a stored page number, as {!Fault}
+   draws them.  An upset in an invalid entry has no architectural state to
+   corrupt and is absorbed. *)
 let inject_entry_flip t ~entry ~bit =
-  if entry < 0 || entry >= t.entries then invalid_arg "Tlb.inject_entry_flip: out of range";
+  if entry < 0 || entry >= t.entries || bit < 0 || bit >= 30 then
+    invalid_arg "Tlb.inject_entry_flip: out of range";
   let page = t.pages.(entry) in
   if page >= 0 then begin
-    t.pages.(entry) <- page lxor (1 lsl (bit land 29)) land max_int;
+    t.pages.(entry) <- page lxor (1 lsl bit) land max_int;
     (* The flip can duplicate a live page; from here on only the scan's
        first-match answer is canonical, so drop the MRU hint. *)
     t.mru <- -1

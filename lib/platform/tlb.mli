@@ -31,9 +31,10 @@ val entries : t -> int
     page size is a power of two; [-1] otherwise. *)
 val page_shift : t -> int
 
-(** SEU hook (driven by {!Fault}): flip one bit of the page number stored in
-    [entry].  The stale translation makes the original page miss again; an
-    upset in an invalid entry is absorbed. *)
+(** SEU hook (driven by {!Fault}): flip bit [bit], in [[0, 30)], of the
+    page number stored in [entry].  The stale translation makes the
+    original page miss again; an upset in an invalid entry is absorbed.
+    Raises [Invalid_argument] on an entry or bit out of range. *)
 val inject_entry_flip : t -> entry:int -> bit:int -> unit
 
 type stats = { hits : int; misses : int }

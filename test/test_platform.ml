@@ -324,6 +324,62 @@ let test_tlb_bulk_mru_hits () =
           P.Tlb.add_mru_hits bulk 1))
     all_replacements
 
+(* An upset at bit b of a filled slot re-labels it by exactly that bit:
+   the line or page with bit b flipped hits, which needs the stored tag to
+   equal it, and the original misses.  A single-set cache looks every line
+   up in the slot that was flipped, whatever its set-index bits. *)
+let flip_line = 0x2A5_5A5A
+
+let test_cache_tag_flip_bits () =
+  let config =
+    {
+      P.Config.geometry = { P.Config.size_bytes = 32; line_bytes = 32; ways = 1 };
+      placement = P.Config.Modulo;
+      replacement = P.Config.Lru;
+    }
+  in
+  let addr line = line lsl 5 in
+  for bit = 0 to 29 do
+    let c = P.Cache.create ~config ~prng:(Prng.create 1L) in
+    ignore (P.Cache.access c ~addr:(addr flip_line) ~write:false);
+    P.Cache.inject_tag_flip c ~set:0 ~way:0 ~bit;
+    let what = Printf.sprintf "bit %d: " bit in
+    checkb (what ^ "re-labelled line hits") true
+      (P.Cache.probe c ~addr:(addr (flip_line lxor (1 lsl bit))) = P.Cache.Hit);
+    checkb (what ^ "original line misses") true
+      (P.Cache.probe c ~addr:(addr flip_line) = P.Cache.Miss)
+  done;
+  let c = P.Cache.create ~config ~prng:(Prng.create 1L) in
+  List.iter
+    (fun bit ->
+      Alcotest.check_raises
+        (Printf.sprintf "bit %d rejected" bit)
+        (Invalid_argument "Cache.inject_tag_flip: site out of range")
+        (fun () -> P.Cache.inject_tag_flip c ~set:0 ~way:0 ~bit))
+    [ -1; 30; 62 ]
+
+let test_tlb_entry_flip_bits () =
+  let addr page = page * 4096 in
+  for bit = 0 to 29 do
+    let t = make_tlb ~entries:1 () in
+    ignore (P.Tlb.access t ~addr:(addr flip_line));
+    P.Tlb.inject_entry_flip t ~entry:0 ~bit;
+    let what = Printf.sprintf "bit %d: " bit in
+    (* the hit first: a miss would refill the one entry *)
+    checkb (what ^ "re-labelled page hits") true
+      (P.Tlb.access t ~addr:(addr (flip_line lxor (1 lsl bit))) = P.Tlb.Hit);
+    checkb (what ^ "original page misses") true
+      (P.Tlb.access t ~addr:(addr flip_line) = P.Tlb.Miss)
+  done;
+  let t = make_tlb ~entries:1 () in
+  List.iter
+    (fun bit ->
+      Alcotest.check_raises
+        (Printf.sprintf "bit %d rejected" bit)
+        (Invalid_argument "Tlb.inject_entry_flip: out of range")
+        (fun () -> P.Tlb.inject_entry_flip t ~entry:0 ~bit))
+    [ -1; 30; 62 ]
+
 let test_tlb_hit_after_miss () =
   let t = make_tlb () in
   checkb "miss" true (P.Tlb.access t ~addr:0x5000 = P.Tlb.Miss);
@@ -602,6 +658,7 @@ let () =
           test_cache_differential_lru;
           test_cache_hit_after_access_any_policy;
           Alcotest.test_case "bulk MRU hits = single hits" `Quick test_cache_bulk_mru_hits;
+          Alcotest.test_case "tag flip hits exactly bits 0-29" `Quick test_cache_tag_flip_bits;
         ] );
       ( "tlb",
         [
@@ -610,6 +667,8 @@ let () =
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stats" `Quick test_tlb_stats;
           Alcotest.test_case "bulk MRU hits = single hits" `Quick test_tlb_bulk_mru_hits;
+          Alcotest.test_case "entry flip hits exactly bits 0-29" `Quick
+            test_tlb_entry_flip_bits;
         ] );
       ( "fpu",
         [
