@@ -109,7 +109,7 @@ type sink = {
   on_fetch : int -> unit;
   on_read : int -> unit;
   on_write : int -> unit;
-  on_fp_long : Instr.fpu_op -> float -> float -> unit;
+  on_fp_long : Instr.fpu_op -> float array -> int -> int -> unit;
   fp_short : int;
   int_mul : int;
   branch_taken : int;
@@ -125,7 +125,7 @@ let no_timing () =
     on_fetch = ignore;
     on_read = ignore;
     on_write = ignore;
-    on_fp_long = (fun _ _ _ -> ());
+    on_fp_long = (fun _ _ _ _ -> ());
     fp_short = 0;
     int_mul = 0;
     branch_taken = 0;
@@ -275,7 +275,9 @@ module Decoded = struct
        fixed cost.  A run that crashes mid-instruction has therefore made
        exactly the platform accesses (and PRNG draws) of the instructions
        before it, and its clock holds exactly their cycles; the committed
-       engine fixture pins this order. *)
+       engine fixture pins this order.  FDIV and FSQRT, which cannot
+       raise, write their result last: the FPU model reads the operands
+       from the register file, before the result can overwrite one. *)
     let[@inline] exec_one t (sink : sink) =
       let pc = t.pc in
       let op = t.code.(pc) in
@@ -339,19 +341,17 @@ module Decoded = struct
           fetch sink addr;
           add_cycles sink sink.fp_short
       | RFdiv (fd, f1, f2) ->
-          let x = fregs.(f1) and y = fregs.(f2) in
-          fregs.(fd) <- x /. y;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
           fetch sink addr;
-          sink.on_fp_long Instr.Fdiv_op x y
+          sink.on_fp_long Instr.Fdiv_op fregs f1 f2;
+          fregs.(fd) <- fregs.(f1) /. fregs.(f2)
       | RFsqrt (fd, f1) ->
-          let x = fregs.(f1) in
-          fregs.(fd) <- sqrt x;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
           fetch sink addr;
-          sink.on_fp_long Instr.Fsqrt_op x 0.
+          sink.on_fp_long Instr.Fsqrt_op fregs f1 f1;
+          fregs.(fd) <- sqrt fregs.(f1)
       | RFabs (fd, f1) ->
           fregs.(fd) <- Float.abs fregs.(f1);
           t.pc <- next;

@@ -62,7 +62,10 @@ type sink = {
   on_fetch : int -> unit;  (** fetch from a line other than [fetch_line], byte address *)
   on_read : int -> unit;  (** data read, byte address *)
   on_write : int -> unit;  (** data write, byte address *)
-  on_fp_long : Instr.fpu_op -> float -> float -> unit;  (** FDIV/FSQRT, operands *)
+  on_fp_long : Instr.fpu_op -> float array -> int -> int -> unit;
+      (** FDIV/FSQRT: the float registers and the two operands' indices
+          (FSQRT passes its one operand twice), called before the result
+          is written *)
   fp_short : int;  (** cycles of an FADD/FMUL-class operation *)
   int_mul : int;  (** cycles of an integer multiply *)
   branch_taken : int;  (** cycles of a taken-branch redirect *)

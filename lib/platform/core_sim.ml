@@ -156,7 +156,7 @@ let create ?(contenders = []) ~config ~seed () =
       Executor.on_fetch = (fun addr -> fetch_probe t ~addr);
       on_read = (fun addr -> data_access t ~addr ~write:false);
       on_write = (fun addr -> data_access t ~addr ~write:true);
-      on_fp_long = (fun op x y -> add_cycles t (Fpu.latency fpu op ~x ~y));
+      on_fp_long = (fun op regs x y -> add_cycles t (Fpu.latency fpu op regs ~x ~y));
       (* [Fpu.latency] of FADD/FMUL is [fp_short] in either FPU mode *)
       fp_short = lat.Config.fp_short;
       int_mul = lat.Config.int_mul;

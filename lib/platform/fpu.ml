@@ -7,7 +7,11 @@ let worst_case_fsqrt = 29
 
 let create ~mode ~latencies = { mode; fp_short = latencies.Config.fp_short }
 
-let mantissa_bits v = Int64.to_int (Int64.logand (Int64.bits_of_float v) 0xFFFFFFFFFFFFFL)
+(* The operands arrive as a register file and indices, and every function
+   that takes a float is inlined: the dev build compiles with -opaque, and
+   an out-of-line call would box its float arguments. *)
+let[@inline] mantissa_bits v =
+  Int64.to_int (Int64.logand (Int64.bits_of_float v) 0xFFFFFFFFFFFFFL)
 
 (* Trailing zero count of the 52-bit mantissa, capped; more trailing zeros
    means an SRT iteration can terminate earlier. *)
@@ -18,7 +22,7 @@ let trailing_zeros m =
     go m 0
   end
 
-let fdiv_latency x y =
+let[@inline] fdiv_latency x y =
   let fy = Float.abs y in
   if fy = 0. || Float.is_nan y || Float.is_nan x then worst_case_fdiv
   else if mantissa_bits y = 0 then 8 (* divisor is a power of two: shift path *)
@@ -28,7 +32,7 @@ let fdiv_latency x y =
     17 + (4 - (credit / 2)) + extra
   end
 
-let fsqrt_latency x =
+let[@inline] fsqrt_latency x =
   if x < 0. || Float.is_nan x then worst_case_fsqrt
   else if x = 0. || x = 1. then 6 (* trivial results short-circuit *)
   else begin
@@ -37,10 +41,10 @@ let fsqrt_latency x =
     20 + (5 - credit) + extra
   end
 
-let latency t op ~x ~y =
+let latency t op regs ~x ~y =
   match (op, t.mode) with
   | (Instr.Fadd_op | Instr.Fmul_op), _ -> t.fp_short
   | Instr.Fdiv_op, Config.Worst_case_fixed -> worst_case_fdiv
   | Instr.Fsqrt_op, Config.Worst_case_fixed -> worst_case_fsqrt
-  | Instr.Fdiv_op, Config.Value_dependent -> fdiv_latency x y
-  | Instr.Fsqrt_op, Config.Value_dependent -> fsqrt_latency x
+  | Instr.Fdiv_op, Config.Value_dependent -> fdiv_latency regs.(x) regs.(y)
+  | Instr.Fsqrt_op, Config.Value_dependent -> fsqrt_latency regs.(x)

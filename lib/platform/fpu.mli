@@ -16,9 +16,11 @@ type t
 
 val create : mode:Config.fpu_mode -> latencies:Config.latencies -> t
 
-(** Latency in cycles of one operation; [x, y] are the operand values
-    ([y] ignored for FSQRT). *)
-val latency : t -> Repro_isa.Instr.fpu_op -> x:float -> y:float -> int
+(** [latency t op regs ~x ~y] — latency in cycles of one operation whose
+    operands are [regs.(x)] and [regs.(y)] ([y] ignored for FSQRT, both
+    for FADD/FMUL).  The operands stay in the register file, so no float
+    is boxed on the way. *)
+val latency : t -> Repro_isa.Instr.fpu_op -> float array -> x:int -> y:int -> int
 
 (** The fixed analysis-time latencies. *)
 val worst_case_fdiv : int

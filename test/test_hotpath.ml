@@ -612,17 +612,18 @@ let test_run_decoded_words () =
           words run_decoded_bound)
     platforms
 
-(* ~81,600 instructions a run at frames 8 against ~10,200 at frames 1: what is
-   left grows with the long FP operations, whose two operands the sink
-   receives boxed. *)
+(* ~81,600 instructions a run at frames 8 against ~10,200 at frames 1: both
+   allocate the same 270 words, so nothing on the instruction path
+   allocates.  The long FP operations' operands, which the sink received
+   boxed, were the last 241 words of difference. *)
 let test_run_decoded_flat () =
   List.iter
     (fun (pname, config) ->
       let w8 = run_decoded_words ~frames:8 config in
       let w1 = run_decoded_words ~frames:1 config in
-      if w8 -. w1 >= 500. then
+      if w8 -. w1 >= 1. then
         Alcotest.failf
-          "%s: frames 8 allocated %.0f words a run, frames 1 %.0f: grows by %.0f, want < 500"
+          "%s: frames 8 allocated %.0f words a run, frames 1 %.0f: grows by %.0f, want < 1"
           pname w8 w1 (w8 -. w1))
     platforms
 

@@ -412,7 +412,7 @@ let test_retire_stream_matches () =
       Executor.on_fetch = (fun a -> record (Fetch a));
       on_read = (fun a -> record (Read a));
       on_write = (fun a -> record (Write a));
-      on_fp_long = (fun _ _ _ -> record Other);
+      on_fp_long = (fun _ _ _ _ -> record Other);
     }
   in
   let decoded = Executor.Decoded.decode ~program:p ~layout in
@@ -465,7 +465,7 @@ let test_same_line_fetches_fold () =
           sink.Executor.fetch_line <- a lsr 5);
       on_read = ignore;
       on_write = ignore;
-      on_fp_long = (fun _ _ _ -> ());
+      on_fp_long = (fun _ _ _ _ -> ());
       fp_short = 3;
       int_mul = 5;
       branch_taken = 7;

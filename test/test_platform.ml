@@ -416,30 +416,34 @@ let test_tlb_stats () =
 
 let fpu mode = P.Fpu.create ~mode ~latencies:P.Config.default_latencies
 
+(* The latency of [op] on operand values [x] and [y], held in a register
+   file as the runner hands them over. *)
+let latency f op ~x ~y = P.Fpu.latency f op [| x; y |] ~x:0 ~y:1
+
 let test_fpu_short_ops_fixed () =
   List.iter
     (fun mode ->
       let f = fpu mode in
       checki "fadd" P.Config.default_latencies.P.Config.fp_short
-        (P.Fpu.latency f I.Fadd_op ~x:1.0 ~y:2.0);
+        (latency f I.Fadd_op ~x:1.0 ~y:2.0);
       checki "fmul" P.Config.default_latencies.P.Config.fp_short
-        (P.Fpu.latency f I.Fmul_op ~x:1.0 ~y:2.0))
+        (latency f I.Fmul_op ~x:1.0 ~y:2.0))
     [ P.Config.Value_dependent; P.Config.Worst_case_fixed ]
 
 let test_fpu_worst_case_mode_constant () =
   let f = fpu P.Config.Worst_case_fixed in
-  let l1 = P.Fpu.latency f I.Fdiv_op ~x:1.0 ~y:3.0 in
-  let l2 = P.Fpu.latency f I.Fdiv_op ~x:123.456 ~y:0.001 in
+  let l1 = latency f I.Fdiv_op ~x:1.0 ~y:3.0 in
+  let l2 = latency f I.Fdiv_op ~x:123.456 ~y:0.001 in
   checki "fdiv constant" l1 l2;
   checki "fdiv is worst case" P.Fpu.worst_case_fdiv l1;
   checki "fsqrt is worst case" P.Fpu.worst_case_fsqrt
-    (P.Fpu.latency f I.Fsqrt_op ~x:2.0 ~y:0.0)
+    (latency f I.Fsqrt_op ~x:2.0 ~y:0.0)
 
 let test_fpu_value_dependent_varies () =
   let f = fpu P.Config.Value_dependent in
   let latencies =
     List.map
-      (fun (x, y) -> P.Fpu.latency f I.Fdiv_op ~x ~y)
+      (fun (x, y) -> latency f I.Fdiv_op ~x ~y)
       [ (1.0, 2.0); (1.0, 3.0); (7.13, 0.39); (5.5, 1.5); (1e10, 3.7) ]
   in
   checkb "fdiv latency varies with operands" true
@@ -451,20 +455,20 @@ let test_fpu_value_dependent_bounded_by_worst () =
   for _ = 1 to 2000 do
     let x = Prng.gaussian g *. (10. ** float_of_int (Prng.int_below g 6)) in
     let y = Prng.gaussian g *. (10. ** float_of_int (Prng.int_below g 6)) in
-    let ld = P.Fpu.latency f I.Fdiv_op ~x ~y in
+    let ld = latency f I.Fdiv_op ~x ~y in
     checkb "fdiv <= worst" true (ld <= P.Fpu.worst_case_fdiv && ld >= 1);
-    let ls = P.Fpu.latency f I.Fsqrt_op ~x:(Float.abs x) ~y:0. in
+    let ls = latency f I.Fsqrt_op ~x:(Float.abs x) ~y:0. in
     checkb "fsqrt <= worst" true (ls <= P.Fpu.worst_case_fsqrt && ls >= 1)
   done
 
 let test_fpu_fast_paths () =
   let f = fpu P.Config.Value_dependent in
   checkb "power-of-two divisor fast" true
-    (P.Fpu.latency f I.Fdiv_op ~x:7.3 ~y:2.0
-    < P.Fpu.latency f I.Fdiv_op ~x:7.3 ~y:3.0);
+    (latency f I.Fdiv_op ~x:7.3 ~y:2.0
+    < latency f I.Fdiv_op ~x:7.3 ~y:3.0);
   checkb "sqrt of one fast" true
-    (P.Fpu.latency f I.Fsqrt_op ~x:1.0 ~y:0.
-    < P.Fpu.latency f I.Fsqrt_op ~x:1.7 ~y:0.)
+    (latency f I.Fsqrt_op ~x:1.0 ~y:0.
+    < latency f I.Fsqrt_op ~x:1.7 ~y:0.)
 
 (* ------------------------------------------------------------------ *)
 (* DRAM *)
