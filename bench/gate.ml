@@ -9,7 +9,8 @@
    --seconds 1], one in each checkout, and compares every end-to-end
    metric of the change's BENCHMARK.json.  It prints one row per workload
    x metric: both medians with their quartiles, the change in the median,
-   the one-sided p of a slowdown, Cohen's d and the verdict.
+   in how many pairs the change did better, the one-sided p of a
+   slowdown, Cohen's d and the verdict.
 
    Exit codes: 0 pass; 1 a metric regressed, or a change run did not
    print "correct": true; 2 usage error, or a change run could not build
@@ -137,9 +138,11 @@ type row = {
   p_worse : float;  (** one-sided p of the change being worse *)
   d : float;  (** Cohen's d, change minus parent *)
   worse_by : float;  (** [delta] signed so that positive is worse *)
+  better : int;  (** pairs in which the change's run beat the parent's *)
 }
 
-(* [None] when a run's result lacks the metric. *)
+(* [None] when a run's result lacks the metric.  [measure] conses both
+   sides' runs in the same order, so index i of each is pair i. *)
 let compare_metric parent change (metric, lower) =
   let values runs = Array.of_list (List.filter_map (List.assoc_opt metric) runs) in
   let p = values parent and c = values change in
@@ -150,6 +153,7 @@ let compare_metric parent change (metric, lower) =
     let delta = (cs.D.median -. ps.D.median) /. ps.D.median in
     let worse_mean = if lower then t.mean_b > t.mean_a else t.mean_b < t.mean_a in
     let half = t.p_value /. 2. in
+    let beats p c = if lower then c < p else c > p in
     Some
       {
         parent = ps;
@@ -158,6 +162,7 @@ let compare_metric parent change (metric, lower) =
         p_worse = (if worse_mean then half else 1. -. half);
         d = S.Effect_size.cohens_d c p;
         worse_by = (if lower then delta else -.delta);
+        better = Array.fold_left (fun k b -> if b then k + 1 else k) 0 (Array.map2 beats p c);
       }
 
 let () =
@@ -183,8 +188,9 @@ let () =
     "%d alternating pairs of %d s runs per workload; a regression is > %.0f%% worse in \
      the median with one-sided p < %.2g (%g / %d comparisons)\n\n"
     pairs seconds (100. *. floor) level alpha (List.length rows);
-  Printf.printf "%-15s %-12s %-31s %-31s %8s %9s %6s  %s\n" "workload" "metric"
-    "parent median [q1, q3]" "change median [q1, q3]" "delta" "p(worse)" "d" "verdict";
+  Printf.printf "%-15s %-12s %-31s %-31s %8s %7s %9s %6s  %s\n" "workload" "metric"
+    "parent median [q1, q3]" "change median [q1, q3]" "delta" "better" "p(worse)" "d"
+    "verdict";
   List.iter
     (fun (w, r) ->
       match r with
@@ -196,9 +202,10 @@ let () =
               match row with
               | None -> print_endline "not compared: missing from a run"
               | Some r ->
-                  Printf.printf "%-31s %-31s %+7.1f%% %9.2g %+6.2f  %s\n"
-                    (quartiles r.parent) (quartiles r.change) (100. *. r.delta) r.p_worse
-                    r.d
+                  Printf.printf "%-31s %-31s %+7.1f%% %7s %9.2g %+6.2f  %s\n"
+                    (quartiles r.parent) (quartiles r.change) (100. *. r.delta)
+                    (Printf.sprintf "%d/%d" r.better pairs)
+                    r.p_worse r.d
                     (if regressed r then "REGRESSION" else "ok"))
             metric_rows)
     table;
