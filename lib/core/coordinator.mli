@@ -115,5 +115,4 @@ val run_worker :
     steps). *)
 
 val pp_failure : Format.formatter -> worker_failure -> unit
-val pp_shard_report : Format.formatter -> shard_report -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -1,5 +1,6 @@
 include Repro_profile
 
+(* The key prefix {!Trace.summarize} renders as the stage-profile section. *)
 let counter_prefix = "profile."
 
 let record_counters counters =

@@ -12,11 +12,6 @@ include module type of struct
   include Repro_profile
 end
 
-(** Prefix of the profile counter keys in a trace's counter registry
-    (["profile."]); {!Trace.summarize} groups counters carrying it into the
-    stage-profile section instead of the plain counter dump. *)
-val counter_prefix : string
-
 (** [record_counters counters] adds every non-empty stage total of the
     current snapshot to [counters] as ["profile.<stage>_ns"],
     ["profile.<stage>_minor_words"] and ["profile.<stage>_calls"].

@@ -21,8 +21,6 @@ val compare :
   unit ->
   comparison
 
-val pp_comparison : Format.formatter -> comparison -> unit
-
 (** {2 Schedule-randomization report}
 
     One row per shuffle policy.  [lib/core] deliberately does not see the

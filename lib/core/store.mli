@@ -248,7 +248,6 @@ val set_fail_after : session -> int -> unit
 
 val lookup : session -> phase:string -> lo:int -> len:int -> float array option
 val persist : session -> phase:string -> lo:int -> float array -> unit
-val lookup_trails : session -> phase:string -> lo:int -> len:int -> trail array option
 val persist_trails : session -> phase:string -> lo:int -> trail array -> unit
 
 (** {1 Collect drivers} *)

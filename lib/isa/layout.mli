@@ -12,7 +12,6 @@
 
 type t
 
-val instruction_bytes : int
 val element_bytes : int
 
 (** [sequential ?code_base ?data_base ?gap program] — the "natural" linker

@@ -65,5 +65,4 @@ val count : t -> int
 (** Injection log, oldest first. *)
 val records : t -> record list
 
-val pp_site : Format.formatter -> site -> unit
 val pp_record : Format.formatter -> record -> unit

@@ -22,10 +22,4 @@ type t = {
 
 val cycles : t -> int
 
-(** Cycles per instruction. *)
-val cpi : t -> float
-
-val il1_miss_rate : t -> float
-val dl1_miss_rate : t -> float
-
 val pp : Format.formatter -> t -> unit

@@ -68,6 +68,8 @@ let chi_square_uniformity ?(alpha = 0.01) ?(buckets = 64) prng ~draws =
   let p = chi_square_upper_tail ~df:(buckets - 1) stat in
   { statistic = stat; p_value = p; passed = p >= alpha }
 
+(* NIST SP 800-22 frequency test: one-bits over [draws] 32-bit outputs
+   against the binomial expectation. *)
 let monobit ?(alpha = 0.01) prng ~draws =
   let ones = ref 0 in
   for _ = 1 to draws do

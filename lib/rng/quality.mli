@@ -18,11 +18,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
     of [Prng.float] into [buckets] equal cells and tests uniformity. *)
 val chi_square_uniformity : ?alpha:float -> ?buckets:int -> Prng.t -> draws:int -> verdict
 
-(** [monobit ?alpha prng ~draws] counts one-bits over [draws] 32-bit outputs
-    and compares to the binomial expectation (NIST SP 800-22 frequency
-    test). *)
-val monobit : ?alpha:float -> Prng.t -> draws:int -> verdict
-
 (** [runs ?alpha prng ~draws] Wald-Wolfowitz runs test on the
     above/below-median sequence of [draws] floats: detects serial
     dependence. *)

@@ -27,9 +27,6 @@ val normal_cdf : float -> float
     one Halley step; |error| < 1e-9). *)
 val normal_quantile : float -> float
 
-(** Natural log of the beta function B(a, b), for [a > 0], [b > 0]. *)
-val log_beta : float -> float -> float
-
 (** Regularized incomplete beta I_x(a, b), for [a > 0], [b > 0] and
     [x] in [[0, 1]] (NR-style continued fraction, symmetry-split at
     [(a + 1) / (a + b + 2)]). *)

@@ -31,10 +31,6 @@ val sym_ref_x : string
 val sym_ref_y : string
 val sym_cmd_x : string
 val sym_cmd_y : string
-val sym_state : string
-val sym_scratch : string
-val sym_history_x : string
-val sym_history_y : string
 val sym_gain_table : string
 val sym_covariance : string
 
