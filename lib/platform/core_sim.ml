@@ -10,7 +10,6 @@ type t = {
   dl1 : Cache.t;
   itlb : Tlb.t;
   dtlb : Tlb.t;
-  fpu : Fpu.t;
   bus : Bus.t;
   dram : Dram.t;
   mutable prng : Prng.t;  (* mutable so a reused simulator can be reseeded *)
@@ -134,7 +133,6 @@ let create ?(contenders = []) ~config ~seed () =
       dl1;
       itlb;
       dtlb;
-      fpu;
       bus;
       dram;
       prng;

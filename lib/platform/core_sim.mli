@@ -44,9 +44,13 @@ val reset_run : t -> unit
     what lets a batch of runs amortize simulator construction. *)
 val reseed : t -> seed:int64 -> unit
 
-(** [sink t] — the pipeline timing model as the runner's per-work-class
-    hooks: each event advances [t]'s clock.  Exposed so schedulers can
-    interleave several runners on one core ({!Repro_isa.Executor.Decoded.Runner.step}). *)
+(** [sink t] — the pipeline timing model as the runner's sink, built once
+    by {!create}: the platform's fixed latencies, [t]'s clock and fetch
+    hints, and the closures for a fetch from a new IL1 line, a data access
+    and FDIV/FSQRT.  The runner updates the clock after every instruction,
+    so {!cycles} is exact between any two steps.  Exposed so schedulers can
+    interleave several runners on one core
+    ({!Repro_isa.Executor.Decoded.Runner.step}). *)
 val sink : t -> Repro_isa.Executor.sink
 
 (** Add idle cycles (e.g. a scheduler's timer tick overhead). *)
@@ -74,9 +78,9 @@ val run_program :
     bits as a fresh simulator would. *)
 
 (** [run_decoded t ~runner] — [reset_run], reset the runner, execute to
-    completion through the per-work-class timing sink, return the run's
-    metrics.  The caller must have reset and reloaded the runner's memory
-    image (e.g. {!Repro_isa.Memory.clear} + scenario load). *)
+    completion through {!sink}, return the run's metrics.  The caller must
+    have reset and reloaded the runner's memory image (e.g.
+    {!Repro_isa.Memory.clear} + scenario load). *)
 val run_decoded : t -> runner:Repro_isa.Executor.Decoded.Runner.t -> Metrics.t
 
 (** [run_decoded_faulty t ?injector ?watchdog_budget ~runner ()] — like
