@@ -8,8 +8,8 @@ let worst_case_fsqrt = 29
 let create ~mode ~latencies = { mode; fp_short = latencies.Config.fp_short }
 
 (* The operands arrive as a register file and indices, and every function
-   that takes a float is inlined: the dev build compiles with -opaque, and
-   an out-of-line call would box its float arguments. *)
+   here that takes a float is inlined: an out-of-line call boxes its float
+   arguments, and the runner's FDIV/FSQRT path should allocate nothing. *)
 let[@inline] mantissa_bits v =
   Int64.to_int (Int64.logand (Int64.bits_of_float v) 0xFFFFFFFFFFFFFL)
 
