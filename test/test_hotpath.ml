@@ -612,10 +612,9 @@ let test_run_decoded_words () =
           words run_decoded_bound)
     platforms
 
-(* ~81,600 instructions a run at frames 8 against ~10,200 at frames 1: both
-   allocate the same 270 words, so nothing on the instruction path
-   allocates.  The long FP operations' operands, which the sink received
-   boxed, were the last 241 words of difference. *)
+(* ~81,600 instructions a run at frames 8 against ~10,200 at frames 1: the
+   same words, because nothing on the instruction path allocates, the
+   operands FDIV/FSQRT hand to the FPU model included. *)
 let test_run_decoded_flat () =
   List.iter
     (fun (pname, config) ->
