@@ -212,11 +212,12 @@ let test_replacement_random_eventually_evicts_any_way () =
 
 (* Differential check: the modulo+LRU cache must agree, access by access,
    with an obviously-correct reference simulator (per-set list of lines in
-   recency order). *)
-let reference_lru_trace ~sets ~ways ~line_bytes reads =
+   recency order).  A write hit refreshes recency like a read; a write miss
+   allocates nothing. *)
+let reference_lru_trace ~sets ~ways ~line_bytes accesses =
   let table = Array.make sets [] in
   List.map
-    (fun addr ->
+    (fun (addr, write) ->
       let line = addr / line_bytes in
       let set = line mod sets in
       let entry = table.(set) in
@@ -225,22 +226,70 @@ let reference_lru_trace ~sets ~ways ~line_bytes reads =
         P.Cache.Hit
       end
       else begin
-        let kept = if List.length entry >= ways then List.filteri (fun i _ -> i < ways - 1) entry else entry in
-        table.(set) <- line :: kept;
+        if not write then begin
+          let kept = if List.length entry >= ways then List.filteri (fun i _ -> i < ways - 1) entry else entry in
+          table.(set) <- line :: kept
+        end;
         P.Cache.Miss
       end)
-    reads
+    accesses
+
+(* Half the lines spread over 0-255; the other half come from 32 lines
+   that recur (4 to a set) and whose line numbers differ by multiples of
+   1,024, so equal low bits meet both on hits and on evictions.  One
+   access in four is a write. *)
+let lru_access =
+  QCheck.(
+    pair
+      (oneof
+         [
+           int_range 0 255;
+           map (fun (i, k) -> i + (1024 * k)) (pair (int_range 0 7) (int_range 0 3));
+         ])
+      (map (fun n -> n = 0) (int_range 0 3)))
 
 let test_cache_differential_lru =
   qtest
     (QCheck.Test.make ~name:"modulo+LRU cache == reference model" ~count:200
-       QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 255))
-       (fun line_indices ->
-         let addrs = List.map (fun i -> i * 32) line_indices in
+       QCheck.(list_of_size (Gen.int_range 1 300) lru_access)
+       (fun lines ->
+         let accesses = List.map (fun (line, write) -> (line * 32, write)) lines in
          let c = make_cache () in
-         let got = List.map (fun addr -> P.Cache.access c ~addr ~write:false) addrs in
-         let expected = reference_lru_trace ~sets:16 ~ways:2 ~line_bytes:32 addrs in
+         let got = List.map (fun (addr, write) -> P.Cache.access c ~addr ~write) accesses in
+         let expected = reference_lru_trace ~sets:16 ~ways:2 ~line_bytes:32 accesses in
          got = expected))
+
+(* An upset that leaves two ways of one set holding the same line: the
+   next access touches the first of them in way order, as the placement-
+   then-scan lookup finds it.  In set 0 of the 16-set 2-way LRU cache,
+   way 0 gets line 48 and way 1 line 16, and line 16 is looked up last;
+   [upset] then turns way 0 into a second copy of line 16.  Re-reading
+   line 16 must touch way 0, so the fill of line 32 evicts way 1, and a
+   valid-bit flip at way 0 removes line 16 and keeps line 32.  Had the
+   re-read touched way 1, the fill would evict way 0 and the flip would
+   remove line 32 instead. *)
+let test_cache_alias_after_upset () =
+  let addr line = line * 32 in
+  let check what upset =
+    let c = make_cache () in
+    List.iter (fun line -> ignore (P.Cache.access c ~addr:(addr line) ~write:false)) [ 48; 16 ];
+    upset c;
+    checkb (what ^ ": both copies hit") true
+      (P.Cache.access c ~addr:(addr 16) ~write:false = P.Cache.Hit);
+    checkb (what ^ ": line 32 fills") true
+      (P.Cache.access c ~addr:(addr 32) ~write:false = P.Cache.Miss);
+    P.Cache.inject_valid_flip c ~set:0 ~way:0 ~garbage_line:0;
+    checkb (what ^ ": line 16 was in way 0") true (P.Cache.probe c ~addr:(addr 16) = P.Cache.Miss);
+    checkb (what ^ ": line 32 went to way 1") true (P.Cache.probe c ~addr:(addr 32) = P.Cache.Hit)
+  in
+  (* 48 = 16 lxor (1 lsl 5) *)
+  check "tag flip" (fun c -> P.Cache.inject_tag_flip c ~set:0 ~way:0 ~bit:5);
+  (* way 0 emptied, line 16 looked up in way 1, then way 0 revived as 16 *)
+  check "valid flip" (fun c ->
+      P.Cache.inject_valid_flip c ~set:0 ~way:0 ~garbage_line:0;
+      checkb "valid flip: line 16 in way 1" true
+        (P.Cache.access c ~addr:(addr 16) ~write:false = P.Cache.Hit);
+      P.Cache.inject_valid_flip c ~set:0 ~way:0 ~garbage_line:16)
 
 let test_cache_hit_after_access_any_policy =
   qtest
@@ -663,6 +712,7 @@ let () =
           test_cache_hit_after_access_any_policy;
           Alcotest.test_case "bulk MRU hits = single hits" `Quick test_cache_bulk_mru_hits;
           Alcotest.test_case "tag flip hits exactly bits 0-29" `Quick test_cache_tag_flip_bits;
+          Alcotest.test_case "aliased line after an upset" `Quick test_cache_alias_after_upset;
         ] );
       ( "tlb",
         [
