@@ -25,7 +25,11 @@ type t = {
   tags : int array;  (* sets*ways, flat; full line number, -1 = invalid *)
   recency : int array;  (* sets*ways, flat; last-use stamp for LRU *)
   rr : int array;  (* per-set round-robin pointer *)
-  mutable mru : int;  (* last slot hit/filled, -1 = none; a pure search shortcut *)
+  memo : int array;
+      (* memo_size entries, indexed [line land memo_mask]: the slot where
+         that line was last found or filled, -1 = none; a pure search
+         shortcut *)
+  mutable mru : int;  (* last slot hit/filled, -1 = none; read by [add_mru_hits] *)
   mutable clock : int;
   mutable prng : Prng.t;  (* mutable so a reused simulator can be reseeded *)
   mutable seed_material : int;  (* per-flush salt for randomized placement *)
@@ -34,6 +38,13 @@ type t = {
   mutable misses : int;
   mutable write_throughs : int;
 }
+
+(* A power of two above the lines a TVCA run touches in either L1 (181
+   code lines, 702 data lines, each range from an aligned base), so no two
+   of them share an entry; a collision would only send the probe down the
+   full path. *)
+let memo_size = 1024
+let memo_mask = memo_size - 1
 
 (* splitmix-like 2-in-1 mixer used as the placement hash. *)
 let mix a b =
@@ -63,6 +74,7 @@ let create ~config ~prng =
     tags = Array.make (sets * ways) (-1);
     recency = Array.make (sets * ways) 0;
     rr = Array.make sets 0;
+    memo = Array.make memo_size (-1);
     mru = -1;
     clock = 0;
     prng;
@@ -136,31 +148,31 @@ let victim_slot t ~set ~base =
 
 let access t ~addr ~write =
   let line = addr lsr t.line_shift in
-  (* MRU shortcut: consecutive accesses overwhelmingly land on the line of
-     the previous one (straight-line fetch, array streams), and a stored
-     tag is the full line number, unique cache-wide within a run — so a tag
-     match at the hinted slot is exactly the hit [find_slot] would have
-     found, without even computing the set (the randomized placements hash
-     on every probe).  Same outcome, same recency write, no PRNG
-     interaction.  The SEU hooks below drop the hint: a corrupted tag can
-     alias a live line, and then only the placement-then-scan answer is
-     canonical. *)
-  let mru = t.mru in
-  if mru >= 0 && Array.unsafe_get t.tags mru = line then begin
-    t.accesses <- t.accesses + 1;
-    if write then t.write_throughs <- t.write_throughs + 1;
+  t.accesses <- t.accesses + 1;
+  if write then t.write_throughs <- t.write_throughs + 1;
+  (* Memo shortcut: the memo holds only slots that the placement-then-
+     scan path below found or filled for a line, and a stored tag is the
+     full line number, unique cache-wide within a run, so a tag match at
+     the memoized slot is exactly the hit [find_slot] would find, without
+     computing the set (the randomized placements hash on every probe).
+     Same outcome, same recency write, no PRNG interaction.  The SEU hooks
+     below clear the memo: a corrupted tag can alias a live line, and then
+     only the placement-then-scan answer is canonical. *)
+  let key = line land memo_mask in
+  let slot = Array.unsafe_get t.memo key in
+  if slot >= 0 && Array.unsafe_get t.tags slot = line then begin
     t.hits <- t.hits + 1;
-    touch t mru;
+    t.mru <- slot;
+    touch t slot;
     Hit
   end
   else begin
     let set = set_of_line t line in
     let base = set * t.ways in
-    t.accesses <- t.accesses + 1;
-    if write then t.write_throughs <- t.write_throughs + 1;
     let slot = find_slot t ~base line in
     if slot >= 0 then begin
       t.hits <- t.hits + 1;
+      Array.unsafe_set t.memo key slot;
       t.mru <- slot;
       touch t slot;
       Hit
@@ -172,6 +184,7 @@ let access t ~addr ~write =
       if not write then begin
         let slot = victim_slot t ~set ~base in
         Array.unsafe_set t.tags slot line;
+        Array.unsafe_set t.memo key slot;
         t.mru <- slot;
         touch t slot
       end;
@@ -201,6 +214,7 @@ let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.recency 0 (Array.length t.recency) 0;
   Array.fill t.rr 0 t.sets 0;
+  Array.fill t.memo 0 memo_size (-1);
   t.mru <- -1;
   t.clock <- 0;
   (* A flush models a run boundary: draw a fresh placement salt. *)
@@ -219,6 +233,7 @@ let inject_tag_flip t ~set ~way ~bit =
        now miss, and the aliased line would falsely hit.  Keep the result
        non-negative so it never collides with the invalid sentinel. *)
     t.tags.(slot) <- tag lxor (1 lsl bit) land max_int;
+    Array.fill t.memo 0 memo_size (-1);
     t.mru <- -1
   end
 
@@ -227,6 +242,7 @@ let inject_valid_flip t ~set ~way ~garbage_line =
     invalid_arg "Cache.inject_valid_flip: site out of range";
   let slot = (set * t.ways) + way in
   if t.tags.(slot) >= 0 then t.tags.(slot) <- -1 else t.tags.(slot) <- abs garbage_line;
+  Array.fill t.memo 0 memo_size (-1);
   t.mru <- -1
 
 type stats = { accesses : int; hits : int; misses : int; write_throughs : int }
