@@ -920,14 +920,13 @@ let summarize events =
   (match List.rev !notes with
   | [] -> ()
   | ns -> List.iter (fun n -> add "note: %s\n" n) ns);
-  (* Profile counters carry the "profile." prefix; render them as the
-     stage table instead of burying them in the raw counter dump.  With
+  (* Profile counters carry [Repro_profile.counter_prefix]; render them as
+     the stage table instead of burying them in the raw counter dump.  With
      several Counter events per name (one per flush, cumulative totals),
      the head of [!counters] is the latest — [assoc_opt] finds it first. *)
   let profile_counters, plain_counters =
     List.partition
-      (fun (name, _) ->
-        String.length name > 8 && String.equal (String.sub name 0 8) "profile.")
+      (fun (name, _) -> String.starts_with ~prefix:Repro_profile.counter_prefix name)
       !counters
   in
   (match List.sort (fun (a, _) (b, _) -> String.compare a b) plain_counters with
@@ -937,11 +936,7 @@ let summarize events =
       List.iter (fun (name, value) -> add "  %-28s %14d\n" name value) cs);
   if profile_counters <> [] then begin
     let lookup stage suffix =
-      match
-        List.assoc_opt
-          ("profile." ^ Repro_profile.stage_name stage ^ suffix)
-          profile_counters
-      with
+      match List.assoc_opt (Repro_profile.counter_name stage suffix) profile_counters with
       | Some v -> v
       | None -> 0
     in

@@ -39,6 +39,9 @@ let stage_name = function
   | Store -> "store"
   | Analysis -> "analysis"
 
+let counter_prefix = "profile."
+let counter_name stage suffix = counter_prefix ^ stage_name stage ^ suffix
+
 (* One atomic cell per stage per quantity.  Fetch-and-add is commutative, so
    concurrent domains lose nothing; totals are exact regardless of
    interleaving.  [Atomic.t] boxes each cell separately, which also keeps

@@ -38,8 +38,18 @@ type stage =
 (** All stages, in the fixed presentation order used by reports. *)
 val stages : stage list
 
-(** Stable lowercase name, used as the counter key ["profile.<name>_ns"]. *)
+(** Stable lowercase name, part of every counter key ({!counter_name}). *)
 val stage_name : stage -> string
+
+(** ["profile."], the prefix of every counter key that carries a stage
+    total.  [trace summary] renders the counters that start with it as the
+    stage table. *)
+val counter_prefix : string
+
+(** [counter_name stage suffix] is the trace counter key
+    ["profile.<stage_name stage><suffix>"] ([suffix] is ["_ns"],
+    ["_minor_words"] or ["_calls"]). *)
+val counter_name : stage -> string -> string
 
 (** Enable or disable globally.  Disabled is the default and costs one
     atomic load per annotation. *)
