@@ -9,8 +9,11 @@
    --seconds 1], one in each checkout, and compares every end-to-end
    metric of the change's BENCHMARK.json.  It prints one row per workload
    x metric: both medians with their quartiles, the change in the median,
-   in how many pairs the change did better, the one-sided p of a
-   slowdown, Cohen's d and the verdict.
+   in how many pairs the change did better, whether its median is better
+   than the parent's by more than the parent's interquartile range, the
+   one-sided p of a slowdown, Cohen's d and the verdict.  The two middle
+   columns read off a gain claim: the change wins at least 9 of 10 pairs
+   and its median moves beyond the parent's quartile spread.
 
    Exit codes: 0 pass; 1 a metric regressed, or a change run did not
    print "correct": true; 2 usage error, or a change run could not build
@@ -139,6 +142,9 @@ type row = {
   d : float;  (** Cohen's d, change minus parent *)
   worse_by : float;  (** [delta] signed so that positive is worse *)
   better : int;  (** pairs in which the change's run beat the parent's *)
+  beyond_iqr : bool;
+      (** the change's median is better than the parent's by more than the
+          parent's q3 - q1 *)
 }
 
 (* [None] when a run's result lacks the metric.  [measure] conses both
@@ -154,6 +160,7 @@ let compare_metric parent change (metric, lower) =
     let worse_mean = if lower then t.mean_b > t.mean_a else t.mean_b < t.mean_a in
     let half = t.p_value /. 2. in
     let beats p c = if lower then c < p else c > p in
+    let gain = if lower then ps.D.median -. cs.D.median else cs.D.median -. ps.D.median in
     Some
       {
         parent = ps;
@@ -163,6 +170,7 @@ let compare_metric parent change (metric, lower) =
         d = S.Effect_size.cohens_d c p;
         worse_by = (if lower then delta else -.delta);
         better = Array.fold_left (fun k b -> if b then k + 1 else k) 0 (Array.map2 beats p c);
+        beyond_iqr = gain > ps.D.q3 -. ps.D.q1;
       }
 
 let () =
@@ -188,8 +196,8 @@ let () =
     "%d alternating pairs of %d s runs per workload; a regression is > %.0f%% worse in \
      the median with one-sided p < %.2g (%g / %d comparisons)\n\n"
     pairs seconds (100. *. floor) level alpha (List.length rows);
-  Printf.printf "%-15s %-12s %-31s %-31s %8s %7s %9s %6s  %s\n" "workload" "metric"
-    "parent median [q1, q3]" "change median [q1, q3]" "delta" "better" "p(worse)" "d"
+  Printf.printf "%-15s %-12s %-31s %-31s %8s %7s %6s %9s %6s  %s\n" "workload" "metric"
+    "parent median [q1, q3]" "change median [q1, q3]" "delta" "better" "> IQR" "p(worse)" "d"
     "verdict";
   List.iter
     (fun (w, r) ->
@@ -202,9 +210,10 @@ let () =
               match row with
               | None -> print_endline "not compared: missing from a run"
               | Some r ->
-                  Printf.printf "%-31s %-31s %+7.1f%% %7s %9.2g %+6.2f  %s\n"
+                  Printf.printf "%-31s %-31s %+7.1f%% %7s %6s %9.2g %+6.2f  %s\n"
                     (quartiles r.parent) (quartiles r.change) (100. *. r.delta)
                     (Printf.sprintf "%d/%d" r.better pairs)
+                    (if r.beyond_iqr then "yes" else "no")
                     r.p_worse r.d
                     (if regressed r then "REGRESSION" else "ok"))
             metric_rows)
