@@ -39,10 +39,10 @@ type t = {
   mutable write_throughs : int;
 }
 
-(* A power of two above the lines a TVCA run touches in either L1 (181
-   code lines, 702 data lines, each range from an aligned base), so no two
-   of them share an entry; a collision would only send the probe down the
-   full path. *)
+(* A power of two above the line span of TVCA's code (181 lines) and data
+   (702 lines), each range from an aligned base, so no two lines a run
+   touches share an entry of one cache's memo; a collision would only send
+   the probe down the full path. *)
 let memo_size = 1024
 let memo_mask = memo_size - 1
 

@@ -27,7 +27,16 @@ val create : config:Config.cache_config -> prng:Repro_rng.Prng.t -> t
 (** [access t ~addr ~write] looks up the line containing byte [addr];
     allocation on read misses; write misses do not allocate (no-write-
     allocate) and write hits refresh recency only (write-through has no
-    dirty state). *)
+    dirty state).
+
+    A hit costs one memo check: a 1,024-entry memo, indexed by the line
+    number's low bits, keeps the slot where each line was last found or
+    filled, and when that slot still holds the line the probe skips the
+    placement hash and the way scan.  Any other probe (a miss, a line
+    whose entry another line with the same low bits took, the first probe
+    after a {!flush} or an SEU hook) computes the set and scans its ways,
+    as {!probe} does, and records the slot it finds or fills.  Outcomes,
+    recency and PRNG draws are those of the full lookup. *)
 val access : t -> addr:int -> write:bool -> outcome
 
 (** [add_mru_hits t k] — the state [k] more read [access]es to the line of
