@@ -210,12 +210,16 @@ let probe t ~addr =
   let set = set_of_line t line in
   if find_slot t ~base:(set * t.ways) line >= 0 then Hit else Miss
 
+(* Forget both search shortcuts, the memo and the MRU slot. *)
+let drop_hints t =
+  Array.fill t.memo 0 memo_size (-1);
+  t.mru <- -1
+
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.recency 0 (Array.length t.recency) 0;
   Array.fill t.rr 0 t.sets 0;
-  Array.fill t.memo 0 memo_size (-1);
-  t.mru <- -1;
+  drop_hints t;
   t.clock <- 0;
   (* A flush models a run boundary: draw a fresh placement salt. *)
   t.seed_material <- Prng.bits32 t.prng
@@ -233,8 +237,7 @@ let inject_tag_flip t ~set ~way ~bit =
        now miss, and the aliased line would falsely hit.  Keep the result
        non-negative so it never collides with the invalid sentinel. *)
     t.tags.(slot) <- tag lxor (1 lsl bit) land max_int;
-    Array.fill t.memo 0 memo_size (-1);
-    t.mru <- -1
+    drop_hints t
   end
 
 let inject_valid_flip t ~set ~way ~garbage_line =
@@ -242,8 +245,7 @@ let inject_valid_flip t ~set ~way ~garbage_line =
     invalid_arg "Cache.inject_valid_flip: site out of range";
   let slot = (set * t.ways) + way in
   if t.tags.(slot) >= 0 then t.tags.(slot) <- -1 else t.tags.(slot) <- abs garbage_line;
-  Array.fill t.memo 0 memo_size (-1);
-  t.mru <- -1
+  drop_hints t
 
 type stats = { accesses : int; hits : int; misses : int; write_throughs : int }
 
