@@ -216,6 +216,133 @@ let test_warm_queries () =
         (counter counters "cache.runs_simulated")
   | r -> Alcotest.failf "expected an i.i.d. answer, got %s" (Sp.response_to_line r)
 
+(* ------------------------------------------------------------------ *)
+(* Warm answers equal a direct analysis.  Each sample is written as the
+   collect_rand record of a spec through the public store API, as a
+   finished campaign leaves it; every spec of the grid then queries it
+   warm, and the answer must be what [Protocol.analyze] gives on the same
+   sample: the same value bits, or the same [Failed] text. *)
+
+let store_dir_of sock = Filename.concat (Filename.dirname sock) "store"
+
+let write_record ~sock (spec : Cs.t) xs =
+  let store = M.Store.open_root ~dir:(store_dir_of sock) in
+  match
+    M.Store.open_session store ~key:(Cs.key spec) ~config:(Cs.store_config spec)
+      ~runs:spec.runs ~resilient:false
+  with
+  | Error e -> Alcotest.failf "open_session: %s" e
+  | Ok session ->
+      Fun.protect
+        ~finally:(fun () -> M.Store.close session)
+        (fun () ->
+          ignore
+            (M.Store.collect ~jobs:1 session ~phase:M.Campaign.phase_collect_rand spec.runs
+               (fun i -> xs.(i))))
+
+(* Cycle-count-like draws: rounded Gumbel values, plus [slope] cycles a
+   run ([slope] > 0 is a trend the i.i.d. gate rejects). *)
+let synthetic ~seed ~slope n =
+  let prng = Repro_rng.Prng.create seed in
+  let d = Repro_stats.Distribution.Gumbel.create ~mu:220_000. ~beta:900. in
+  Array.init n (fun i ->
+      Float.round (Repro_stats.Distribution.Gumbel.sample d prng +. (slope *. float_of_int i)))
+
+(* A JSON number as a float: an integral float crosses the wire as an
+   integer. *)
+let number = function
+  | M.Trace.Json.Float f -> Some f
+  | M.Trace.Json.Int i -> Some (float_of_int i)
+  | _ -> None
+
+let rec same_value a b =
+  match (a, b) with
+  | M.Trace.Json.Obj xs, M.Trace.Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (k', y) -> String.equal k k' && same_value x y) xs ys
+  | _ -> (
+      match (number a, number b) with
+      | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | _ -> a = b)
+
+let expected_answer query = function
+  | Error f -> Error (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
+  | Ok (a : M.Protocol.analysis) ->
+      Ok
+        (match query with
+        | Sp.Pwcet p ->
+            M.Trace.Json.Float (Repro_evt.Pwcet.estimate a.curve ~cutoff_probability:p)
+        | Sp.Iid_verdict ->
+            M.Trace.Json.Obj
+              [
+                ("accepted", M.Trace.Json.Bool a.iid.M.Iid.accepted);
+                ( "lb_p",
+                  M.Trace.Json.Float a.iid.M.Iid.ljung_box.Repro_stats.Ljung_box.p_value );
+                ( "ks_p",
+                  M.Trace.Json.Float a.iid.M.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value );
+              ])
+
+let test_warm_answers_direct () =
+  (* an accepted sample that converges, a trend, and a sample too short
+     to converge (3 estimates cannot make a streak of 3 stable steps) *)
+  let samples =
+    [
+      ("i.i.d.", 4111L, synthetic ~seed:4111L ~slope:0. 1500, "analyzed");
+      ("trend", 4112L, synthetic ~seed:4112L ~slope:20. 600, "i.i.d. rejected");
+      ("short", 4113L, synthetic ~seed:4113L ~slope:0. 300, "not converged");
+    ]
+  in
+  let outcome = function
+    | Ok _ -> "analyzed"
+    | Error (M.Protocol.Iid_rejected _) -> "i.i.d. rejected"
+    | Error (M.Protocol.Not_converged _) -> "not converged"
+    | Error f -> Format.asprintf "%a" M.Protocol.pp_failure f
+  in
+  with_server @@ fun _srv sock ->
+  List.iter
+    (fun (name, seed, xs, gated) ->
+      let base = { Cs.default with runs = Array.length xs; seed; frames = 2 } in
+      write_record ~sock base xs;
+      List.iter
+        (fun ((_, tail), no_gates, bootstrap) ->
+          let spec = { base with tail; no_gates; bootstrap } in
+          let counters = M.Trace.Counters.create () in
+          let trace = M.Trace.create_mem ~level:M.Trace.Summary ~counters () in
+          let direct = M.Protocol.analyze ~options:(Cs.options spec) ~trace xs in
+          let steps = counter (M.Trace.Counters.snapshot counters) "analysis.convergence_steps" in
+          let what =
+            Printf.sprintf "%s, tail %s, gates %b, bootstrap %d" name (Cs.tail_name tail)
+              (not no_gates) bootstrap
+          in
+          Alcotest.(check string)
+            (what ^ ": direct outcome")
+            (if no_gates then "analyzed" else gated)
+            (outcome direct);
+          List.iter
+            (fun query ->
+              let label = Printf.sprintf "%s, %s" what (Sp.request_to_line (Sp.Query { spec; query })) in
+              match (request sock (Sp.Query { spec; query }), expected_answer query direct) with
+              | Sp.Answer { value; counters; _ }, Ok want ->
+                  if not (same_value value want) then
+                    Alcotest.failf "%s: answered %s, a direct analysis gives %s" label
+                      (M.Trace.Json.to_string value) (M.Trace.Json.to_string want);
+                  Alcotest.(check (option int))
+                    (label ^ ": nothing simulated") (Some 0)
+                    (counter counters "cache.runs_simulated");
+                  Alcotest.(check (option int))
+                    (label ^ ": convergence steps") steps
+                    (counter counters "analysis.convergence_steps")
+              | Sp.Failed got, Error want -> Alcotest.(check string) label want got
+              | r, _ -> Alcotest.failf "%s: unexpected %s" label (Sp.response_to_line r))
+            [ Sp.Pwcet 1e-9; Sp.Pwcet 1e-3; Sp.Iid_verdict ])
+        (List.concat_map
+           (fun tail ->
+             List.concat_map
+               (fun no_gates -> List.map (fun b -> (tail, no_gates, b)) [ 0; 50 ])
+               [ false; true ])
+           Cs.tails))
+    samples
+
 let test_shutdown_drains () =
   let in_flight = spec ~seed:4107L in
   let queued = spec ~seed:4108L in
@@ -503,6 +630,8 @@ let () =
           Alcotest.test_case "concurrent identical requests coalesce" `Quick
             test_concurrent_coalesced;
           Alcotest.test_case "warm-only queries" `Quick test_warm_queries;
+          Alcotest.test_case "warm answers = a direct analysis" `Quick
+            test_warm_answers_direct;
         ] );
       ( "admission",
         [ Alcotest.test_case "overload gets a typed rejection" `Quick
