@@ -617,8 +617,12 @@ let iid runs seed frames jobs trace_path trace_level cache_dir resume no_cache c
   @@ fun store ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
-  let verdict = in_analysis_phase trace (fun () -> M.Iid.check xs) in
-  (match trace with Some t -> M.Trace.emit t (M.Trace.iid_event verdict) | None -> ());
+  let gate, verdict =
+    in_analysis_phase trace (fun () ->
+        let gate = M.Iid.gate xs in
+        (gate, M.Iid.complete gate xs))
+  in
+  (match trace with Some t -> M.Trace.emit t (M.Trace.iid_event gate) | None -> ());
   Format.printf "%a@." M.Iid.pp verdict;
   0
 

@@ -1,5 +1,13 @@
 module Stats = Repro_stats
 
+type gate = {
+  ljung_box : Stats.Ljung_box.result;
+  kolmogorov_smirnov : Stats.Ks.result;
+  alpha : float;
+  accepted : bool;
+  sorted : float array Lazy.t;
+}
+
 type result = {
   ljung_box : Stats.Ljung_box.result;
   kolmogorov_smirnov : Stats.Ks.result;
@@ -8,28 +16,36 @@ type result = {
   accepted : bool;
 }
 
-let check_and_sort ?(alpha = 0.05) xs =
+let gate ?(alpha = 0.05) xs =
   let ljung_box = Stats.Ljung_box.test ~alpha xs in
   (* The KS test needs both halves sorted; merging them is the whole
-     sample sorted, in O(n), which gives the runs test its median. *)
+     sample sorted, in O(n), left to whoever needs it. *)
   let first, second = Stats.Ks.split_halves xs in
   Stats.Descriptive.sort first;
   Stats.Descriptive.sort second;
   let kolmogorov_smirnov = Stats.Ks.two_sample_sorted ~alpha first second in
-  let sorted = Stats.Descriptive.merge_sorted first second in
-  let runs_diagnostic =
-    Stats.Runs_test.test_about ~alpha ~median:(Stats.Descriptive.quantile_sorted sorted 0.5) xs
-  in
-  ( {
-      ljung_box;
-      kolmogorov_smirnov;
-      runs_diagnostic;
-      alpha;
-      accepted =
-        ljung_box.Stats.Ljung_box.independent
-        && kolmogorov_smirnov.Stats.Ks.same_distribution;
-    },
-    sorted )
+  {
+    ljung_box;
+    kolmogorov_smirnov;
+    alpha;
+    accepted =
+      ljung_box.Stats.Ljung_box.independent && kolmogorov_smirnov.Stats.Ks.same_distribution;
+    sorted = lazy (Stats.Descriptive.merge_sorted first second);
+  }
+
+let complete (g : gate) xs =
+  let median = Stats.Descriptive.quantile_sorted (Lazy.force g.sorted) 0.5 in
+  {
+    ljung_box = g.ljung_box;
+    kolmogorov_smirnov = g.kolmogorov_smirnov;
+    runs_diagnostic = Stats.Runs_test.test_about ~alpha:g.alpha ~median xs;
+    alpha = g.alpha;
+    accepted = g.accepted;
+  }
+
+let check_and_sort ?alpha xs =
+  let g = gate ?alpha xs in
+  (complete g xs, Lazy.force g.sorted)
 
 let check ?alpha xs = fst (check_and_sort ?alpha xs)
 

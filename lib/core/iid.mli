@@ -9,6 +9,24 @@
     Wald-Wolfowitz runs test is run as a complementary (non-gating)
     diagnostic. *)
 
+(** The gating pair alone: Ljung-Box on the series and KS on its two
+    halves, sorted.  [accepted] is the verdict {!check} returns; the runs
+    diagnostic and the merge of the halves are left out, so a caller that
+    reads only the verdict pays for neither. *)
+type gate = {
+  ljung_box : Repro_stats.Ljung_box.result;
+  kolmogorov_smirnov : Repro_stats.Ks.result;
+  alpha : float;
+  accepted : bool;  (** both gating tests passed *)
+  sorted : float array Lazy.t;
+      (** the sample sorted ascending in {!Repro_stats.Descriptive.sort}'s
+          order: the O(n) merge of the two sorted halves, made when first
+          forced *)
+}
+
+(** [gate ?alpha xs] — [alpha] defaults to 0.05. *)
+val gate : ?alpha:float -> float array -> gate
+
 type result = {
   ljung_box : Repro_stats.Ljung_box.result;
   kolmogorov_smirnov : Repro_stats.Ks.result;
@@ -17,7 +35,12 @@ type result = {
   accepted : bool;  (** both gating tests passed *)
 }
 
-(** [check ?alpha xs] — [alpha] defaults to 0.05. *)
+(** [complete gate xs] adds the runs diagnostic to [gate], the gate of
+    the series [xs]: the full result of [check ?alpha xs] at [gate]'s
+    alpha.  It forces [gate.sorted] for the median. *)
+val complete : gate -> float array -> result
+
+(** [check ?alpha xs] is [complete (gate ?alpha xs) xs]. *)
 val check : ?alpha:float -> float array -> result
 
 (** [check_and_sort ?alpha xs] is [check ?alpha xs] together with a fresh

@@ -43,6 +43,14 @@ let default_options =
     bootstrap = None;
   }
 
+type gate = { iid : Iid.gate; convergence : Evt.Convergence.result option }
+
+type model = {
+  tail_model : Evt.Pwcet.tail_model;
+  block_size : int;
+  fitted : float array;
+}
+
 type analysis = {
   sample : float array;
   iid : Iid.result;
@@ -103,74 +111,6 @@ let validate_sample xs =
   in
   go 0
 
-(* [xs] is the sample in measurement (time) order — block maxima must be
-   formed over it, a block is a window of consecutive runs.  [sorted_xs] is
-   the same multiset sorted ascending, from the i.i.d. check; every
-   consumer that only needs order statistics (the curve's ECDF, the POT
-   threshold and the observations above it) takes it instead of
-   re-sorting. *)
-let fit_curve (options : options) ~sorted_xs xs =
-  let block_size =
-    match options.block_size with
-    | Some b -> b
-    | None -> Evt.Block_maxima.suggest_block_size (Array.length xs)
-  in
-  match options.tail with
-  | Gumbel ->
-      let maxima = Evt.Block_maxima.extract ~block_size xs in
-      let method_ =
-        match options.fit_method with `Pwm -> Evt.Gumbel_fit.Pwm | `Mle -> Evt.Gumbel_fit.Mle
-      in
-      let model = Evt.Gumbel_fit.fit ~method_ maxima in
-      let curve =
-        Evt.Pwcet.create_sorted ~model:(Evt.Pwcet.Gumbel_tail model) ~block_size
-          ~sample:sorted_xs
-      in
-      let ad =
-        Stats.Anderson_darling.test maxima ~cdf:(Stats.Distribution.Gumbel.cdf model)
-      in
-      (block_size, curve, Evt.Gumbel_fit.goodness_of_fit model maxima, ad)
-  | Gev ->
-      let maxima = Evt.Block_maxima.extract ~block_size xs in
-      let method_ =
-        match options.fit_method with `Pwm -> Evt.Gev_fit.Pwm | `Mle -> Evt.Gev_fit.Mle
-      in
-      let model = Evt.Gev_fit.fit ~method_ maxima in
-      let curve =
-        Evt.Pwcet.create_sorted ~model:(Evt.Pwcet.Gev_tail model) ~block_size
-          ~sample:sorted_xs
-      in
-      let ad =
-        Stats.Anderson_darling.test maxima ~cdf:(Stats.Distribution.Gev.cdf model)
-      in
-      (block_size, curve, Evt.Gev_fit.goodness_of_fit model maxima, ad)
-  | Pot | Exponential_pot ->
-      let method_ =
-        if options.tail = Exponential_pot then Evt.Gpd_fit.Exponential
-        else match options.fit_method with
-          | `Pwm -> Evt.Gpd_fit.Pwm
-          | `Mle -> Evt.Gpd_fit.Mle
-      in
-      let pot = Evt.Gpd_fit.Pot.analyze ~method_ ~sorted:true sorted_xs in
-      let curve =
-        Evt.Pwcet.create_sorted ~model:(Evt.Pwcet.Pot_tail pot) ~block_size:1
-          ~sample:sorted_xs
-      in
-      (* the observations above the threshold: a suffix of [sorted_xs] *)
-      let above_threshold =
-        let k = pot.Evt.Gpd_fit.Pot.n_exceedances in
-        Array.sub sorted_xs (Array.length sorted_xs - k) k
-      in
-      let gof =
-        Stats.Ks.one_sample above_threshold
-          ~cdf:(Stats.Distribution.Gpd.cdf pot.Evt.Gpd_fit.Pot.model)
-      in
-      let ad =
-        Stats.Anderson_darling.test above_threshold
-          ~cdf:(Stats.Distribution.Gpd.cdf pot.Evt.Gpd_fit.Pot.model)
-      in
-      (1, curve, gof, ad)
-
 (* Observability glue: translate the pipeline's verdicts into trace
    events.  All no-ops when no trace is attached. *)
 let trace_emit trace event =
@@ -219,85 +159,139 @@ let counter_add trace name v =
   | None -> ()
   | Some t -> Trace.Counters.add (Trace.counters t) name v
 
-let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
-  if jobs < 1 then invalid_arg "Protocol.analyze: jobs must be >= 1";
+let gate ?(options = default_options) ?trace xs =
   let n = Array.length xs in
   if n < min_runs then Error (Not_enough_runs { have = n; need = min_runs })
   else
     match validate_sample xs with
     | Some failure -> Error failure
     | None ->
-  begin
-    let iid, sorted_xs = Iid.check_and_sort ~alpha:options.alpha xs in
-    (match trace with None -> () | Some t -> Trace.emit t (Trace.iid_event iid));
-    if options.gate_on_iid && not iid.Iid.accepted then Error (Iid_rejected iid)
-    else begin
-      (* [sorted_xs] is the i.i.d. check's by-product: the KS test sorts
-         the two halves and their merge is the sorted sample.  It is the
-         only full sort of the measurement vector: the runs-test median,
-         the curve's ECDF, the POT threshold and the tail-test threshold
-         all read it.  Ljung-Box, the convergence study and block-maxima
-         extraction keep the time-ordered [xs], where run order is the
-         point. *)
-      let convergence =
-        if options.check_convergence then
-          Some
-            (Evt.Convergence.study ~probability:options.convergence_probability
-               ~tolerance:options.convergence_tolerance xs)
-        else None
+        let iid = Iid.gate ~alpha:options.alpha xs in
+        trace_emit trace (Trace.iid_event iid);
+        if options.gate_on_iid && not iid.Iid.accepted then
+          (* the failure prints the whole battery, the runs line too *)
+          Error (Iid_rejected (Iid.complete iid xs))
+        else begin
+          (* Ljung-Box, the convergence study and block-maxima extraction
+             read the time-ordered [xs], where run order is the point. *)
+          let convergence =
+            if options.check_convergence then
+              Some
+                (Evt.Convergence.study ~probability:options.convergence_probability
+                   ~tolerance:options.convergence_tolerance xs)
+            else None
+          in
+          match convergence with
+          | Some c ->
+              counter_add trace "analysis.convergence_steps"
+                (List.length c.Evt.Convergence.history);
+              trace_emit trace
+                (Trace.Convergence
+                   {
+                     converged = c.Evt.Convergence.converged;
+                     runs_used = c.Evt.Convergence.runs_used;
+                   });
+              if c.Evt.Convergence.converged then Ok { iid; convergence }
+              else Error (Not_converged c)
+          | None -> Ok { iid; convergence }
+        end
+
+(* Block maxima are formed over the time-ordered [xs]: a block is a
+   window of consecutive runs.  POT reads order statistics only, so it
+   takes the gate's sorted sample. *)
+let model ?(options = default_options) (g : gate) xs =
+  let block_size =
+    match options.block_size with
+    | Some b -> b
+    | None -> Evt.Block_maxima.suggest_block_size (Array.length xs)
+  in
+  match options.tail with
+  | Gumbel ->
+      let maxima = Evt.Block_maxima.extract ~block_size xs in
+      let method_ =
+        match options.fit_method with `Pwm -> Evt.Gumbel_fit.Pwm | `Mle -> Evt.Gumbel_fit.Mle
       in
-      (match convergence with
-      | Some c ->
-          counter_add trace "analysis.convergence_steps"
-            (List.length c.Evt.Convergence.history);
-          trace_emit trace
-            (Trace.Convergence
-               {
-                 converged = c.Evt.Convergence.converged;
-                 runs_used = c.Evt.Convergence.runs_used;
-               })
-      | None -> ());
-      match convergence with
-      | Some c when not c.Evt.Convergence.converged -> Error (Not_converged c)
-      | Some _ | None ->
-          let block_size, curve, goodness_of_fit, goodness_of_fit_ad =
-            fit_curve options ~sorted_xs xs
-          in
-          trace_fit trace ~block_size ~curve ~gof:goodness_of_fit
-            ~ad:goodness_of_fit_ad;
-          let tail_diagnostic =
-            (* near-constant samples (a jitterless platform) have no
-               excesses to diagnose; that is fine, not an error *)
-            try Some (Evt.Tail_test.exponentiality ~sorted:true sorted_xs)
-            with Invalid_argument _ -> None
-          in
-          let bootstrap =
-            match options.bootstrap with
-            | None -> None
-            | Some b ->
-                let prng = Repro_rng.Prng.create b.bootstrap_seed in
-                let itv =
-                  Evt.Bootstrap.pwcet_interval ~replicates:b.replicates
-                    ~confidence:b.bootstrap_confidence ~jobs ~prng ~sample:xs
-                    ~cutoff_probability:b.bootstrap_probability ()
-                in
-                counter_add trace "analysis.bootstrap_replicates" b.replicates;
-                Some itv
-          in
-          Ok
-            {
-              sample = xs;
-              iid;
-              convergence;
-              block_size;
-              curve;
-              goodness_of_fit;
-              goodness_of_fit_ad;
-              tail_diagnostic;
-              bootstrap;
-            }
-    end
-  end
+      let fit = Evt.Gumbel_fit.fit ~method_ maxima in
+      { tail_model = Evt.Pwcet.Gumbel_tail fit; block_size; fitted = maxima }
+  | Gev ->
+      let maxima = Evt.Block_maxima.extract ~block_size xs in
+      let method_ =
+        match options.fit_method with `Pwm -> Evt.Gev_fit.Pwm | `Mle -> Evt.Gev_fit.Mle
+      in
+      let fit = Evt.Gev_fit.fit ~method_ maxima in
+      { tail_model = Evt.Pwcet.Gev_tail fit; block_size; fitted = maxima }
+  | Pot | Exponential_pot ->
+      let method_ =
+        if options.tail = Exponential_pot then Evt.Gpd_fit.Exponential
+        else match options.fit_method with
+          | `Pwm -> Evt.Gpd_fit.Pwm
+          | `Mle -> Evt.Gpd_fit.Mle
+      in
+      let sorted_xs = Lazy.force g.iid.Iid.sorted in
+      let pot = Evt.Gpd_fit.Pot.analyze ~method_ ~sorted:true sorted_xs in
+      (* the observations above the threshold: a suffix of [sorted_xs] *)
+      let k = pot.Evt.Gpd_fit.Pot.n_exceedances in
+      {
+        tail_model = Evt.Pwcet.Pot_tail pot;
+        block_size = 1;
+        fitted = Array.sub sorted_xs (Array.length sorted_xs - k) k;
+      }
+
+let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
+  if jobs < 1 then invalid_arg "Protocol.analyze: jobs must be >= 1";
+  match gate ~options ?trace xs with
+  | Error _ as failed -> failed
+  | Ok g ->
+      (* The gate's sorted sample is the only full sort of the
+         measurement vector: the runs-test median, the curve's ECDF, the
+         POT threshold and the tail-test threshold all read it. *)
+      let sorted_xs = Lazy.force g.iid.Iid.sorted in
+      let iid = Iid.complete g.iid xs in
+      let m = model ~options g xs in
+      let curve =
+        Evt.Pwcet.create_sorted ~model:m.tail_model ~block_size:m.block_size ~sample:sorted_xs
+      in
+      let cdf =
+        match m.tail_model with
+        | Evt.Pwcet.Gumbel_tail t -> Stats.Distribution.Gumbel.cdf t
+        | Evt.Pwcet.Gev_tail t -> Stats.Distribution.Gev.cdf t
+        | Evt.Pwcet.Pot_tail p -> Stats.Distribution.Gpd.cdf p.Evt.Gpd_fit.Pot.model
+      in
+      let goodness_of_fit = Stats.Ks.one_sample m.fitted ~cdf in
+      let goodness_of_fit_ad = Stats.Anderson_darling.test m.fitted ~cdf in
+      trace_fit trace ~block_size:m.block_size ~curve ~gof:goodness_of_fit
+        ~ad:goodness_of_fit_ad;
+      let tail_diagnostic =
+        (* near-constant samples (a jitterless platform) have no excesses
+           to diagnose; that is fine, not an error *)
+        try Some (Evt.Tail_test.exponentiality ~sorted:true sorted_xs)
+        with Invalid_argument _ -> None
+      in
+      let bootstrap =
+        match options.bootstrap with
+        | None -> None
+        | Some b ->
+            let prng = Repro_rng.Prng.create b.bootstrap_seed in
+            let itv =
+              Evt.Bootstrap.pwcet_interval ~replicates:b.replicates
+                ~confidence:b.bootstrap_confidence ~jobs ~prng ~sample:xs
+                ~cutoff_probability:b.bootstrap_probability ()
+            in
+            counter_add trace "analysis.bootstrap_replicates" b.replicates;
+            Some itv
+      in
+      Ok
+        {
+          sample = xs;
+          iid;
+          convergence = g.convergence;
+          block_size = m.block_size;
+          curve;
+          goodness_of_fit;
+          goodness_of_fit_ad;
+          tail_diagnostic;
+          bootstrap;
+        }
 
 let collect_and_analyze ?options ?jobs ~runs ~measure () =
   (* Explicit ascending loop: [Array.init]'s evaluation order is

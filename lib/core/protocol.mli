@@ -56,6 +56,25 @@ type options = {
 
 val default_options : options
 
+(** What the gate stage ({!gate}) returns for a sample it passes: the
+    i.i.d. gating pair and, when {!options.check_convergence} is set, the
+    convergence study. *)
+type gate = {
+  iid : Iid.gate;
+  convergence : Repro_evt.Convergence.result option;
+}
+
+(** What the model stage ({!model}) returns: the tail model and block
+    size that {!analyze}'s curve carries. *)
+type model = {
+  tail_model : Repro_evt.Pwcet.tail_model;
+  block_size : int;  (** runs per block; 1 for a POT model *)
+  fitted : float array;
+      (** the values the goodness-of-fit tests compare the model with:
+          the block maxima in block order, or the sorted observations
+          above the POT threshold *)
+}
+
 type analysis = {
   sample : float array;
   iid : Iid.result;
@@ -93,16 +112,46 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
+(** {1 The stages}
+
+    {!analyze} runs three stages in order.  The gate and model stages are
+    exported so that a caller that reads only a verdict or an estimate
+    computes only what it reads: the daemon answers an [iid] query from
+    {!gate} and a [pwcet] query from {!gate} and {!model} through
+    {!Repro_evt.Pwcet.estimate_of_model}. *)
+
+(** [gate ?options ?trace xs] is the gate stage: the sample checks
+    ({!Not_enough_runs}, {!Invalid_sample}), the i.i.d. gating pair
+    ({!Iid.gate}) and the [gate_on_iid] check, then the convergence study
+    and its gate.  It returns [Error f] exactly when {!analyze} does, with
+    the same [f]: a rejected sample's {!Iid_rejected} carries the full
+    {!Iid.result}, runs diagnostic included.  With [trace], it emits the
+    {!Trace.Iid_result} and {!Trace.Convergence} events and bumps
+    [analysis.convergence_steps], as {!analyze} does. *)
+val gate :
+  ?options:options -> ?trace:Trace.t -> float array -> (gate, failure) Stdlib.result
+
+(** [model ?options gate xs] is the model stage on the sample [xs] that
+    [gate] passed: block maxima over the time-ordered [xs] and a Gumbel
+    or GEV fit, or, for POT and exponential POT, a GPD fit over the
+    gate's sorted sample (forcing [gate.iid.sorted]).  Bit-identical to
+    the model and block size of {!analyze}'s curve on the same
+    arguments. *)
+val model : ?options:options -> gate -> float array -> model
+
 (** [analyze ?options ?jobs ?trace xs] runs the protocol on a collected
-    sample.  [jobs] (default 1) fans the bootstrap replicates (when
+    sample: {!gate}, then the merge of the sorted halves and the runs
+    diagnostic ({!Iid.complete}), then {!model}, then the curve, the
+    goodness-of-fit tests, the tail diagnostic and the bootstrap.
+    [jobs] (default 1) fans the bootstrap replicates (when
     {!options.bootstrap} is set) out over the domain pool — results are
     bit-identical at every job count, the analysis-side extension of the
     campaign determinism contract.  The measurement vector is sorted once:
-    the i.i.d. check sorts the two KS halves and merges them
-    ({!Iid.check_and_sort}), and that sorted sample serves the runs-test
-    median, the curve's ECDF, the POT threshold and the tail diagnostic.
-    Only the block maxima (a 1/block_size share of the sample) and the
-    convergence study's growing prefix are sorted apart from it.
+    the i.i.d. gate sorts the two KS halves and their merge serves the
+    runs-test median, the curve's ECDF, the POT threshold and the tail
+    diagnostic.  Only the block maxima (a 1/block_size share of the
+    sample) and the convergence study's growing prefix are sorted apart
+    from it.
 
     With [trace] attached, every intermediate verdict is also recorded as a
     trace event ({!Trace.Iid_result}, {!Trace.Convergence}, {!Trace.Evt_fit})

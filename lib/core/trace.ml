@@ -685,14 +685,14 @@ let emit_sample t ~phase xs =
           (Run { phase; run_index = i; attempts = 1; outcome = "completed"; latency = Some x }))
       xs
 
-let iid_event (r : Iid.result) =
+let iid_event (g : Iid.gate) =
   Iid_result
     {
-      lb_stat = r.Iid.ljung_box.Repro_stats.Ljung_box.statistic;
-      lb_p = r.Iid.ljung_box.Repro_stats.Ljung_box.p_value;
-      ks_stat = r.Iid.kolmogorov_smirnov.Repro_stats.Ks.statistic;
-      ks_p = r.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value;
-      accepted = r.Iid.accepted;
+      lb_stat = g.ljung_box.Repro_stats.Ljung_box.statistic;
+      lb_p = g.ljung_box.Repro_stats.Ljung_box.p_value;
+      ks_stat = g.kolmogorov_smirnov.Repro_stats.Ks.statistic;
+      ks_p = g.kolmogorov_smirnov.Repro_stats.Ks.p_value;
+      accepted = g.accepted;
     }
 
 let sorted_events buffered =

@@ -192,8 +192,8 @@ val current_phase : t -> string
     fault-free collected sample, in run order. *)
 val emit_sample : t -> phase:string -> float array -> unit
 
-(** Build an {!Iid_result} event from an i.i.d. battery verdict. *)
-val iid_event : Iid.result -> event
+(** Build an {!Iid_result} event from the i.i.d. gating pair. *)
+val iid_event : Iid.gate -> event
 
 (** [flush t] sorts the buffered events canonically (emission sequence —
     already canonical, see the determinism contract above), appends one

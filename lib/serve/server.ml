@@ -244,21 +244,23 @@ let answer_query t (spec : Cs.t) query =
                 M.Store.collect ~trace:mtrace ~jobs:1 session ~phase:M.Campaign.phase_collect_rand spec.runs
                   (fun _ -> invalid_arg "serve: warm query must not simulate")
               in
-              match
-                M.Protocol.analyze ~options:(Cs.options spec) ~jobs:t.cfg.jobs
-                  ~trace:mtrace sample
-              with
+              (* Only the stages the answer reads: [Protocol.analyze]
+                 would fail exactly when the gate stage does, and would
+                 carry the gate's verdict and the model stage's model. *)
+              let options = Cs.options spec in
+              match M.Protocol.gate ~options ~trace:mtrace sample with
               | Error f ->
                   Sp.Failed (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
-              | Ok analysis ->
+              | Ok gate ->
                   let value =
                     match query with
                     | Sp.Pwcet p ->
+                        let m = M.Protocol.model ~options gate sample in
                         Json.Float
-                          (Repro_evt.Pwcet.estimate analysis.M.Protocol.curve
-                             ~cutoff_probability:p)
+                          (Repro_evt.Pwcet.estimate_of_model ~model:m.M.Protocol.tail_model
+                             ~block_size:m.M.Protocol.block_size ~cutoff_probability:p)
                     | Sp.Iid_verdict ->
-                        let iid = analysis.M.Protocol.iid in
+                        let iid = gate.M.Protocol.iid in
                         Json.Obj
                           [
                             ("accepted", Json.Bool iid.M.Iid.accepted);
