@@ -73,10 +73,11 @@ let estimate t ~cutoff_probability =
 
 (* A POT model describes only the excesses over its threshold, so it has
    no quantile at or above its exceedance rate. *)
-let cutoff_probability_limit t =
-  match t.model with
+let cutoff_probability_limit_of_model = function
   | Gumbel_tail _ | Gev_tail _ -> 1.
   | Pot_tail pot -> pot.Gpd_fit.Pot.exceedance_rate
+
+let cutoff_probability_limit t = cutoff_probability_limit_of_model t.model
 
 let ccdf_series t ~decades_below =
   if decades_below < 1 then invalid_arg "Pwcet.ccdf_series: decades_below must be >= 1";

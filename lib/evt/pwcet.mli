@@ -48,6 +48,11 @@ val estimate : t -> cutoff_probability:float -> float
     model, which describes nothing above its threshold. *)
 val cutoff_probability_limit : t -> float
 
+(** [cutoff_probability_limit_of_model model] — {!cutoff_probability_limit}
+    of a curve carrying [model]: the exclusive upper end of the
+    probabilities {!estimate_of_model} accepts for it. *)
+val cutoff_probability_limit_of_model : tail_model -> float
+
 (** [estimate_of_model ~model ~block_size ~cutoff_probability] — the same
     quantile without building a curve (no ECDF, hence no O(n log n) sort
     of the sample): the estimate is a pure function of the fitted model

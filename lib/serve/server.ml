@@ -251,30 +251,46 @@ let answer_query t (spec : Cs.t) query =
               match M.Protocol.gate ~options ~trace:mtrace sample with
               | Error f ->
                   Sp.Failed (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
-              | Ok gate ->
-                  let value =
+              | Ok gate -> (
+                  let answer =
                     match query with
                     | Sp.Pwcet p ->
                         let m = M.Protocol.model ~options gate sample in
-                        Json.Float
-                          (Repro_evt.Pwcet.estimate_of_model ~model:m.M.Protocol.tail_model
-                             ~block_size:m.M.Protocol.block_size ~cutoff_probability:p)
+                        let model = m.M.Protocol.tail_model in
+                        (* a POT model has no quantile at or above its
+                           exceedance rate *)
+                        let limit = Repro_evt.Pwcet.cutoff_probability_limit_of_model model in
+                        if p < limit then
+                          Ok
+                            (Json.Float
+                               (Repro_evt.Pwcet.estimate_of_model ~model
+                                  ~block_size:m.M.Protocol.block_size ~cutoff_probability:p))
+                        else
+                          Error
+                            (Printf.sprintf
+                               "pWCET(%g) is undefined: the %s tail model answers cutoff \
+                                probabilities below %g only"
+                               p (Cs.tail_name spec.tail) limit)
                     | Sp.Iid_verdict ->
                         let iid = gate.M.Protocol.iid in
-                        Json.Obj
-                          [
-                            ("accepted", Json.Bool iid.M.Iid.accepted);
-                            ( "lb_p",
-                              Json.Float
-                                iid.M.Iid.ljung_box.Repro_stats.Ljung_box.p_value );
-                            ( "ks_p",
-                              Json.Float
-                                iid.M.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value );
-                          ]
+                        Ok
+                          (Json.Obj
+                             [
+                               ("accepted", Json.Bool iid.M.Iid.accepted);
+                               ( "lb_p",
+                                 Json.Float
+                                   iid.M.Iid.ljung_box.Repro_stats.Ljung_box.p_value );
+                               ( "ks_p",
+                                 Json.Float
+                                   iid.M.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value );
+                             ])
                   in
-                  M.Trace.Counters.incr t.totals "serve.queries_answered";
-                  Sp.Answer
-                    { key; query; value; counters = M.Trace.Counters.snapshot counters }
+                  match answer with
+                  | Error msg -> Sp.Failed msg
+                  | Ok value ->
+                      M.Trace.Counters.incr t.totals "serve.queries_answered";
+                      Sp.Answer
+                        { key; query; value; counters = M.Trace.Counters.snapshot counters })
             end)
   end
 

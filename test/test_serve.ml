@@ -343,6 +343,46 @@ let test_warm_answers_direct () =
            Cs.tails))
     samples
 
+(* A cutoff at or above a POT model's exceedance rate has no estimate:
+   the daemon answers a typed failure that names the limit, instead of
+   losing the handler thread, and keeps serving. *)
+let test_pot_limit_failed () =
+  let xs = synthetic ~seed:4114L ~slope:0. 300 in
+  let spec =
+    {
+      Cs.default with
+      runs = 300;
+      seed = 4114L;
+      frames = 2;
+      tail = M.Protocol.Pot;
+      no_gates = true;
+    }
+  in
+  let limit =
+    match M.Protocol.analyze ~options:(Cs.options spec) xs with
+    | Ok a -> Repro_evt.Pwcet.cutoff_probability_limit a.curve
+    | Error f -> Alcotest.failf "direct analysis failed: %a" M.Protocol.pp_failure f
+  in
+  Alcotest.(check bool) "0.5 lies past the limit" true (limit <= 0.5);
+  with_server @@ fun _srv sock ->
+  write_record ~sock spec xs;
+  (match request sock (Sp.Query { spec; query = Sp.Pwcet 0.5 }) with
+  | Sp.Failed msg ->
+      Alcotest.(check string)
+        "typed failure"
+        (Printf.sprintf
+           "pWCET(0.5) is undefined: the pot tail model answers cutoff probabilities below \
+            %g only"
+           limit)
+        msg
+  | r -> Alcotest.failf "expected a typed failure, got %s" (Sp.response_to_line r));
+  (match request sock (Sp.Query { spec; query = Sp.Pwcet 1e-9 }) with
+  | Sp.Answer _ -> ()
+  | r -> Alcotest.failf "expected a pWCET answer, got %s" (Sp.response_to_line r));
+  match request sock Sp.Status with
+  | Sp.Status_report _ -> ()
+  | r -> Alcotest.failf "expected a status report, got %s" (Sp.response_to_line r)
+
 let test_shutdown_drains () =
   let in_flight = spec ~seed:4107L in
   let queued = spec ~seed:4108L in
@@ -632,6 +672,8 @@ let () =
           Alcotest.test_case "warm-only queries" `Quick test_warm_queries;
           Alcotest.test_case "warm answers = a direct analysis" `Quick
             test_warm_answers_direct;
+          Alcotest.test_case "pwcet past the POT limit fails typed" `Quick
+            test_pot_limit_failed;
         ] );
       ( "admission",
         [ Alcotest.test_case "overload gets a typed rejection" `Quick
