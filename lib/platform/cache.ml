@@ -215,11 +215,14 @@ let drop_hints t =
   Array.fill t.memo 0 memo_size (-1);
   t.mru <- -1
 
+(* The memo survives a flush: every tag is invalid afterwards, so a stale
+   entry fails the tag check, and a line's entry matches again only once
+   the full path has found or filled it, which rewrites the entry. *)
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.recency 0 (Array.length t.recency) 0;
   Array.fill t.rr 0 t.sets 0;
-  drop_hints t;
+  t.mru <- -1;
   t.clock <- 0;
   (* A flush models a run boundary: draw a fresh placement salt. *)
   t.seed_material <- Prng.bits32 t.prng
@@ -281,8 +284,9 @@ let reset_run t =
 
 (* Rebind to a fresh PRNG stream, reproducing [create]'s draws (one bits32
    for the initial placement salt).  After [reseed] + [reset_run] the cache
-   is bit-identical — state, stats and future draw sequence — to a cache
-   freshly built by [create ~config ~prng] + [reset_run]. *)
+   gives the same outcomes, stats and draws as a cache freshly built by
+   [create ~config ~prng] + [reset_run]; only the memo may differ, and it
+   holds no entry that passes the tag check. *)
 let reseed t ~prng =
   t.prng <- prng;
   t.seed_material <- Prng.bits32 prng

@@ -34,9 +34,11 @@ val create : config:Config.cache_config -> prng:Repro_rng.Prng.t -> t
     filled, and when that slot still holds the line the probe skips the
     placement hash and the way scan.  Any other probe (a miss, a line
     whose entry another line with the same low bits took, the first probe
-    after a {!flush} or an SEU hook) computes the set and scans its ways,
-    as {!probe} does, and records the slot it finds or fills.  Outcomes,
-    recency and PRNG draws are those of the full lookup. *)
+    after an SEU hook) computes the set and scans its ways, as {!probe}
+    does, and records the slot it finds or fills.  A {!flush} keeps the
+    memo: it invalidates every tag, so no entry passes the check until
+    the full lookup rewrites it.  Outcomes, recency and PRNG draws are
+    those of the full lookup. *)
 val access : t -> addr:int -> write:bool -> outcome
 
 (** [add_mru_hits t k] — the state [k] more read [access]es to the line of
@@ -98,6 +100,6 @@ val reset_run : t -> unit
 
 (** [reseed t ~prng] rebinds the cache to a fresh PRNG stream, reproducing
     [create]'s draw (the initial placement salt) — the reuse half of the
-    batched-run contract: [reseed] + [reset_run] ≡ fresh [create] +
-    [reset_run], bit for bit. *)
+    batched-run contract: [reseed] + [reset_run] gives the same outcomes,
+    stats and draws as a fresh [create] + [reset_run]. *)
 val reseed : t -> prng:Repro_rng.Prng.t -> unit

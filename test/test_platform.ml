@@ -165,6 +165,23 @@ let test_random_modulo_changes_across_flush () =
   done;
   checkb "mapping reseeded by flush" true !changed
 
+(* The memo outlives a flush.  A line filled before [reset_run] + [reseed]
+   must miss after them, fill where the new salt places it, and be found
+   there by the full lookup. *)
+let test_memo_across_reseed () =
+  let c = make_cache ~placement:P.Config.Hash_random () in
+  let addr = 0x1000 in
+  checkb "first access fills" true (P.Cache.access c ~addr ~write:false = P.Cache.Miss);
+  checkb "second access hits" true (P.Cache.access c ~addr ~write:false = P.Cache.Hit);
+  let old_set = P.Cache.set_of_addr c addr in
+  P.Cache.reset_run c;
+  P.Cache.reseed c ~prng:(Prng.create 7L);
+  checkb "the new salt moves the line" true (P.Cache.set_of_addr c addr <> old_set);
+  checkb "misses after the run boundary" true
+    (P.Cache.access c ~addr ~write:false = P.Cache.Miss);
+  checkb "probe finds it under the new salt" true (P.Cache.probe c ~addr = P.Cache.Hit);
+  checkb "and it hits again" true (P.Cache.access c ~addr ~write:false = P.Cache.Hit)
+
 let test_modulo_stable_across_flush () =
   let c = make_cache ~placement:P.Config.Modulo () in
   let observe () = List.init 16 (fun i -> P.Cache.set_of_addr c (i * 32 * 17)) in
@@ -704,6 +721,7 @@ let () =
           Alcotest.test_case "random modulo reseeds on flush" `Quick
             test_random_modulo_changes_across_flush;
           Alcotest.test_case "modulo stable across flush" `Quick test_modulo_stable_across_flush;
+          Alcotest.test_case "memo across reset_run + reseed" `Quick test_memo_across_reseed;
           test_hash_random_spreads;
           Alcotest.test_case "round robin" `Quick test_replacement_round_robin;
           Alcotest.test_case "random replacement" `Quick
