@@ -3,7 +3,12 @@
     is cut into consecutive blocks of [block_size] and only each block's
     maximum is kept. *)
 
-(** [extract ~block_size xs] — incomplete trailing blocks are dropped.
+(** [max x y] is [Float.max x y], bit for bit (NaN absorbs, +0 beats -0),
+    with the out-of-line sign-bit test left to ties and NaNs. *)
+val max : float -> float -> float
+
+(** [extract ~block_size xs] — each block's maximum is the left fold of
+    {!max} over it; incomplete trailing blocks are dropped.
     Raises [Invalid_argument] if fewer than one full block is available. *)
 val extract : block_size:int -> float array -> float array
 

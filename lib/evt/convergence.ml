@@ -23,9 +23,10 @@ type result = {
      size is unchanged, only the new complete blocks are folded (each
      element of the sample is visited once per block-size level).  When
      the suggested size doubles, maxima combine pairwise:
-     [Float.max] is associative (exact for finite floats, +0 beats -0,
-     NaN absorbs), so the pairwise max of two half-block maxima is
-     bit-identical to the reference's left-fold over the full block.
+     [Block_maxima.max], which is [Float.max], is associative (exact for
+     finite floats, +0 beats -0, NaN absorbs), so the pairwise max of two
+     half-block maxima is bit-identical to the reference's left-fold over
+     the full block.
 
    Every comparison the study performs (merge, sort of the fresh slice,
    block-max folds) is counted in [comparisons], so CI can pin the
@@ -47,7 +48,7 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
   in
   let fmax a b =
     incr comparisons;
-    Float.max a b
+    Block_maxima.max a b
   in
   (* sorted.(0 .. used-1) holds the prefix in ascending order. *)
   let sorted = Array.make (Stdlib.max n 1) 0. in

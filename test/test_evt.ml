@@ -54,6 +54,28 @@ let test_block_maxima_dominates =
            (fun m -> Array.exists (fun x -> x = m) a)
            maxima))
 
+(* [Block_maxima.max] is [Float.max] bit for bit on every pair of
+   special values: signed zeros, infinities, subnormals and two NaN
+   payloads, so a fold of it is the fold of [Float.max]. *)
+let test_block_maxima_max_bits () =
+  let specials =
+    [
+      Float.neg_infinity; -1.; -0.; 0.; Float.min_float; 5e-324; 1.; 229_049.;
+      Float.max_float; Float.infinity; Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+      Float.neg Float.nan;
+    ]
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let bits = Int64.bits_of_float in
+          if not (Int64.equal (bits (E.Block_maxima.max x y)) (bits (Float.max x y))) then
+            Alcotest.failf "max %h %h = %h, Float.max gives %h" x y (E.Block_maxima.max x y)
+              (Float.max x y))
+        specials)
+    specials
+
 let test_suggest_block_size () =
   Alcotest.(check int) "small sample" 1 (E.Block_maxima.suggest_block_size 50);
   Alcotest.(check int) "3000 runs" 64 (E.Block_maxima.suggest_block_size 3000);
@@ -388,6 +410,7 @@ let () =
           Alcotest.test_case "drops partial" `Quick test_block_maxima_drops_partial;
           Alcotest.test_case "invalid input" `Quick test_block_maxima_invalid;
           test_block_maxima_dominates;
+          Alcotest.test_case "max = Float.max, bit for bit" `Quick test_block_maxima_max_bits;
           Alcotest.test_case "suggest block size" `Quick test_suggest_block_size;
         ] );
       ( "gumbel-fit",
