@@ -4,7 +4,6 @@
      analyze      full campaign (DET + RAND, i.i.d., pWCET, comparison)
      iid          i.i.d. verification only
      convergence  pWCET-estimate convergence study
-     paths        per-path analysis (groups runs by execution path)
      qualify      PRNG qualification battery
      plot         Figure 2 exceedance plot only
      shuffle      schedule-randomization campaigns (pWCET impact + entropy)
@@ -677,40 +676,6 @@ let convergence_cmd =
       const convergence $ runs_arg $ seed_arg $ frames_arg $ probability $ jobs_arg
       $ trace_arg $ trace_level_arg $ cache_dir_arg $ resume_arg $ no_cache_arg
       $ cache_sync_arg)
-
-(* ------------------------------- paths -------------------------------- *)
-
-let paths runs seed frames jobs trace_path trace_level =
-  let jobs = resolve_jobs jobs in
-  ignore (sample_spec ~runs ~seed ~frames);
-  let config = base_config ~subcommand:"paths" ~runs ~seed ~frames in
-  with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
-  let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
-  let measurements = collect_par ?trace ~jobs rand ~runs in
-  let signatures =
-    M.Parallel.init ~jobs runs (fun i -> T.Experiment.path_signature rand ~run_index:i)
-  in
-  let options =
-    { M.Protocol.default_options with M.Protocol.check_convergence = false }
-  in
-  let t = M.Path_analysis.analyze ~options ~measurements ~signatures () in
-  Format.printf "%a@." M.Path_analysis.pp t;
-  (match M.Path_analysis.pwcet_estimate t ~cutoff_probability:1e-12 with
-  | Some v -> Format.printf "max pWCET(1e-12) across analyzed paths: %.0f@." v
-  | None ->
-      Format.printf
-        "no path had enough runs for its own analysis; with continuous inputs@.";
-      Format.printf
-        "every run tends to follow its own path - analyze the pooled sample@.";
-      Format.printf "instead (mbpta_cli analyze), which is sound under randomization.@.");
-  0
-
-let paths_cmd =
-  let doc = "group runs by execution path and analyze each path separately" in
-  Cmd.v (Cmd.info "paths" ~doc)
-    Term.(
-      const paths $ runs_arg $ seed_arg $ frames_arg $ jobs_arg $ trace_arg
-      $ trace_level_arg)
 
 (* ------------------------------ qualify ------------------------------ *)
 
@@ -1421,7 +1386,6 @@ let () =
         analyze_cmd;
         iid_cmd;
         convergence_cmd;
-        paths_cmd;
         qualify_cmd;
         plot_cmd;
         shuffle_cmd;

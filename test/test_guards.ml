@@ -190,10 +190,6 @@ let core_guards =
     guard "Mbta.bound rejects an empty sample" (fun () -> M.Mbta.bound [||]);
     guard "Mbta.bound rejects engineering_factor < 1" (fun () ->
         M.Mbta.bound ~engineering_factor:0.5 (sample 10));
-    guard "Path_analysis.analyze rejects mismatched arrays" (fun () ->
-        M.Path_analysis.analyze ~measurements:(sample 3) ~signatures:[| 1 |] ());
-    guard "Path_analysis.analyze rejects empty input" (fun () ->
-        M.Path_analysis.analyze ~measurements:[||] ~signatures:[||] ());
     guard "Schedulability.required_cutoff rejects zero activation rate" (fun () ->
         M.Schedulability.required_cutoff ~activations_per_hour:0.
           ~target_failures_per_hour:1e-9);

@@ -1,7 +1,7 @@
 (* Tests for repro_mbpta: the i.i.d. gate, the end-to-end protocol on
-   synthetic data and its failure paths, the MBTA baseline, per-path
-   analysis, plot rendering, and a scaled-down integration run of the whole
-   campaign on the TVCA workload. *)
+   synthetic data and its failure paths, the MBTA baseline, plot
+   rendering, and a scaled-down integration run of the whole campaign on
+   the TVCA workload. *)
 
 module Prng = Repro_rng.Prng
 module S = Repro_stats
@@ -178,55 +178,6 @@ let test_mbta_sensitivity () =
     "sweep"
     [ (1.2, 120.); (1.35, 135.); (1.5, 150.) ]
     s
-
-(* ------------------------------------------------------------------ *)
-(* Per-path analysis *)
-
-let test_path_analysis_groups_and_maxes () =
-  let g = prng 1012L in
-  (* two synthetic paths with different tail locations *)
-  let runs = 1200 in
-  let measurements = Array.make runs 0. in
-  let signatures = Array.make runs 0 in
-  for i = 0 to runs - 1 do
-    let path = if i mod 3 = 0 then 1 else 2 in
-    let mu = if path = 1 then 2000. else 1000. in
-    signatures.(i) <- path;
-    measurements.(i) <-
-      S.Distribution.Gumbel.sample (S.Distribution.Gumbel.create ~mu ~beta:20.) g
-  done;
-  let options = { M.Protocol.default_options with M.Protocol.check_convergence = false } in
-  let t = M.Path_analysis.analyze ~options ~measurements ~signatures () in
-  checki "two paths" 2 (List.length t.M.Path_analysis.paths);
-  checkf 1e-9 "full coverage" 1. t.M.Path_analysis.analyzed_fraction;
-  (match M.Path_analysis.pwcet_estimate t ~cutoff_probability:1e-9 with
-  | Some v -> checkb "max across paths comes from slow path" true (v > 2000.)
-  | None -> Alcotest.fail "expected estimate");
-  (* most frequent path listed first *)
-  match t.M.Path_analysis.paths with
-  | first :: _ -> checki "frequent first" 2 first.M.Path_analysis.signature
-  | [] -> Alcotest.fail "no paths"
-
-let test_path_analysis_rare_path_residual () =
-  let g = prng 1111L in
-  let runs = 500 in
-  let measurements =
-    Array.init runs (fun _ ->
-        S.Distribution.Gumbel.sample (S.Distribution.Gumbel.create ~mu:100. ~beta:5.) g)
-  in
-  (* 10 runs on a rare path *)
-  let signatures = Array.init runs (fun i -> if i < 10 then 7 else 8) in
-  let t = M.Path_analysis.analyze ~measurements ~signatures () in
-  checkb "rare path not analyzed" true
-    (List.exists
-       (fun p ->
-         p.M.Path_analysis.signature = 7
-         &&
-         match p.M.Path_analysis.analysis with
-         | Error (M.Protocol.Not_enough_runs _) -> true
-         | Error _ | Ok _ -> false)
-       t.M.Path_analysis.paths);
-  checkb "coverage below 1" true (t.M.Path_analysis.analyzed_fraction < 1.)
 
 (* ------------------------------------------------------------------ *)
 (* Schedulability *)
@@ -460,11 +411,6 @@ let () =
           Alcotest.test_case "bound" `Quick test_mbta_bound;
           Alcotest.test_case "default factor" `Quick test_mbta_default_factor;
           Alcotest.test_case "sensitivity" `Quick test_mbta_sensitivity;
-        ] );
-      ( "path-analysis",
-        [
-          Alcotest.test_case "groups and maxes" `Quick test_path_analysis_groups_and_maxes;
-          Alcotest.test_case "rare path residual" `Quick test_path_analysis_rare_path_residual;
         ] );
       ( "schedulability",
         [
