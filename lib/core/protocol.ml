@@ -116,12 +116,12 @@ let validate_sample xs =
 let trace_emit trace event =
   match trace with None -> () | Some t -> Trace.emit t event
 
-let trace_fit trace ~block_size ~curve ~gof ~ad =
+let trace_fit trace (m : model) ~gof ~ad =
   match trace with
   | None -> ()
   | Some t ->
       let tail, params =
-        match Evt.Pwcet.model curve with
+        match m.tail_model with
         | Evt.Pwcet.Gumbel_tail g ->
             ( "gumbel",
               [
@@ -148,7 +148,7 @@ let trace_fit trace ~block_size ~curve ~gof ~ad =
         (Trace.Evt_fit
            {
              tail;
-             block_size;
+             block_size = m.block_size;
              params;
              gof_ks_p = gof.Stats.Ks.p_value;
              gof_ad_stat = ad.Stats.Anderson_darling.statistic;
@@ -259,8 +259,7 @@ let analyze ?(options = default_options) ?(jobs = 1) ?trace xs =
       in
       let goodness_of_fit = Stats.Ks.one_sample m.fitted ~cdf in
       let goodness_of_fit_ad = Stats.Anderson_darling.test m.fitted ~cdf in
-      trace_fit trace ~block_size:m.block_size ~curve ~gof:goodness_of_fit
-        ~ad:goodness_of_fit_ad;
+      trace_fit trace m ~gof:goodness_of_fit ~ad:goodness_of_fit_ad;
       let tail_diagnostic =
         (* near-constant samples (a jitterless platform) have no excesses
            to diagnose; that is fine, not an error *)

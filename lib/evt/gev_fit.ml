@@ -69,7 +69,6 @@ let fit_mle xs =
 let fit ?(method_ = Pwm) xs =
   match method_ with Pwm -> fit_pwm xs | Mle -> fit_mle xs
 
-let goodness_of_fit g xs = Stats.Ks.one_sample xs ~cdf:(Gev.cdf g)
 
 let gumbel_lr_test xs =
   let gumbel = Gumbel_fit.fit ~method_:Gumbel_fit.Mle xs in

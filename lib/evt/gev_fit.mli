@@ -8,9 +8,6 @@ type method_ = Pwm | Mle
 
 val fit : ?method_:method_ -> float array -> Repro_stats.Distribution.Gev.t
 
-val goodness_of_fit :
-  Repro_stats.Distribution.Gev.t -> float array -> Repro_stats.Ks.result
-
 (** Likelihood-ratio test of H0: xi = 0 (Gumbel) inside the GEV family.
     Returns [(lr_statistic, p_value)]; under H0 the statistic is chi-square
     with 1 degree of freedom.  MBPTA commonly selects the Gumbel model when

@@ -72,4 +72,3 @@ let fit ?(method_ = Pwm) xs =
   | Pwm -> fit_pwm xs
   | Mle -> fit_mle xs
 
-let goodness_of_fit g xs = Stats.Ks.one_sample xs ~cdf:(Gumbel.cdf g)

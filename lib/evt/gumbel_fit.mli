@@ -10,7 +10,3 @@
 type method_ = Moments | Pwm | Mle
 
 val fit : ?method_:method_ -> float array -> Repro_stats.Distribution.Gumbel.t
-
-(** Goodness of fit of a fitted Gumbel against the sample (one-sample KS). *)
-val goodness_of_fit :
-  Repro_stats.Distribution.Gumbel.t -> float array -> Repro_stats.Ks.result

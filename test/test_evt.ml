@@ -103,7 +103,7 @@ let test_gumbel_fit_goodness () =
   let g = prng () in
   let xs = gumbel_sample g ~mu:50. ~beta:3. 3000 in
   let fit = E.Gumbel_fit.fit xs in
-  let gof = E.Gumbel_fit.goodness_of_fit fit xs in
+  let gof = S.Ks.one_sample xs ~cdf:(S.Distribution.Gumbel.cdf fit) in
   checkb "good fit accepted" true gof.S.Ks.same_distribution
 
 let test_gumbel_fit_rejects_uniform () =
@@ -111,7 +111,7 @@ let test_gumbel_fit_rejects_uniform () =
   let g = prng () in
   let xs = Array.init 3000 (fun _ -> Prng.float g) in
   let fit = E.Gumbel_fit.fit xs in
-  let gof = E.Gumbel_fit.goodness_of_fit fit xs in
+  let gof = S.Ks.one_sample xs ~cdf:(S.Distribution.Gumbel.cdf fit) in
   checkb "bad model rejected" false gof.S.Ks.same_distribution
 
 let test_gumbel_mle_likelihood_at_least_pwm () =
