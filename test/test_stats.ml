@@ -5,6 +5,7 @@
 
 module Prng = Repro_rng.Prng
 module S = Repro_stats
+module M = Repro_mbpta
 
 let checkb = Alcotest.check Alcotest.bool
 
@@ -940,6 +941,85 @@ let test_merge_sorted =
       and y = kernel_sorted (Array.sub a k (Array.length a - k)) in
       bits (S.Descriptive.merge_sorted x y) = bits (kernel_sorted a))
 
+(* ------------------------------------------------------------------ *)
+(* The i.i.d. gate's KS test and sorted sample against the sort path:
+   split the series into its even- and odd-indexed halves, sort each with
+   the kernel, walk them, and merge them ties-from-the-first.  Whatever
+   path the gate takes, D, p and every bit of the sorted sample must be
+   the sort path's.  The inputs cover integer counts in a window narrower
+   than the sample (many ties), windows wider than it, continuous draws,
+   negative values, -0. mixed with +0., constant samples, and odd and even
+   lengths from 2 up.  The gate needs the 10 runs Ljung-Box does. *)
+
+let sort_path xs =
+  let first, second = S.Ks.split_halves xs in
+  S.Descriptive.sort first;
+  S.Descriptive.sort second;
+  (S.Ks.two_sample_sorted first second, S.Descriptive.merge_sorted first second)
+
+let same_ks (a : S.Ks.result) (b : S.Ks.result) =
+  Int64.equal (Int64.bits_of_float a.S.Ks.statistic) (Int64.bits_of_float b.S.Ks.statistic)
+  && Int64.equal (Int64.bits_of_float a.S.Ks.p_value) (Int64.bits_of_float b.S.Ks.p_value)
+  && a.S.Ks.same_distribution = b.S.Ks.same_distribution
+
+let gate_matches_sort_path xs =
+  let ks, sorted = sort_path xs in
+  if Array.length xs < 10 then (
+    match M.Iid.gate xs with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+  else
+    let g = M.Iid.gate xs in
+    same_ks g.M.Iid.kolmogorov_smirnov ks && bits (Lazy.force g.M.Iid.sorted) = bits sorted
+
+let gate_sample n =
+  QCheck.Gen.(
+    let window lo hi =
+      int_range lo hi >>= fun w ->
+      oneof [ int_range 140_000 250_000; int_range (-250_000) (-140_000); int_range (-50) 50 ]
+      >>= fun base ->
+      array_size (return n) (map (fun k -> float_of_int (base + k)) (int_range 0 (w - 1)))
+    in
+    frequency
+      [
+        (4, window 1 n);
+        (2, window (n + 1) (100 * n));
+        (1, array_size (return n) (float_range (-1e3) 1e3));
+        (1, array_size (return n) (oneofl [ 0.; -0.; 1.; -1.; 2.5 ]));
+        (1, array_size (return n) (oneofl [ 0.; -0. ]));
+        (1, map (Array.make n) (oneofl [ 0.; -0.; 7.; -3.5; 216_736. ]));
+      ])
+
+let gate_input =
+  QCheck.make
+    ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+    QCheck.Gen.(
+      frequency
+        [ (2, int_range 2 11); (4, int_range 12 600); (1, int_range 2_990 3_010) ]
+      >>= gate_sample)
+
+let test_gate_matches_sort_path =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 30 |])
+    (QCheck.Test.make ~name:"gate KS and sorted sample = the sort path" ~count:300 gate_input
+       gate_matches_sort_path)
+
+(* A seeded Splitmix sample of 10^5 integer cycle counts around 2 * 10^5
+   with a Gumbel-shaped tail, as test_analysis_perf draws it: 23,600
+   distinct values, so ties are common. *)
+let splitmix_sample ~seed n =
+  let sm = Repro_rng.Splitmix.create seed in
+  let xs = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let bits = Int64.shift_right_logical (Repro_rng.Splitmix.next sm) 11 in
+    let u = (Int64.to_float bits +. 0.5) *. 0x1p-53 in
+    xs.(i) <- Float.round (200_000. +. (1_500. *. -.log (-.log u)))
+  done;
+  xs
+
+let test_gate_matches_sort_path_1e5 () =
+  checkb "10^5 splitmix sample" true
+    (gate_matches_sort_path (splitmix_sample ~seed:2017L 100_000))
+
 let () =
   Alcotest.run "repro_stats"
     [
@@ -1065,5 +1145,11 @@ let () =
           test_cycle_sort_non_decreasing;
           test_cycle_sort_stable;
           test_cycle_sort_matches_stdlib;
+        ] );
+      ( "iid gate",
+        [
+          test_gate_matches_sort_path;
+          Alcotest.test_case "gate KS and sorted sample at 10^5 = the sort path" `Quick
+            test_gate_matches_sort_path_1e5;
         ] );
     ]
