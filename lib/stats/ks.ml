@@ -6,20 +6,28 @@ let p_value_of_d ~n_effective d =
   let lambda = (sqrt_ne +. 0.12 +. (0.11 /. sqrt_ne)) *. d in
   Special.kolmogorov_survival lambda
 
+(* [le x y] is [Float.compare x y <= 0], the order [Descriptive.sort]
+   sorts by: NaN below everything and every NaN equal, -0. equal to +0.
+   A local copy, since a call into another module boxes both floats. *)
+let[@inline] le (x : float) y = x <= y || x <> x
+
 let two_sample_sorted ?(alpha = 0.05) sx sy =
   let n = Array.length sx and m = Array.length sy in
   (* Real guards, not asserts: these feed the i.i.d. gate of the whole
      analysis and must survive a [-noassert] release build. *)
   if n = 0 || m = 0 then invalid_arg "Ks.two_sample: empty sample";
   (* Merge-walk both sorted samples tracking the CDF gap: each step passes
-     every element equal to the smaller head in both samples. *)
+     every element equal to the smaller head in both samples.  Equal is
+     the sort's order, where every NaN is one value below all others: with
+     [Float.min] and [<=] a NaN head is passed by neither loop. *)
   let i = ref 0 and j = ref 0 and d = ref 0. in
   while !i < n && !j < m do
-    let v = Float.min (Array.unsafe_get sx !i) (Array.unsafe_get sy !j) in
-    while !i < n && Array.unsafe_get sx !i <= v do
+    let x = Array.unsafe_get sx !i and y = Array.unsafe_get sy !j in
+    let v = if le x y then x else y in
+    while !i < n && le (Array.unsafe_get sx !i) v do
       incr i
     done;
-    while !j < m && Array.unsafe_get sy !j <= v do
+    while !j < m && le (Array.unsafe_get sy !j) v do
       incr j
     done;
     let fx = float_of_int !i /. float_of_int n and fy = float_of_int !j /. float_of_int m in

@@ -677,6 +677,16 @@ let test_ks_ties_and_constant () =
   close "p constant" 1. c.S.Ks.p_value;
   checkb "constant same" true c.S.Ks.same_distribution
 
+(* A NaN is one value below every other, as the sort kernel orders it:
+   the walk passes it instead of stalling on it. *)
+let test_ks_nan () =
+  let r = S.Ks.two_sample [| nan; 1.; 2.; 3. |] [| 1.; 2.; 3.; 4. |] in
+  close ~tol:0. "D, NaN in the first sample" 0.25 r.S.Ks.statistic;
+  let r = S.Ks.two_sample [| 1.; 2.; 3.; 4. |] [| 3.; nan; 1.; 2. |] in
+  close ~tol:0. "D, NaN in the second sample" 0.25 r.S.Ks.statistic;
+  let r = S.Ks.two_sample [| nan; 2.; -.nan; 1. |] [| 1.; 2.; nan; 3. |] in
+  close ~tol:0. "D, NaNs of two payloads in both" 0.25 r.S.Ks.statistic
+
 let test_ks_one_sample_golden () =
   let r = S.Ks.one_sample ks_a ~cdf:(fun x -> 1. -. exp (-.x /. 3.)) in
   close ~tol:1e-12 "D" 0.22967995396436067 r.S.Ks.statistic;
@@ -948,8 +958,8 @@ let test_merge_sorted =
    path the gate takes, D, p and every bit of the sorted sample must be
    the sort path's.  The inputs cover integer counts in a window narrower
    than the sample (many ties), windows wider than it, continuous draws,
-   negative values, -0. mixed with +0., constant samples, and odd and even
-   lengths from 2 up.  The gate needs the 10 runs Ljung-Box does. *)
+   negative values, -0. mixed with +0., NaNs of several payloads, constant
+   samples, and odd and even lengths from 2 up. *)
 
 let sort_path xs =
   let first, second = S.Ks.split_halves xs in
@@ -964,7 +974,8 @@ let same_ks (a : S.Ks.result) (b : S.Ks.result) =
 
 let gate_matches_sort_path xs =
   let ks, sorted = sort_path xs in
-  if Array.length xs < 10 then (
+  if Array.length xs < 10 || Array.exists Float.is_nan xs then (
+    (* Ljung-Box, which runs first, needs 10 runs and a finite Q *)
     match M.Iid.gate xs with
     | _ -> false
     | exception Invalid_argument _ -> true)
@@ -987,7 +998,9 @@ let gate_sample n =
         (1, array_size (return n) (float_range (-1e3) 1e3));
         (1, array_size (return n) (oneofl [ 0.; -0.; 1.; -1.; 2.5 ]));
         (1, array_size (return n) (oneofl [ 0.; -0. ]));
-        (1, map (Array.make n) (oneofl [ 0.; -0.; 7.; -3.5; 216_736. ]));
+        (1, array_size (return n) (oneofl ([ 1.; 216_736.; 216_737. ] @ nan_payloads)));
+        (1, array_size (return n) (oneofl nan_payloads));
+        (1, map (Array.make n) (oneofl [ 0.; -0.; 7.; -3.5; 216_736.; nan ]));
       ])
 
 let gate_input =
@@ -1125,6 +1138,7 @@ let () =
           Alcotest.test_case "ljung-box constant" `Quick test_ljung_box_constant;
           Alcotest.test_case "ks two-sample pinned" `Quick test_ks_two_sample_golden;
           Alcotest.test_case "ks ties & constant" `Quick test_ks_ties_and_constant;
+          Alcotest.test_case "ks walks past a NaN" `Quick test_ks_nan;
           Alcotest.test_case "ks one-sample pinned" `Quick test_ks_one_sample_golden;
         ] );
       ( "guards",
