@@ -13,12 +13,15 @@ type result = {
    prefix (inside the ECDF), re-extract every block maximum, refit —
    O(k · n log n) over k steps.  The estimate at each step is a pure
    function of (a) the block maxima of the prefix in block order and
-   (b) the fitted model; the ECDF inside the curve never feeds the
-   estimate.  So the study can instead maintain:
+   (b) the fitted model, so each step reads it off the model
+   ([Pwcet.estimate_of_model]) and builds no curve.  The study
+   maintains:
 
    - one sorted prefix, extended by merging each step's freshly-sorted
-     slice (O(step log step + used) per step), handed to the curve via
-     the sorted-sample path — the same multiset, hence the same ECDF;
+     slice (O(step log step + used) per step).  No estimate reads it:
+     it stays because [comparisons] counts its merge, and
+     perfbench/refs.txt and test/fixtures/analysis_golden.txt pin that
+     count;
    - the block-maxima array in block order.  While the suggested block
      size is unchanged, only the new complete blocks are folded (each
      element of the sample is visited once per block-size level).  When
@@ -111,11 +114,8 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
   let estimate_at used =
     let blocks = advance used in
     let gumbel = Gumbel_fit.fit ~method_:Gumbel_fit.Pwm (Array.sub maxima 0 blocks) in
-    let curve =
-      Pwcet.create_sorted ~model:(Pwcet.Gumbel_tail gumbel) ~block_size:!block_size
-        ~sample:(Array.sub sorted 0 used)
-    in
-    Pwcet.estimate curve ~cutoff_probability:probability
+    Pwcet.estimate_of_model ~model:(Pwcet.Gumbel_tail gumbel) ~block_size:!block_size
+      ~cutoff_probability:probability
   in
   let rec go used used_prev previous streak acc =
     if used > n then
