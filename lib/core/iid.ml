@@ -18,19 +18,16 @@ type result = {
 
 let gate ?(alpha = 0.05) xs =
   let ljung_box = Stats.Ljung_box.test ~alpha xs in
-  (* The KS test needs both halves sorted; merging them is the whole
-     sample sorted, in O(n), left to whoever needs it. *)
-  let first, second = Stats.Ks.split_halves xs in
-  Stats.Descriptive.sort first;
-  Stats.Descriptive.sort second;
-  let kolmogorov_smirnov = Stats.Ks.two_sample_sorted ~alpha first second in
+  (* The KS test orders both halves, which puts the whole sample in order
+     in O(n), left to whoever needs it. *)
+  let kolmogorov_smirnov, sorted = Stats.Ks.two_halves ~alpha xs in
   {
     ljung_box;
     kolmogorov_smirnov;
     alpha;
     accepted =
       ljung_box.Stats.Ljung_box.independent && kolmogorov_smirnov.Stats.Ks.same_distribution;
-    sorted = lazy (Stats.Descriptive.merge_sorted first second);
+    sorted;
   }
 
 let complete (g : gate) xs =

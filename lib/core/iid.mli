@@ -10,9 +10,9 @@
     diagnostic. *)
 
 (** The gating pair alone: Ljung-Box on the series and KS on its two
-    halves, sorted.  [accepted] is the verdict {!check} returns; the runs
-    diagnostic and the merge of the halves are left out, so a caller that
-    reads only the verdict pays for neither. *)
+    halves ({!Repro_stats.Ks.two_halves}).  [accepted] is the verdict
+    {!check} returns; the runs diagnostic and the sorted sample are left
+    out, so a caller that reads only the verdict pays for neither. *)
 type gate = {
   ljung_box : Repro_stats.Ljung_box.result;
   kolmogorov_smirnov : Repro_stats.Ks.result;
@@ -20,8 +20,8 @@ type gate = {
   accepted : bool;  (** both gating tests passed *)
   sorted : float array Lazy.t;
       (** the sample sorted ascending in {!Repro_stats.Descriptive.sort}'s
-          order: the O(n) merge of the two sorted halves, made when first
-          forced *)
+          order, made in O(n) when first forced: written from the two
+          halves' histograms, or merged from the two sorted halves *)
 }
 
 (** [gate ?alpha xs] — [alpha] defaults to 0.05. *)
@@ -45,9 +45,10 @@ val check : ?alpha:float -> float array -> result
 
 (** [check_and_sort ?alpha xs] is [check ?alpha xs] together with a fresh
     copy of [xs] sorted ascending in {!Repro_stats.Descriptive.sort}'s
-    order.  The KS test sorts the two halves and the sorted sample is
-    their O(n) merge, so a caller that needs order statistics after the
-    check gets them without sorting again. *)
+    order.  The KS test orders the two halves, by counting or by
+    sorting, and the sorted sample follows from them in O(n), so a
+    caller that needs order statistics after the check gets them without
+    sorting again. *)
 val check_and_sort : ?alpha:float -> float array -> result * float array
 
 val pp : Format.formatter -> result -> unit

@@ -31,6 +31,10 @@ type result = {
      half-block maxima is bit-identical to the reference's left-fold over
      the full block.
 
+   Both arrays grow by doubling as the study reads further, never past
+   the sample: a study often stops after a few hundred runs of a sample
+   of 10^5, and then allocates for what it read.
+
    Every comparison the study performs (merge, sort of the fresh slice,
    block-max folds) is counted in [comparisons], so CI can pin the
    O(n log n) work budget without timing anything. *)
@@ -53,9 +57,22 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
     incr comparisons;
     Block_maxima.max a b
   in
-  (* sorted.(0 .. used-1) holds the prefix in ascending order. *)
-  let sorted = Array.make (Stdlib.max n 1) 0. in
+  (* [!buf], grown to hold at least [need] floats: doubled, never past
+     [n], its contents kept. *)
+  let grow buf need =
+    let b = !buf in
+    if Array.length b >= need then b
+    else begin
+      let g = Array.create_float (Stdlib.min n (Stdlib.max need (2 * Array.length b))) in
+      Array.blit b 0 g 0 (Array.length b);
+      buf := g;
+      g
+    end
+  in
+  (* !sorted.(0 .. used-1) holds the prefix in ascending order. *)
+  let sorted = ref [||] in
   let merge_in ~used_prev ~used =
+    let sorted = grow sorted used in
     let m = used - used_prev in
     let fresh = Array.sub xs used_prev m in
     Array.sort cmp fresh;
@@ -81,10 +98,10 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
       end
     done
   in
-  (* maxima.(0 .. count-1): maxima of the complete blocks at the current
+  (* !maxima.(0 .. count-1): maxima of the complete blocks at the current
      block size, in block order — exactly [Block_maxima.extract]'s output
      on the prefix. *)
-  let maxima = Array.make (Stdlib.max n 1) 0. in
+  let maxima = ref [||] in
   let block_size = ref 1 in
   let count = ref 0 in
   let advance used =
@@ -92,6 +109,7 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
     while !block_size < target do
       (* Doubling: pairwise-combine; a trailing odd block is re-folded from
          the sample below once its enclosing double block completes. *)
+      let maxima = !maxima in
       let c = !count / 2 in
       for b = 0 to c - 1 do
         maxima.(b) <- fmax maxima.(2 * b) maxima.((2 * b) + 1)
@@ -100,6 +118,7 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
       block_size := !block_size * 2
     done;
     let blocks = used / !block_size in
+    let maxima = grow maxima blocks in
     while !count < blocks do
       let start = !count * !block_size in
       let m = ref xs.(start) in
@@ -113,7 +132,7 @@ let study ?(probability = 1e-9) ?(step = 100) ?(tolerance = 0.01) ?(stable_steps
   in
   let estimate_at used =
     let blocks = advance used in
-    let gumbel = Gumbel_fit.fit ~method_:Gumbel_fit.Pwm (Array.sub maxima 0 blocks) in
+    let gumbel = Gumbel_fit.fit ~method_:Gumbel_fit.Pwm (Array.sub !maxima 0 blocks) in
     Pwcet.estimate_of_model ~model:(Pwcet.Gumbel_tail gumbel) ~block_size:!block_size
       ~cutoff_probability:probability
   in

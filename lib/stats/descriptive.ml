@@ -95,6 +95,88 @@ let sort a =
   let n = Array.length a in
   if n <= cutoff then insertion_sort a n else radix_sort a n
 
+(* The counting path.  Flipping the key's top bit makes the signed order
+   the unsigned one, so [<] on the flipped keys orders the floats; every
+   NaN maps to [Int64.min_int]. *)
+let[@inline] signed_key x = Int64.logxor (key x) Int64.min_int
+
+let[@inline] float_of_signed_key k =
+  Int64.float_of_bits (if k >= 0L then k else Int64.logxor k Int64.max_int)
+
+type span = { low : int64; shift : int; buckets : int }
+
+(* One pass finds the least and the greatest key and ORs every key's
+   difference from the first.  Every key agrees with the first below the
+   difference's lowest set bit, so dividing by that power of two maps the
+   keys present one-to-one onto buckets, in order: cycle counts between
+   2^17 and 2^18 differ first at bit 35, one cycle.  The bucket count
+   saturates at [max_int].  A NaN or a -0. shares its key with values of
+   other bits, so a sample holding one is not counted. *)
+let span xs =
+  require_nonempty "Descriptive.span" xs;
+  let first = signed_key (Array.unsafe_get xs 0) in
+  let lo = ref first and hi = ref first and diff = ref 0L and negative_zero = ref false in
+  for i = 0 to Array.length xs - 1 do
+    let x = Array.unsafe_get xs i in
+    let k = signed_key x in
+    diff := Int64.logor !diff (Int64.logxor k first);
+    if k < !lo then lo := k;
+    if k > !hi then hi := k;
+    if x = 0. && 1. /. x < 0. then negative_zero := true
+  done;
+  if !negative_zero || !lo = Int64.min_int then None
+  else begin
+    let shift = ref 0 and d = ref !diff in
+    if !d <> 0L then
+      while Int64.logand !d 1L = 0L do
+        d := Int64.shift_right_logical !d 1;
+        incr shift
+      done;
+    let width = Int64.shift_right_logical (Int64.sub !hi !lo) !shift in
+    let buckets =
+      if width < 0L || width >= Int64.of_int max_int then max_int else Int64.to_int width + 1
+    in
+    Some { low = !lo; shift = !shift; buckets }
+  end
+
+let span_buckets s = s.buckets
+
+(* [counts.(2b)] counts the even-indexed values in bucket [b] and
+   [counts.(2b + 1)] the odd-indexed ones.  The writes are bounds-checked:
+   a sample other than the spanned one cannot write outside [counts]. *)
+let count_halves s xs =
+  let n = Array.length xs in
+  if s.buckets > n then invalid_arg "Descriptive.count_halves: more buckets than values";
+  let counts = Array.make (2 * s.buckets) 0 in
+  let low = s.low and shift = s.shift in
+  for i = 0 to n - 1 do
+    let k = signed_key (Array.unsafe_get xs i) in
+    let c = (2 * Int64.to_int (Int64.shift_right_logical (Int64.sub k low) shift)) + (i land 1) in
+    counts.(c) <- counts.(c) + 1
+  done;
+  counts
+
+(* The values of one bucket have one key, and without a NaN or a -0. one
+   bit pattern, so each bucket's run is its key's float, written as many
+   times as the bucket counts: a sequential pass that reads no sample. *)
+let sort_counted s counts =
+  if Array.length counts <> 2 * s.buckets then
+    invalid_arg "Descriptive.sort_counted: counts of another span";
+  let n = Array.fold_left ( + ) 0 counts in
+  let dst = Array.create_float n in
+  let o = ref 0 in
+  for b = 0 to s.buckets - 1 do
+    let c = Array.unsafe_get counts (2 * b) + Array.unsafe_get counts ((2 * b) + 1) in
+    if c > 0 then begin
+      let x = float_of_signed_key (Int64.add s.low (Int64.shift_left (Int64.of_int b) s.shift)) in
+      for i = !o to !o + c - 1 do
+        dst.(i) <- x
+      done;
+      o := !o + c
+    end
+  done;
+  dst
+
 (* Ties are taken from [a] first. *)
 let merge_sorted (a : float array) (b : float array) =
   let la = Array.length a and lb = Array.length b in

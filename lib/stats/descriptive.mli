@@ -16,8 +16,8 @@
     and all between the same two powers of two, sort in one counting pass
     and three scatter passes.  It allocates a table of 2,048 counts, and a
     scratch array of [length xs] floats only when some key byte varies.
-    Every sort of a float sample in the analysis goes through this
-    kernel. *)
+    Every sort of a float sample in the analysis goes through this kernel,
+    or counts its keys ({!sort_counted}). *)
 val sort : float array -> unit
 
 (** [merge_sorted a b] is a fresh array holding the ascending arrays [a]
@@ -25,6 +25,44 @@ val sort : float array -> unit
     bit-identical to sorting the concatenation under the same condition as
     {!sort}. *)
 val merge_sorted : float array -> float array -> float array
+
+(** {2 Counting instead of sorting}
+
+    A sample whose values are few next to its length, such as cycle
+    counts, sorts by counting.  {!sort}'s order-preserving key, divided by
+    the largest power of two that divides every key's difference from
+    the first, maps the distinct values one-to-one onto consecutive
+    buckets in ascending order; two values share a bucket exactly when
+    [Float.compare] says they are equal.  Every loop over the keys stays
+    in this module, where they are not boxed. *)
+
+(** The buckets of one sample's keys. *)
+type span
+
+(** [span xs] makes one pass over [xs].  It is [None] when [xs] holds a
+    NaN or a [-0.], whose keys it shares with values of other bits.
+
+    @raise Invalid_argument if [xs] is empty. *)
+val span : float array -> span option
+
+(** The number of buckets from the least key to the greatest, empty ones
+    included, saturated at [max_int]: the sample's distinct values, and
+    the gaps between them in steps of the finest spacing they share. *)
+val span_buckets : span -> int
+
+(** [count_halves s xs], with [s] the span of [xs], is, for each bucket
+    [b], the number of even-indexed values of [xs] in it at [2b] and of
+    odd-indexed ones at [2b + 1]: one pass, [2 * span_buckets s] ints.
+
+    @raise Invalid_argument if [xs] has fewer values than [s] has
+    buckets. *)
+val count_halves : span -> float array -> int array
+
+(** [sort_counted s counts], with [counts] from [count_halves s xs], is a
+    fresh array of [xs] sorted ascending, made from the counts alone: bit
+    for bit {!sort} of [xs], and {!merge_sorted} of its two halves each
+    sorted by {!sort}. *)
+val sort_counted : span -> int array -> float array
 
 val mean : float array -> float
 

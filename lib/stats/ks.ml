@@ -6,6 +6,11 @@ let p_value_of_d ~n_effective d =
   let lambda = (sqrt_ne +. 0.12 +. (0.11 /. sqrt_ne)) *. d in
   Special.kolmogorov_survival lambda
 
+let result_of_d ~alpha ~n ~m d =
+  let n_effective = float_of_int n *. float_of_int m /. float_of_int (n + m) in
+  let p = p_value_of_d ~n_effective d in
+  { statistic = d; p_value = p; same_distribution = p >= alpha }
+
 (* [le x y] is [Float.compare x y <= 0], the order [Descriptive.sort]
    sorts by: NaN below everything and every NaN equal, -0. equal to +0.
    A local copy, since a call into another module boxes both floats. *)
@@ -40,9 +45,7 @@ let two_sample_sorted ?(alpha = 0.05) sx sy =
     else if !j < m then Float.max !d (1. -. (float_of_int !j /. float_of_int m))
     else !d
   in
-  let n_effective = float_of_int n *. float_of_int m /. float_of_int (n + m) in
-  let p = p_value_of_d ~n_effective d in
-  { statistic = d; p_value = p; same_distribution = p >= alpha }
+  result_of_d ~alpha ~n ~m d
 
 let two_sample ?alpha xs ys =
   let sx = Array.copy xs and sy = Array.copy ys in
@@ -79,6 +82,37 @@ let split_halves xs =
     Array.unsafe_set odds i (Array.unsafe_get xs ((2 * i) + 1))
   done;
   (evens, odds)
+
+(* The halves of [xs] are counted per bucket of [Descriptive.span] when
+   its keys span no more buckets than [xs] has values, and sorted
+   otherwise.  Walking the buckets in order visits each distinct value
+   once, as the merge walk does, with the same counts below it, so every
+   gap is the same float.  Once one half is used up, each later bucket's
+   gap is no wider than the tail gap the merge walk takes where it
+   stops, so D is the same bit for bit. *)
+let two_halves ?(alpha = 0.05) xs =
+  let len = Array.length xs in
+  if len < 2 then invalid_arg "Ks.two_sample: empty sample";
+  match Descriptive.span xs with
+  | Some span when Descriptive.span_buckets span <= len ->
+      let counts = Descriptive.count_halves span xs in
+      let n = (len + 1) / 2 and m = len / 2 in
+      let i = ref 0 and j = ref 0 and d = ref 0. in
+      for b = 0 to Descriptive.span_buckets span - 1 do
+        let ci = Array.unsafe_get counts (2 * b) and cj = Array.unsafe_get counts ((2 * b) + 1) in
+        if ci + cj > 0 then begin
+          i := !i + ci;
+          j := !j + cj;
+          let fx = float_of_int !i /. float_of_int n and fy = float_of_int !j /. float_of_int m in
+          d := Float.max !d (Float.abs (fx -. fy))
+        end
+      done;
+      (result_of_d ~alpha ~n ~m !d, lazy (Descriptive.sort_counted span counts))
+  | Some _ | None ->
+      let first, second = split_halves xs in
+      Descriptive.sort first;
+      Descriptive.sort second;
+      (two_sample_sorted ~alpha first second, lazy (Descriptive.merge_sorted first second))
 
 let pp_result ppf r =
   Format.fprintf ppf "D=%.4f p=%.4f -> %s" r.statistic r.p_value

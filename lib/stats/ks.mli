@@ -35,4 +35,22 @@ val one_sample : ?alpha:float -> float array -> cdf:(float -> float) -> result
     standard MBPTA way of forming the two samples for [two_sample]. *)
 val split_halves : float array -> float array * float array
 
+(** [two_halves ?alpha xs] is the paper's identical-distribution test:
+    {!two_sample_sorted} on the halves of {!split_halves}[ xs], each
+    sorted by {!Repro_stats.Descriptive.sort}, together with [xs] sorted
+    ascending in that order, made when first forced.  Both are bit for
+    bit what the sorted halves give; the sorted sample is their
+    {!Repro_stats.Descriptive.merge_sorted}.
+
+    When the keys of [xs] span no more buckets than [xs] has values
+    ({!Repro_stats.Descriptive.span}), as integer cycle counts with ties
+    do, the halves are not sorted: the test walks two histograms, one per
+    half, and the sorted sample is written from them
+    ({!Repro_stats.Descriptive.sort_counted}).  Otherwise, and whenever
+    [xs] holds a NaN or a [-0.], the halves are split off and sorted, and
+    the sorted sample is their merge.
+
+    @raise Invalid_argument if [xs] has fewer than 2 values. *)
+val two_halves : ?alpha:float -> float array -> result * float array Lazy.t
+
 val pp_result : Format.formatter -> result -> unit

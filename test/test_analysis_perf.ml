@@ -333,6 +333,37 @@ let test_iid_battery_minor_words () =
     Alcotest.failf "Iid.check_and_sort on 10^5 floats added %.0f minor words, want < 1,000"
       words
 
+(* Words [f ()] allocates, minor and major heap together.  A full
+   collection first, so that no collection of earlier garbage lands in
+   the count: it then repeats exactly. *)
+let allocated_words f =
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* The gate's KS test on 10^5 cycle counts spanning 23,600 buckets
+   counts its halves instead of sorting them: the gate allocates
+   Ljung-Box's 10^5-float scratch and the two halves' histograms, 47,200
+   ints, 147,244 words in all.  A copy of either half (5 * 10^4 floats)
+   on top breaks the bound; splitting and sorting both halves allocated
+   304,144. *)
+let test_gate_words () =
+  let xs = splitmix_sample ~seed:2017L 100_000 in
+  let words = allocated_words (fun () -> M.Iid.gate xs) in
+  if words >= 160_000. then
+    Alcotest.failf "Iid.gate on 10^5 cycle counts allocated %.0f words, want < 160,000" words
+
+(* The convergence study on the same sample stops at 700 runs, and its
+   buffers grow with the runs it reads: 20,148 words.  A buffer sized to
+   the whole sample (10^5 floats) breaks the bound; the two the study
+   once allocated up front made 223,994. *)
+let test_study_words () =
+  let xs = splitmix_sample ~seed:2017L 100_000 in
+  let words = allocated_words (fun () -> E.Convergence.study xs) in
+  if words >= 25_000. then
+    Alcotest.failf "Convergence.study on 10^5 runs allocated %.0f words, want < 25,000" words
+
 let digest_bits xs =
   let b = Buffer.create (8 * Array.length xs) in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
@@ -554,6 +585,10 @@ let () =
         [
           Alcotest.test_case "iid battery at 10^5 adds < 1,000 minor words" `Quick
             test_iid_battery_minor_words;
+          Alcotest.test_case "Iid.gate at 10^5 allocates < 160,000 words" `Quick
+            test_gate_words;
+          Alcotest.test_case "Convergence.study at 10^5 allocates < 25,000 words" `Quick
+            test_study_words;
         ] );
       ( "protocol",
         [

@@ -974,6 +974,10 @@ let same_ks (a : S.Ks.result) (b : S.Ks.result) =
 
 let gate_matches_sort_path xs =
   let ks, sorted = sort_path xs in
+  let halves, halves_sorted = S.Ks.two_halves xs in
+  same_ks halves ks
+  && bits (Lazy.force halves_sorted) = bits sorted
+  &&
   if Array.length xs < 10 || Array.exists Float.is_nan xs then (
     (* Ljung-Box, which runs first, needs 10 runs and a finite Q *)
     match M.Iid.gate xs with
