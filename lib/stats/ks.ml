@@ -13,7 +13,8 @@ let result_of_d ~alpha ~n ~m d =
 
 (* [le x y] is [Float.compare x y <= 0], the order [Descriptive.sort]
    sorts by: NaN below everything and every NaN equal, -0. equal to +0.
-   A local copy, since a call into another module boxes both floats. *)
+   Written out here, since a call into another module boxes both
+   floats. *)
 let[@inline] le (x : float) y = x <= y || x <> x
 
 let two_sample_sorted ?(alpha = 0.05) sx sy =
@@ -23,8 +24,9 @@ let two_sample_sorted ?(alpha = 0.05) sx sy =
   if n = 0 || m = 0 then invalid_arg "Ks.two_sample: empty sample";
   (* Merge-walk both sorted samples tracking the CDF gap: each step passes
      every element equal to the smaller head in both samples.  Equal is
-     the sort's order, where every NaN is one value below all others: with
-     [Float.min] and [<=] a NaN head is passed by neither loop. *)
+     the sort's order, where every NaN is one value below all others
+     ([Float.min] and [<=] would leave a NaN head passed by neither
+     loop). *)
   let i = ref 0 and j = ref 0 and d = ref 0. in
   while !i < n && !j < m do
     let x = Array.unsafe_get sx !i and y = Array.unsafe_get sy !j in
@@ -92,7 +94,7 @@ let split_halves xs =
    stops, so D is the same bit for bit. *)
 let two_halves ?(alpha = 0.05) xs =
   let len = Array.length xs in
-  if len < 2 then invalid_arg "Ks.two_sample: empty sample";
+  if len < 2 then invalid_arg "Ks.two_halves: need at least 2 values";
   match Descriptive.span xs with
   | Some span when Descriptive.span_buckets span <= len ->
       let counts = Descriptive.count_halves span xs in

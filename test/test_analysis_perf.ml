@@ -346,8 +346,8 @@ let allocated_words f =
    counts its halves instead of sorting them: the gate allocates
    Ljung-Box's 10^5-float scratch and the two halves' histograms, 47,200
    ints, 147,244 words in all.  A copy of either half (5 * 10^4 floats)
-   on top breaks the bound; splitting and sorting both halves allocated
-   304,144. *)
+   on top breaks the bound; the sort path, which copies both halves and
+   sorts each with a scratch array, makes 304,144. *)
 let test_gate_words () =
   let xs = splitmix_sample ~seed:2017L 100_000 in
   let words = allocated_words (fun () -> M.Iid.gate xs) in
@@ -356,8 +356,7 @@ let test_gate_words () =
 
 (* The convergence study on the same sample stops at 700 runs, and its
    buffers grow with the runs it reads: 20,148 words.  A buffer sized to
-   the whole sample (10^5 floats) breaks the bound; the two the study
-   once allocated up front made 223,994. *)
+   the whole sample (10^5 floats) breaks the bound. *)
 let test_study_words () =
   let xs = splitmix_sample ~seed:2017L 100_000 in
   let words = allocated_words (fun () -> E.Convergence.study xs) in
