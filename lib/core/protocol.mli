@@ -140,18 +140,19 @@ val gate :
 val model : ?options:options -> gate -> float array -> model
 
 (** [analyze ?options ?jobs ?trace xs] runs the protocol on a collected
-    sample: {!gate}, then the merge of the sorted halves and the runs
+    sample: {!gate}, then the gate's sorted sample and the runs
     diagnostic ({!Iid.complete}), then {!model}, then the curve, the
     goodness-of-fit tests, the tail diagnostic and the bootstrap.
     [jobs] (default 1) fans the bootstrap replicates (when
     {!options.bootstrap} is set) out over the domain pool — results are
     bit-identical at every job count, the analysis-side extension of the
-    campaign determinism contract.  The measurement vector is sorted once:
-    the i.i.d. gate sorts the two KS halves and their merge serves the
-    runs-test median, the curve's ECDF, the POT threshold and the tail
-    diagnostic.  Only the block maxima (a 1/block_size share of the
-    sample) and the convergence study's growing prefix are sorted apart
-    from it.
+    campaign determinism contract.  The measurement vector is ordered
+    once: the i.i.d. gate orders the two KS halves, by counting or by
+    sorting ({!Repro_stats.Ks.two_halves}), and the sorted sample they
+    give serves the runs-test median, the curve's ECDF, the POT
+    threshold and the tail diagnostic.  Only the block maxima (a
+    1/block_size share of the sample) and the convergence study's
+    growing prefix are sorted apart from it.
 
     With [trace] attached, every intermediate verdict is also recorded as a
     trace event ({!Trace.Iid_result}, {!Trace.Convergence}, {!Trace.Evt_fit})

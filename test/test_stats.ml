@@ -707,6 +707,18 @@ let test_guards_survive_noassert () =
   expect_invalid "ljung-box lags" (fun () -> S.Ljung_box.test ~lags:30 (Array.make 30 1.));
   expect_invalid "ks two empty" (fun () -> S.Ks.two_sample [||] ks_b);
   expect_invalid "ks one empty" (fun () -> S.Ks.one_sample [||] ~cdf:(fun _ -> 0.5));
+  expect_invalid "ks two_halves n<2" (fun () -> S.Ks.two_halves [| 1. |]);
+  expect_invalid "span empty" (fun () -> S.Descriptive.span [||]);
+  (match S.Descriptive.span [| 1.; 3. |] with
+  | None -> Alcotest.fail "span of [1; 3]: expected Some"
+  | Some s ->
+      expect_invalid "count_halves: more buckets than values" (fun () ->
+          S.Descriptive.count_halves s [| 1.; 3. |]));
+  (match S.Descriptive.span [| 2.; 3.; 2. |] with
+  | None -> Alcotest.fail "span of [2; 3; 2]: expected Some"
+  | Some s ->
+      expect_invalid "sort_counted: counts of another span" (fun () ->
+          S.Descriptive.sort_counted s [| 1; 1 |]));
   expect_invalid "runs n<20" (fun () -> S.Runs_test.test (Array.make 19 1.));
   expect_invalid "mean empty" (fun () -> S.Descriptive.mean [||]);
   expect_invalid "summarize empty" (fun () -> S.Descriptive.summarize [||]);
