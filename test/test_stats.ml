@@ -1033,8 +1033,8 @@ let test_gate_matches_sort_path =
        gate_matches_sort_path)
 
 (* A seeded Splitmix sample of 10^5 integer cycle counts around 2 * 10^5
-   with a Gumbel-shaped tail, as test_analysis_perf draws it: 23,600
-   distinct values, so ties are common. *)
+   with a Gumbel-shaped tail, as test_analysis_perf draws it: its values
+   span 23,600 one-cycle buckets, so ties are common. *)
 let splitmix_sample ~seed n =
   let sm = Repro_rng.Splitmix.create seed in
   let xs = Array.make n 0. in
