@@ -1169,6 +1169,61 @@ let test_index_sidecar () =
   | l -> Alcotest.failf "expected 1 record, found %d" (List.length l));
   Alcotest.(check bool) "stale sidecar rebuilt" true (read_file idx <> junk)
 
+(* A record whose every phase is complete is adopted read-only, without
+   the writer lock, and a graceful stop between the DET and RAND phases
+   leaves one holding a complete collect_det alone.  Of two sessions
+   that resume it, the first to append takes the lock; the other cannot
+   append, and the record stays complete. *)
+let test_lockless_session_cannot_append () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size:8 config in
+  let s = open_exn ~chunk_size:8 root ~key ~runs:16 ~resilient:false in
+  ignore (Store.collect s ~jobs:1 ~phase:"collect_det" 16 awkward);
+  Store.close s;
+  let a = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:16 ~resilient:false in
+  let b = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:16 ~resilient:false in
+  ignore (Store.collect a ~jobs:1 ~phase:"collect_rand" 16 awkward);
+  (match Store.collect b ~jobs:1 ~phase:"collect_rand" 16 awkward with
+  | _ -> Alcotest.fail "a second session appended without the writer lock"
+  | exception Sys_error _ -> ());
+  Store.close a;
+  Store.close b;
+  match Store.ls root with
+  | [ ({ status = Store.Complete; _ } : Store.entry) ] -> ()
+  | [ e ] -> Alcotest.failf "record left as %a" Store.pp_entry e
+  | l -> Alcotest.failf "expected 1 record, found %d" (List.length l)
+
+(* Every single-bit flip of a complete record's sidecar is caught: the
+   session either adopts the rows it was written with or falls back to
+   the verified scan, so a warm read never runs the measurement and
+   never appends. *)
+let test_sidecar_flips_never_resimulate () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size:8 config in
+  let rand i = awkward (i + 100) in
+  let s = open_exn ~chunk_size:8 root ~key ~runs:8 ~resilient:false in
+  let det = Store.collect s ~jobs:1 ~phase:"collect_det" 8 awkward in
+  let rnd = Store.collect s ~jobs:1 ~phase:"collect_rand" 8 rand in
+  Store.close s;
+  let file = record_file root key in
+  let idx = file ^ ".idx" in
+  let record = read_file file and sidecar = read_file idx in
+  for bit = 0 to (8 * String.length sidecar) - 1 do
+    let flipped = Bytes.of_string sidecar in
+    let at = bit / 8 in
+    Bytes.set flipped at (Char.chr (Char.code sidecar.[at] lxor (1 lsl (bit land 7))));
+    write_file idx (Bytes.to_string flipped);
+    let w = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:8 ~resilient:false in
+    let no_run i = Alcotest.failf "sidecar bit %d: run %d re-simulated" bit i in
+    let det' = Store.collect w ~jobs:1 ~phase:"collect_det" 8 no_run in
+    let rnd' = Store.collect w ~jobs:1 ~phase:"collect_rand" 8 no_run in
+    Store.close w;
+    let same a b = Array.map Int64.bits_of_float a = Array.map Int64.bits_of_float b in
+    if not (same det det' && same rnd rnd') then
+      Alcotest.failf "sidecar bit %d: a sample changed" bit;
+    if read_file file <> record then Alcotest.failf "sidecar bit %d: record changed" bit
+  done
+
 (* ------------------------------------------------------------------ *)
 (* checkpoint schedule *)
 
@@ -1373,6 +1428,10 @@ let () =
         [
           Alcotest.test_case "ls statuses and gc" `Quick test_ls_statuses_and_gc;
           Alcotest.test_case "index sidecar" `Quick test_index_sidecar;
+          Alcotest.test_case "a session without the lock cannot append" `Quick
+            test_lockless_session_cannot_append;
+          Alcotest.test_case "sidecar flips never re-simulate" `Quick
+            test_sidecar_flips_never_resimulate;
           Alcotest.test_case "tail corruption keeps prefix" `Quick
             test_tail_corruption_keeps_prefix;
         ] );
