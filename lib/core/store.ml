@@ -770,13 +770,16 @@ let scan_record ?(deep = false) file =
    per chunk — so header-only reads ([ls ~deep:false]) and warm session
    opens skip the record scan entirely.  The sidecar is a derived
    cache, never a source of truth: it is only honored when its header
-   stamps the record's exact byte size, mtime and meta-line digest, it
-   is only ever written over chunks whose seals were verified (by the
-   writer at append time, or by the full scan that rebuilt it — the
-   git-index trust model), and any parse hiccup silently falls back to
-   a scan that rebuilds it.  Written via tmp + rename (pid-stamped tmp
-   name) so concurrent writers cannot tear it.  The [.idx] suffix keeps
-   it invisible to the [.jsonl] filters in [ls]/[gc]/[merge]. *)
+   stamps the record's exact byte size, mtime and meta-line digest and
+   the md5 of its own rows, it is only ever written over chunks whose
+   seals were verified (by the writer at append time, or by the full
+   scan that rebuilt it — the git-index trust model), and any parse
+   hiccup silently falls back to a scan that rebuilds it.  The rows'
+   digest seals them: a row whose phase name changed would otherwise
+   still tile the record and pass as a complete index.  Written via
+   tmp + rename (pid-stamped tmp name) so concurrent writers cannot tear
+   it.  The [.idx] suffix keeps it invisible to the [.jsonl] filters in
+   [ls]/[gc]/[merge]. *)
 
 let file_bytes file =
   match open_in_bin file with
@@ -787,7 +790,7 @@ let file_bytes file =
   | exception Sys_error _ -> 0
 
 let index_path file = file ^ ".idx"
-let index_magic = "mbpta-idx/v1"
+let index_magic = "mbpta-idx/v2"
 
 (* The sidecar stamps the record's mtime alongside its size (git-index
    style): any offline rewrite of the record — even one preserving the
@@ -807,13 +810,17 @@ let write_index ~file ~meta_sum ~bytes chunks =
   | exception Sys_error _ -> ()
   | oc -> (
       match
-        Printf.fprintf oc "%s %d %Ld %s\n" index_magic bytes (file_mtime_bits file)
-          meta_sum;
+        let rows = Buffer.create 4096 in
         List.iter
           (fun c ->
-            Printf.fprintf oc "%S %d %d %d %d\n" c.c_phase c.c_lo c.c_len c.c_off
+            Printf.bprintf rows "%S %d %d %d %d\n" c.c_phase c.c_lo c.c_len c.c_off
               c.c_bytes)
           chunks;
+        let rows = Buffer.contents rows in
+        Printf.fprintf oc "%s %d %Ld %s %s\n" index_magic bytes (file_mtime_bits file)
+          meta_sum
+          (Digest.to_hex (Digest.string rows));
+        output_string oc rows;
         close_out oc;
         Sys.rename tmp idx
       with
@@ -860,8 +867,9 @@ let parse_index_row line =
         | _ -> None)
   end
 
-(* [Some chunks] iff the sidecar exists and stamps exactly this record
-   (size + mtime + meta digest); any mismatch or parse failure is [None]. *)
+(* [Some chunks] iff the sidecar exists, stamps exactly this record
+   (size + mtime + meta digest) and its rows match their digest; any
+   mismatch or parse failure is [None]. *)
 let read_index ~file ~meta_sum =
   match open_in_bin (index_path file) with
   | exception Sys_error _ -> None
@@ -869,25 +877,24 @@ let read_index ~file ~meta_sum =
       Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
       try
         let header = input_line ic in
+        let rows = really_input_string ic (in_channel_length ic - pos_in ic) in
         let fresh =
-          Scanf.sscanf header "%s %d %Ld %s" (fun magic bytes mtime sum ->
+          Scanf.sscanf header "%s %d %Ld %s %s%!" (fun magic bytes mtime sum rows_sum ->
               magic = index_magic && bytes = file_bytes file
-              && mtime = file_mtime_bits file && sum = meta_sum)
+              && mtime = file_mtime_bits file && sum = meta_sum
+              && rows_sum = Digest.to_hex (Digest.string rows))
         in
         if not fresh then None
         else begin
-          let rows = ref [] in
-          let ok = ref true in
-          (try
-             while !ok do
-               let line = input_line ic in
-               if line <> "" then
-                 match parse_index_row line with
-                 | Some r -> rows := r :: !rows
-                 | None -> ok := false
-             done
-           with End_of_file -> ());
-          if !ok then Some (List.rev !rows) else None
+          let rec parse acc = function
+            | [] -> Some (List.rev acc)
+            | "" :: lines -> parse acc lines
+            | line :: lines -> (
+                match parse_index_row line with
+                | Some r -> parse (r :: acc) lines
+                | None -> None)
+          in
+          parse [] (String.split_on_char '\n' rows)
         end
       with Scanf.Scan_failure _ | Failure _ | End_of_file | Sys_error _ -> None)
 
@@ -1469,6 +1476,21 @@ let persist_payload s ~phase ~lo payload =
   | Some n when n <= 0 -> raise (Injected_crash { appended_chunks = s.appended })
   | Some n -> s.fail_after <- Some (n - 1)
   | None -> ());
+  if s.lock = None then begin
+    (* A record whose every phase is complete is adopted read-only,
+       without the writer lock, yet a later phase may still append to it.
+       The first append takes the lock, on a record that still ends where
+       this session's index does. *)
+    (match acquire_lock ~file:s.file with
+    | Ok fd -> s.lock <- Some fd
+    | Error e -> raise (Sys_error e));
+    let bytes = file_bytes s.file in
+    if bytes <> s.end_off then begin
+      release_session_lock s;
+      chunk_fail ~file:s.file ~phase ~lo "record holds %d bytes, the session indexed %d"
+        bytes s.end_off
+    end
+  end;
   let oc = ensure_oc s in
   let nbytes =
     Repro_profile.time Repro_profile.Store (fun () ->

@@ -67,9 +67,10 @@
     memory however large the campaign.  A per-record sidecar
     ([<key>.jsonl.idx]) caches the byte layout for header-only listings
     and warm opens; it is a derived cache, honored only when it stamps the
-    record's exact byte size, mtime and meta digest, and rebuilt from the
-    record otherwise; a row that does not parse (a phase name holding an
-    escape) voids it, and the record takes the verified scan.  The trust
+    record's exact byte size, mtime and meta digest and its rows match
+    the md5 its header carries, and rebuilt from the record otherwise; a
+    row that does not parse (a phase name holding an escape) voids it,
+    and the record takes the verified scan.  The trust
     model is git's index: the sidecar is only ever written over chunks
     whose seals were verified (by the writer at append time, or by the
     full scan that rebuilt it), so a session adopting a stamped sidecar
@@ -214,8 +215,12 @@ val open_session :
     record would interleave its chunks.  The lock is released on {!close},
     dies with the process (a killed campaign never leaves a stale lock),
     and is dropped immediately when the record turns out complete, so any
-    number of warm readers share a key freely.  Sessions of one process
-    exclude each other the same way.
+    number of warm readers share a key freely.  Such a session takes the
+    lock again before its first append (a record complete in every phase
+    it holds can still gain a phase), and only if the record still has
+    the bytes the session indexed; otherwise the append raises
+    [Sys_error].  Sessions of one process exclude each other the same
+    way.
 
     Raises [Sys_error] when the record file cannot be created. *)
 
