@@ -1,10 +1,9 @@
 (* The paper-tables executable: regenerates every table and figure of the
    paper's evaluation (DESIGN.md experiment index E1-E4) plus the
-   ablations A1-A7, then runs Bechamel micro-benchmarks of the pipeline's
-   own cost.  The repository's performance benchmark is perfbench/ (see
-   BENCHMARK.json), gated by bench/gate.exe.
+   ablations A1-A7.  The repository's performance benchmark is perfbench/
+   (see BENCHMARK.json), gated by bench/gate.exe.
 
-   Usage:  dune exec bench/main.exe [-- --runs N] [-- --skip-micro]
+   Usage:  dune exec bench/main.exe [-- --runs N]
    Default N is 3000 (the paper's run count). *)
 
 module P = Repro_platform
@@ -16,16 +15,12 @@ module Isa = Repro_isa
 module D = S.Descriptive
 
 let runs = ref 3000
-let skip_micro = ref false
 
 let () =
   let rec parse = function
     | [] -> ()
     | "--runs" :: n :: rest ->
         runs := int_of_string n;
-        parse rest
-    | "--skip-micro" :: rest ->
-        skip_micro := true;
         parse rest
     | arg :: _ -> failwith ("unknown argument: " ^ arg)
   in
@@ -380,53 +375,6 @@ let a7_block_size () =
     "@.the estimate is stable across reasonable block sizes - the hallmark of a@.";
   Format.printf "max-stable (EVT-amenable) measurement distribution.@."
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the cost of the tooling itself. *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): cost of one step of each pipeline stage";
-  let open Bechamel in
-  let rand_sample = (Lazy.force campaign).M.Campaign.rand_sample in
-  let maxima = E.Block_maxima.extract ~block_size:64 rand_sample in
-  let counter = ref 0 in
-  let next () =
-    incr counter;
-    !counter
-  in
-  let tests =
-    [
-      Test.make ~name:"E1 iid-battery (full sample)"
-        (Staged.stage (fun () -> ignore (M.Iid.check rand_sample)));
-      Test.make ~name:"E2 gumbel-fit+curve (block maxima)"
-        (Staged.stage (fun () ->
-             let model = E.Gumbel_fit.fit maxima in
-             ignore
-               (E.Pwcet.create ~model:(E.Pwcet.Gumbel_tail model) ~block_size:64
-                  ~sample:rand_sample)));
-      Test.make ~name:"E3 mbta-bound (full sample)"
-        (Staged.stage (fun () -> ignore (M.Mbta.bound rand_sample)));
-      Test.make ~name:"E4 descriptive-summary (full sample)"
-        (Staged.stage (fun () -> ignore (D.summarize rand_sample)));
-      Test.make ~name:"tvca-run DET (one measured run)"
-        (Staged.stage (fun () ->
-             ignore (T.Experiment.measure det_experiment ~run_index:(next ()))));
-      Test.make ~name:"tvca-run RAND (one measured run)"
-        (Staged.stage (fun () ->
-             ignore (T.Experiment.measure rand_experiment ~run_index:(next ()))));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"pipeline" tests) in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) rows
-  |> List.iter (fun (name, r) ->
-         match Analyze.OLS.estimates r with
-         | Some (ns :: _) -> Format.printf "%-48s %12.1f us/call@." name (ns /. 1000.)
-         | Some [] | None -> Format.printf "%-48s (no estimate)@." name)
-
 let () =
   Format.printf
     "MBPTA-on-time-randomized-platform reproduction benchmark (runs per config: %d)@."
@@ -442,5 +390,4 @@ let () =
   a5_det_unsound ();
   a6_gate_calibration ();
   a7_block_size ();
-  if not !skip_micro then micro ();
   Format.printf "@.done.@."

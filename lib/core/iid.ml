@@ -40,11 +40,7 @@ let complete (g : gate) xs =
     accepted = g.accepted;
   }
 
-let check_and_sort ?alpha xs =
-  let g = gate ?alpha xs in
-  (complete g xs, Lazy.force g.sorted)
-
-let check ?alpha xs = fst (check_and_sort ?alpha xs)
+let check ?alpha xs = complete (gate ?alpha xs) xs
 
 let pp ppf r =
   Format.fprintf ppf

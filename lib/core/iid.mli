@@ -43,12 +43,4 @@ val complete : gate -> float array -> result
 (** [check ?alpha xs] is [complete (gate ?alpha xs) xs]. *)
 val check : ?alpha:float -> float array -> result
 
-(** [check_and_sort ?alpha xs] is [check ?alpha xs] together with a fresh
-    copy of [xs] sorted ascending in {!Repro_stats.Descriptive.sort}'s
-    order.  The KS test orders the two halves, by counting or by
-    sorting, and the sorted sample follows from them in O(n), so a
-    caller that needs order statistics after the check gets them without
-    sorting again. *)
-val check_and_sort : ?alpha:float -> float array -> result * float array
-
 val pp : Format.formatter -> result -> unit

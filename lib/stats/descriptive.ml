@@ -206,17 +206,11 @@ let mean xs =
   done;
   !sum /. float_of_int (Array.length xs)
 
-(* k-th central moment about a precomputed mean — shared by the public
-   [centered_moment] and by [summarize], which computes the mean once. *)
+(* k-th central moment about a precomputed mean: [summarize] computes the
+   mean once. *)
 let centered_moment_about m xs k =
   Array.fold_left (fun acc x -> acc +. ((x -. m) ** float_of_int k)) 0. xs
   /. float_of_int (Array.length xs)
-
-let centered_moment xs k =
-  require_nonempty "Descriptive.centered_moment" xs;
-  centered_moment_about (mean xs) xs k
-
-let variance xs = centered_moment xs 2
 
 let sample_variance_about m xs =
   let n = Array.length xs in
@@ -227,7 +221,6 @@ let sample_variance xs =
   if n < 2 then invalid_arg "Descriptive.sample_variance: need at least 2 observations";
   sample_variance_about (mean xs) xs
 
-let std xs = sqrt (variance xs)
 let sample_std xs = sqrt (sample_variance xs)
 
 let min xs =
@@ -237,14 +230,6 @@ let min xs =
 let max xs =
   require_nonempty "Descriptive.max" xs;
   Array.fold_left Float.max xs.(0) xs
-
-let skewness xs =
-  let m2 = centered_moment xs 2 and m3 = centered_moment xs 3 in
-  m3 /. (m2 ** 1.5)
-
-let kurtosis_excess xs =
-  let m2 = centered_moment xs 2 and m4 = centered_moment xs 4 in
-  (m4 /. (m2 *. m2)) -. 3.
 
 (* Type-7 quantile over an already-sorted array; the public [quantile]
    sorts a private copy, [summarize] reuses one shared sorted copy. *)

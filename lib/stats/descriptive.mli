@@ -66,23 +66,13 @@ val sort_counted : span -> int array -> float array
 
 val mean : float array -> float
 
-(** Population variance (divides by n). *)
-val variance : float array -> float
-
 (** Unbiased sample variance (divides by n-1). *)
 val sample_variance : float array -> float
 
-val std : float array -> float
 val sample_std : float array -> float
 
 val min : float array -> float
 val max : float array -> float
-
-(** Sample skewness (g1, biased moment estimator). *)
-val skewness : float array -> float
-
-(** Excess kurtosis (g2 = m4/m2^2 - 3). *)
-val kurtosis_excess : float array -> float
 
 (** [quantile xs p] with [p] in [[0, 1]]: linear interpolation between order
     statistics (R type-7, the common default).  [xs] need not be sorted. *)

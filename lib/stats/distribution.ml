@@ -1,73 +1,5 @@
 module Prng = Repro_rng.Prng
 
-module Uniform = struct
-  type t = { lo : float; hi : float }
-
-  let create ~lo ~hi =
-    if not (hi > lo) then invalid_arg "Distribution.Uniform.create: need hi > lo";
-    { lo; hi }
-
-  let pdf t x = if x < t.lo || x > t.hi then 0. else 1. /. (t.hi -. t.lo)
-
-  let cdf t x =
-    if x <= t.lo then 0. else if x >= t.hi then 1. else (x -. t.lo) /. (t.hi -. t.lo)
-
-  let quantile t p =
-    if not (p >= 0. && p <= 1.) then
-      invalid_arg "Distribution.Uniform.quantile: p outside [0, 1]";
-    t.lo +. (p *. (t.hi -. t.lo))
-
-  let sample t prng = quantile t (Prng.float prng)
-end
-
-module Normal = struct
-  type t = { mu : float; sigma : float }
-
-  let create ~mu ~sigma =
-    if not (sigma > 0.) then invalid_arg "Distribution.Normal.create: need sigma > 0";
-    { mu; sigma }
-
-  let standard = { mu = 0.; sigma = 1. }
-
-  let pdf t x =
-    let z = (x -. t.mu) /. t.sigma in
-    exp (-0.5 *. z *. z) /. (t.sigma *. sqrt (2. *. Float.pi))
-
-  let cdf t x = Special.normal_cdf ((x -. t.mu) /. t.sigma)
-  let quantile t p = t.mu +. (t.sigma *. Special.normal_quantile p)
-  let sample t prng = t.mu +. (t.sigma *. Prng.gaussian prng)
-end
-
-module Exponential = struct
-  type t = { rate : float }
-
-  let create ~rate =
-    if not (rate > 0.) then invalid_arg "Distribution.Exponential.create: need rate > 0";
-    { rate }
-
-  let pdf t x = if x < 0. then 0. else t.rate *. exp (-.t.rate *. x)
-  let cdf t x = if x < 0. then 0. else -.Float.expm1 (-.t.rate *. x)
-
-  let quantile t p =
-    if not (p >= 0. && p < 1.) then
-      invalid_arg "Distribution.Exponential.quantile: p outside [0, 1)";
-    -.Float.log1p (-.p) /. t.rate
-
-  let sample t prng = Prng.exponential prng /. t.rate
-  let mean t = 1. /. t.rate
-end
-
-module Chi_square = struct
-  type t = { df : int }
-
-  let create ~df =
-    if df < 1 then invalid_arg "Distribution.Chi_square.create: need df >= 1";
-    { df }
-
-  let cdf t x = Special.chi_square_cdf ~df:t.df x
-  let survival t x = Special.chi_square_survival ~df:t.df x
-end
-
 module Gumbel = struct
   type t = { mu : float; beta : float }
 
@@ -76,10 +8,6 @@ module Gumbel = struct
     { mu; beta }
 
   let z t x = (x -. t.mu) /. t.beta
-
-  let pdf t x =
-    let z = z t x in
-    exp (-.z -. exp (-.z)) /. t.beta
 
   let cdf t x = exp (-.exp (-.z t x))
 
@@ -97,11 +25,6 @@ module Gumbel = struct
     t.mu -. (t.beta *. log (-.Float.log1p (-.p_exc)))
 
   let sample t prng = quantile t (Prng.float_pos prng)
-
-  let euler_mascheroni = 0.5772156649015329
-
-  let mean t = t.mu +. (t.beta *. euler_mascheroni)
-  let std t = t.beta *. Float.pi /. sqrt 6.
 
   let log_likelihood t xs =
     Array.fold_left
@@ -125,17 +48,6 @@ module Gev = struct
 
   (* s(x) = (1 + xi * (x - mu) / sigma); support requires s > 0. *)
   let s t x = 1. +. (t.xi *. (x -. t.mu) /. t.sigma)
-
-  let pdf t x =
-    if Float.abs t.xi < xi_epsilon then Gumbel.pdf (as_gumbel t) x
-    else begin
-      let s = s t x in
-      if s <= 0. then 0.
-      else begin
-        let tx = s ** (-1. /. t.xi) in
-        tx ** (t.xi +. 1.) *. exp (-.tx) /. t.sigma
-      end
-    end
 
   let cdf t x =
     if Float.abs t.xi < xi_epsilon then Gumbel.cdf (as_gumbel t) x
@@ -184,9 +96,6 @@ module Gev = struct
             -. exp (-.log_s /. t.xi)
           end)
         0. xs
-
-  let upper_bound t =
-    if t.xi < -.xi_epsilon then Some (t.mu -. (t.sigma /. t.xi)) else None
 end
 
 module Gpd = struct
@@ -233,29 +142,4 @@ module Gpd = struct
         let p = pdf t x in
         if p <= 0. then neg_infinity else acc +. log p)
       0. xs
-end
-
-module Weibull = struct
-  type t = { scale : float; shape : float }
-
-  let create ~scale ~shape =
-    if not (scale > 0. && shape > 0.) then
-      invalid_arg "Distribution.Weibull.create: need scale > 0 and shape > 0";
-    { scale; shape }
-
-  let pdf t x =
-    if x < 0. then 0.
-    else begin
-      let y = x /. t.scale in
-      t.shape /. t.scale *. (y ** (t.shape -. 1.)) *. exp (-.(y ** t.shape))
-    end
-
-  let cdf t x = if x < 0. then 0. else -.Float.expm1 (-.((x /. t.scale) ** t.shape))
-
-  let quantile t p =
-    if not (p >= 0. && p < 1.) then
-      invalid_arg "Distribution.Weibull.quantile: p outside [0, 1)";
-    t.scale *. ((-.Float.log1p (-.p)) ** (1. /. t.shape))
-
-  let sample t prng = quantile t (Prng.float prng)
 end

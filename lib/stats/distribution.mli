@@ -1,49 +1,9 @@
-(** Parametric distributions used by the analysis: uniform and normal for
-    testing, exponential / Gumbel / GEV / GPD / Weibull as the extreme-value
-    family behind pWCET estimation, chi-square for test p-values.
+(** The extreme-value family behind pWCET estimation: Gumbel and GEV for
+    block maxima, GPD for peaks over a threshold.
 
-    Every distribution exposes [pdf], [cdf], [quantile] (inverse CDF) and
-    [sample] (inverse-transform from a {!Repro_rng.Prng.t}). *)
-
-module Uniform : sig
-  type t = { lo : float; hi : float }
-
-  val create : lo:float -> hi:float -> t
-  val pdf : t -> float -> float
-  val cdf : t -> float -> float
-  val quantile : t -> float -> float
-  val sample : t -> Repro_rng.Prng.t -> float
-end
-
-module Normal : sig
-  type t = { mu : float; sigma : float }
-
-  val create : mu:float -> sigma:float -> t
-  val standard : t
-  val pdf : t -> float -> float
-  val cdf : t -> float -> float
-  val quantile : t -> float -> float
-  val sample : t -> Repro_rng.Prng.t -> float
-end
-
-module Exponential : sig
-  type t = { rate : float }
-
-  val create : rate:float -> t
-  val pdf : t -> float -> float
-  val cdf : t -> float -> float
-  val quantile : t -> float -> float
-  val sample : t -> Repro_rng.Prng.t -> float
-  val mean : t -> float
-end
-
-module Chi_square : sig
-  type t = { df : int }
-
-  val create : df:int -> t
-  val cdf : t -> float -> float
-  val survival : t -> float -> float
-end
+    Each distribution exposes [cdf], [survival], [quantile] (inverse CDF),
+    [log_likelihood] and [sample] (inverse-transform from a
+    {!Repro_rng.Prng.t}). *)
 
 module Gumbel : sig
   (** Gumbel (type-I extreme value) with location [mu] and scale [beta]:
@@ -52,7 +12,6 @@ module Gumbel : sig
   type t = { mu : float; beta : float }
 
   val create : mu:float -> beta:float -> t
-  val pdf : t -> float -> float
   val cdf : t -> float -> float
 
   (** Survival (exceedance) function 1 - cdf, computed with [expm1] so it
@@ -66,8 +25,6 @@ module Gumbel : sig
   val quantile_of_exceedance : t -> float -> float
 
   val sample : t -> Repro_rng.Prng.t -> float
-  val mean : t -> float
-  val std : t -> float
   val log_likelihood : t -> float array -> float
 end
 
@@ -77,16 +34,12 @@ module Gev : sig
   type t = { mu : float; sigma : float; xi : float }
 
   val create : mu:float -> sigma:float -> xi:float -> t
-  val pdf : t -> float -> float
   val cdf : t -> float -> float
   val survival : t -> float -> float
   val quantile : t -> float -> float
   val quantile_of_exceedance : t -> float -> float
   val sample : t -> Repro_rng.Prng.t -> float
   val log_likelihood : t -> float array -> float
-
-  (** Upper end of the support: finite iff [xi < 0]. *)
-  val upper_bound : t -> float option
 end
 
 module Gpd : sig
@@ -95,20 +48,9 @@ module Gpd : sig
   type t = { u : float; sigma : float; xi : float }
 
   val create : u:float -> sigma:float -> xi:float -> t
-  val pdf : t -> float -> float
   val cdf : t -> float -> float
   val survival : t -> float -> float
   val quantile : t -> float -> float
   val sample : t -> Repro_rng.Prng.t -> float
   val log_likelihood : t -> float array -> float
-end
-
-module Weibull : sig
-  type t = { scale : float; shape : float }
-
-  val create : scale:float -> shape:float -> t
-  val pdf : t -> float -> float
-  val cdf : t -> float -> float
-  val quantile : t -> float -> float
-  val sample : t -> Repro_rng.Prng.t -> float
 end

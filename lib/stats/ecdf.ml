@@ -33,7 +33,6 @@ let count_le t x =
   go 0 n
 
 let cdf t x = float_of_int (count_le t x) /. float_of_int (size t)
-let ccdf t x = 1. -. cdf t x
 
 let quantile t p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Ecdf.quantile: p outside [0, 1]";

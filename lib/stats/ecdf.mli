@@ -25,10 +25,6 @@ val order_statistic : t -> int -> float
 (** [cdf t x] is the fraction of observations [<= x]. *)
 val cdf : t -> float -> float
 
-(** [ccdf t x] is the fraction of observations [> x] (the exceedance
-    probability). *)
-val ccdf : t -> float -> float
-
 (** [quantile t p] is the type-7 empirical quantile. *)
 val quantile : t -> float -> float
 

@@ -103,23 +103,3 @@ let nelder_mead ~f ~start ?(step = 0.1) ?(tol = 1e-10) ?(max_iter = 5000) () =
     end
   in
   iterate 0
-
-let linear_fit xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys || n < 2 then
-    invalid_arg "Optimize.linear_fit: need two equal-length samples of size >= 2";
-  let nf = float_of_int n in
-  let sx = Array.fold_left ( +. ) 0. xs and sy = Array.fold_left ( +. ) 0. ys in
-  let mx = sx /. nf and my = sy /. nf in
-  let sxx = ref 0. and sxy = ref 0. and syy = ref 0. in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
-    sxx := !sxx +. (dx *. dx);
-    sxy := !sxy +. (dx *. dy);
-    syy := !syy +. (dy *. dy)
-  done;
-  if not (!sxx > 0.) then invalid_arg "Optimize.linear_fit: degenerate xs (zero variance)";
-  let slope = !sxy /. !sxx in
-  let intercept = my -. (slope *. mx) in
-  let r2 = if !syy = 0. then 1. else !sxy *. !sxy /. (!sxx *. !syy) in
-  (intercept, slope, r2)

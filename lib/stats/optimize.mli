@@ -19,7 +19,3 @@ val nelder_mead :
   ?max_iter:int ->
   unit ->
   float array * float
-
-(** [linear_fit xs ys] ordinary least squares [y = a + b x]; returns
-    [(intercept, slope, r2)]. *)
-val linear_fit : float array -> float array -> float * float * float

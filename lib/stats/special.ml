@@ -89,51 +89,6 @@ let erf x = 1. -. erfc x
 
 let normal_cdf z = 0.5 *. erfc (-.z /. sqrt 2.)
 
-(* Acklam's inverse normal CDF approximation + one Halley refinement. *)
-let normal_quantile p =
-  if not (p > 0. && p < 1.) then invalid_arg "Special.normal_quantile: p outside (0, 1)";
-  let a =
-    [| -39.6968302866538; 220.946098424521; -275.928510446969; 138.357751867269;
-       -30.6647980661472; 2.50662827745924 |]
-  and b =
-    [| -54.4760987982241; 161.585836858041; -155.698979859887; 66.8013118877197;
-       -13.2806815528857 |]
-  and c =
-    [| -0.00778489400243029; -0.322396458041136; -2.40075827716184; -2.54973253934373;
-       4.37466414146497; 2.93816398269878 |]
-  and d =
-    [| 0.00778469570904146; 0.32246712907004; 2.445134137143; 3.75440866190742 |]
-  in
-  let p_low = 0.02425 in
-  let tail_num q =
-    (((((c.(0) *. q) +. c.(1)) *. q +. c.(2)) *. q +. c.(3)) *. q +. c.(4)) *. q +. c.(5)
-  and tail_den q = (((((d.(0) *. q) +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q) +. 1. in
-  let x =
-    if p < p_low then begin
-      let q = sqrt (-2. *. log p) in
-      tail_num q /. tail_den q
-    end
-    else if p <= 1. -. p_low then begin
-      let q = p -. 0.5 in
-      let r = q *. q in
-      let num =
-        ((((((a.(0) *. r) +. a.(1)) *. r +. a.(2)) *. r +. a.(3)) *. r +. a.(4)) *. r +. a.(5))
-        *. q
-      and den =
-        ((((((b.(0) *. r) +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r) +. 1.
-      in
-      num /. den
-    end
-    else begin
-      let q = sqrt (-2. *. log (1. -. p)) in
-      -.(tail_num q /. tail_den q)
-    end
-  in
-  (* One Halley step against the exact CDF. *)
-  let e = normal_cdf x -. p in
-  let u = e *. sqrt (2. *. Float.pi) *. exp (x *. x /. 2.) in
-  x -. (u /. (1. +. (x *. u /. 2.)))
-
 let log_beta a b = log_gamma a +. log_gamma b -. log_gamma (a +. b)
 
 (* Continued fraction for the incomplete beta (modified Lentz), evaluated
@@ -198,8 +153,6 @@ let student_t_survival ~df t =
 let chi_square_survival ~df x =
   if df < 1 then invalid_arg "Special.chi_square_survival: df must be >= 1";
   if x <= 0. then 1. else gamma_q ~a:(float_of_int df /. 2.) ~x:(x /. 2.)
-
-let chi_square_cdf ~df x = 1. -. chi_square_survival ~df x
 
 let kolmogorov_survival lambda =
   if lambda <= 0. then 1.

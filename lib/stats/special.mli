@@ -23,10 +23,6 @@ val erfc : float -> float
 (** Standard normal CDF. *)
 val normal_cdf : float -> float
 
-(** Standard normal quantile (Acklam's rational approximation, refined with
-    one Halley step; |error| < 1e-9). *)
-val normal_quantile : float -> float
-
 (** Regularized incomplete beta I_x(a, b), for [a > 0], [b > 0] and
     [x] in [[0, 1]] (NR-style continued fraction, symmetry-split at
     [(a + 1) / (a + b + 2)]). *)
@@ -40,9 +36,6 @@ val student_t_survival : df:float -> float -> float
 (** Upper-tail probability of a chi-square variable with [df] degrees of
     freedom: P(X >= x). *)
 val chi_square_survival : df:int -> float -> float
-
-(** Chi-square CDF with [df] degrees of freedom. *)
-val chi_square_cdf : df:int -> float -> float
 
 (** Kolmogorov distribution survival function
     Q(lambda) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2), clamped to

@@ -326,11 +326,15 @@ let splitmix_sample ?(trend = 0.) ~seed n =
 let test_iid_battery_minor_words () =
   let xs = splitmix_sample ~seed:2017L 100_000 in
   let before = Gc.minor_words () in
-  let _, sorted = M.Iid.check_and_sort xs in
+  let gate = M.Iid.gate xs in
+  ignore (Sys.opaque_identity (M.Iid.complete gate xs));
+  let sorted = Lazy.force gate.M.Iid.sorted in
   let words = Gc.minor_words () -. before in
   checki "sorted length" 100_000 (Array.length sorted);
   if words >= 1_000. then
-    Alcotest.failf "Iid.check_and_sort on 10^5 floats added %.0f minor words, want < 1,000"
+    Alcotest.failf
+      "Iid.gate + complete + the sorted sample on 10^5 floats added %.0f minor words, \
+       want < 1,000"
       words
 
 (* Words [f ()] allocates, minor and major heap together.  A full
