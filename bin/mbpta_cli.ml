@@ -602,6 +602,15 @@ let analyze_cmd =
 
 (* -------------------------------- iid -------------------------------- *)
 
+(* [iid] and [convergence] analyze a sample without [Protocol.gate], so
+   they run its sample check first and fail as [analyze] does. *)
+let with_valid_sample xs k =
+  match M.Protocol.validate_sample xs with
+  | Some f ->
+      Format.eprintf "campaign failed: %a@." M.Protocol.pp_failure f;
+      1
+  | None -> k ()
+
 (* iid and convergence measure the same thing — runs on the randomized
    platform — so they share one store key ([Campaign_spec.collect_rand_config]):
    a sample recorded by either is a warm hit for the other. *)
@@ -616,6 +625,7 @@ let iid runs seed frames jobs trace_path trace_level cache_dir resume no_cache c
   @@ fun store ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
+  with_valid_sample xs @@ fun () ->
   let gate, verdict =
     in_analysis_phase trace (fun () ->
         let gate = M.Iid.gate xs in
@@ -651,6 +661,7 @@ let convergence runs seed frames probability jobs trace_path trace_level cache_d
   @@ fun store ->
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
+  with_valid_sample xs @@ fun () ->
   let c = in_analysis_phase trace (fun () -> E.Convergence.study ~probability xs) in
   (match trace with
   | Some t ->

@@ -112,6 +112,13 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
+(** [validate_sample xs] is the sample check {!gate} runs first:
+    [Some (Invalid_sample _)] naming the first NaN, infinite or negative
+    value and its index, [None] when every value is finite and
+    non-negative.  A caller that runs {!Iid.gate} or a convergence study
+    without {!gate} runs this check first. *)
+val validate_sample : float array -> failure option
+
 (** {1 The stages}
 
     {!analyze} runs three stages in order.  The gate and model stages are

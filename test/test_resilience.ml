@@ -50,6 +50,23 @@ let test_invalid_sample_negative_and_infinite () =
   | Error f -> Alcotest.failf "wrong failure: %a" M.Protocol.pp_failure f
   | Ok _ -> Alcotest.fail "infinite sample must be rejected"
 
+(* The sample check alone, which mbpta iid and convergence run before
+   their gate or study. *)
+let test_validate_sample () =
+  let xs = gumbel_sample 13L ~mu:100. ~beta:5. 500 in
+  checkb "clean sample" true (Option.is_none (M.Protocol.validate_sample xs));
+  List.iter
+    (fun (index, value, reason) ->
+      let ys = Array.copy xs in
+      ys.(index) <- value;
+      match M.Protocol.validate_sample ys with
+      | Some (M.Protocol.Invalid_sample { index = i; reason = r; _ }) ->
+          checki (reason ^ " index") index i;
+          Alcotest.check Alcotest.string "reason" reason r
+      | Some f -> Alcotest.failf "wrong failure: %a" M.Protocol.pp_failure f
+      | None -> Alcotest.failf "a %s value must be rejected" reason)
+    [ (1, Float.nan, "NaN"); (250, Float.infinity, "infinite"); (499, -1., "negative") ]
+
 let test_not_enough_runs () =
   match M.Protocol.analyze [| 1.; 2. |] with
   | Error (M.Protocol.Not_enough_runs { have; need }) ->
@@ -380,6 +397,8 @@ let () =
           Alcotest.test_case "invalid sample: NaN" `Quick test_invalid_sample_nan;
           Alcotest.test_case "invalid sample: negative, infinite" `Quick
             test_invalid_sample_negative_and_infinite;
+          Alcotest.test_case "validate_sample names the invalid value" `Quick
+            test_validate_sample;
           Alcotest.test_case "not enough runs" `Quick test_not_enough_runs;
           Alcotest.test_case "iid rejected" `Quick test_iid_rejected;
           Alcotest.test_case "not converged" `Quick test_not_converged;
