@@ -389,6 +389,159 @@ let test_resilient_campaign_on_tvca () =
       checkb "report renders the fault summary" true
         (contains ~needle:"fault/retry summary" text)
 
+(* ------------------------------------------------------------------ *)
+(* Committed transcript of a supervised, stored campaign: the report, the
+   runs-level trace and the record's md5, recomputed against
+   test/fixtures/resilience_golden.txt at two job counts.  A change that
+   moves a report line, a Fault or Run event or a record byte shows up
+   here against a fixed text, not only against another run of the same
+   code. *)
+
+let golden_fixture = Filename.concat "fixtures" "resilience_golden.txt"
+let golden_output = "resilience_golden.txt"
+let golden_runs = 300
+
+(* Pure in [(run_index, attempt)], as the supervisor requires.  Every 29th
+   run never completes and is quarantined after its two retries; every 7th
+   times out once; every 11th crashes, then comes back corrupted, then
+   completes; every 13th comes back corrupted once.  A completed attempt
+   draws a Gumbel-shaped cycle count from a multiplicative hash of
+   [(base, run_index, attempt)]. *)
+let golden_outcome ~base ~run_index ~attempt =
+  let detail what = Printf.sprintf "%s run=%d attempt=%d" what run_index attempt in
+  if run_index mod 29 = 0 then
+    match attempt mod 3 with
+    | 0 -> R.Timeout { detail = detail "watchdog" }
+    | 1 -> R.Crashed { detail = detail "trap" }
+    | _ -> R.Corrupted { detail = detail "checksum" }
+  else if run_index mod 7 = 3 && attempt = 0 then R.Timeout { detail = detail "watchdog" }
+  else if run_index mod 11 = 5 && attempt = 0 then R.Crashed { detail = detail "trap" }
+  else if run_index mod 11 = 5 && attempt = 1 then
+    R.Corrupted { detail = detail "checksum" }
+  else if run_index mod 13 = 6 && attempt = 0 then
+    R.Corrupted { detail = detail "checksum" }
+  else
+    let h = ((run_index * 131) + attempt + int_of_float base) * 0x2545F4914F6CDD1D in
+    let h = (h lxor (h lsr 29)) * 0x2545F4914F6CDD1D in
+    let u = (float_of_int ((h lsr 23) land 0xFFFFF) +. 0.5) /. 1048576. in
+    R.Completed (Float.round (base +. (800. *. -.log (-.log u))))
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* One supervised campaign into a fresh store directory: the rendered
+   report (or the failure line), every runs-level trace event, and the md5
+   of the record the session wrote. *)
+let golden_campaign ~jobs ~min_survival =
+  let dir = Filename.temp_file "resilience_golden" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let root = M.Store.open_root ~dir in
+  let config = [ ("test", "resilience-golden"); ("runs", string_of_int golden_runs) ] in
+  let key = M.Store.key ~chunk_size:64 config in
+  let session =
+    match
+      M.Store.open_session ~chunk_size:64 root ~key ~config ~runs:golden_runs
+        ~resilient:true
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "open_session: %s" e
+  in
+  let base =
+    {
+      (M.Campaign.default_input ~measure_det:(fun _ -> 0.) ~measure_rand:(fun _ -> 0.))
+      with
+      M.Campaign.runs = golden_runs;
+      M.Campaign.options =
+        {
+          M.Protocol.default_options with
+          M.Protocol.check_convergence = false;
+          M.Protocol.gate_on_iid = false;
+        };
+    }
+  in
+  let policy = { R.default_policy with R.max_retries = 2; R.min_survival } in
+  let input =
+    M.Campaign.resilient_input ~policy ~base
+      ~measure_det_outcome:(golden_outcome ~base:90_000.)
+      ~measure_rand_outcome:(golden_outcome ~base:100_000.) ()
+  in
+  let trace = M.Trace.create_mem ~level:M.Trace.Runs () in
+  let result = M.Campaign.run_resilient ~jobs ~trace ~store:session input in
+  M.Store.close session;
+  let events = List.map M.Trace.to_line (M.Trace.drain trace) in
+  let record = Filename.concat dir (key ^ ".jsonl") in
+  (result, events, Digest.to_hex (Digest.file record))
+
+let failure_line f = Format.asprintf "campaign failed: %a" M.Protocol.pp_failure f
+
+let golden_transcript ~jobs =
+  let b = Buffer.create 65536 in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  (match golden_campaign ~jobs ~min_survival:0.9 with
+  | Ok c, events, md5 ->
+      line "== report at min_survival 0.9";
+      line (M.Campaign.render c);
+      line "== runs-level trace";
+      List.iter line events;
+      line ("== record md5 " ^ md5)
+  | Error f, _, _ -> line (failure_line f));
+  (match golden_campaign ~jobs ~min_survival:1.0 with
+  | Ok _, _, _ -> line "campaign succeeded at min_survival 1.0"
+  | Error f, _, _ ->
+      line "== failure at min_survival 1.0";
+      line (failure_line f));
+  Buffer.contents b
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let test_golden_fixture () =
+  let want = try Some (read_file golden_fixture) with Sys_error _ -> None in
+  List.iter
+    (fun jobs ->
+      let got = golden_transcript ~jobs in
+      match want with
+      | Some want when String.equal want got -> ()
+      | want ->
+          let oc = open_out_bin golden_output in
+          output_string oc got;
+          close_out oc;
+          let first_diff =
+            match want with
+            | None -> "fixture missing"
+            | Some want ->
+                let rec go i = function
+                  | w :: ws, g :: gs ->
+                      if String.equal w g then go (i + 1) (ws, gs) else (i, w, g)
+                  | w :: _, [] -> (i, w, "<end>")
+                  | [], g :: _ -> (i, "<end>", g)
+                  | [], [] -> (i, "", "")
+                in
+                let i, w, g =
+                  go 1 (String.split_on_char '\n' want, String.split_on_char '\n' got)
+                in
+                Printf.sprintf "line %d: fixture %S, campaign %S" i w g
+          in
+          Alcotest.failf
+            "supervised campaign transcript at jobs=%d differs from %s (%s); the \
+             recomputed transcript is in %s — copy it over test/%s if the change is \
+             intended"
+            jobs golden_fixture first_diff
+            (Filename.concat (Sys.getcwd ()) golden_output)
+            golden_fixture)
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "resilience"
     [
@@ -431,5 +584,6 @@ let () =
       ( "resilient campaign",
         [
           Alcotest.test_case "tvca under radiation" `Quick test_resilient_campaign_on_tvca;
+          Alcotest.test_case "transcript = committed fixture" `Quick test_golden_fixture;
         ] );
     ]
