@@ -315,42 +315,14 @@ let parse_shard s =
       | _ -> usage_error "--shard expects k/N with 1 <= k <= N (got %s)" s)
   | _ -> usage_error "--shard expects k/N (got %s)" s
 
-(* Parallel counterpart of [Experiment.collect] for the single-platform
-   subcommands; sound because [Experiment.measure] is a pure function of the
-   run index. *)
+(* The RAND phase of a campaign, alone, for the single-platform
+   subcommands. *)
 let collect_par ?trace ?store ~jobs exp ~runs =
-  let phase = M.Campaign.phase_collect_rand in
-  (match trace with Some t -> M.Trace.phase_start t phase | None -> ());
-  let measure =
-    Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:"rand."
-  in
-  let xs =
-    match store with
-    | None -> M.Parallel.init ?trace ~jobs runs measure
-    | Some session -> M.Store.collect ?trace ~jobs session ~phase runs measure
-  in
-  (match trace with
-  | Some t ->
-      M.Trace.emit_sample t ~phase xs;
-      M.Trace.phase_end t phase
-  | None -> ());
-  xs
+  M.Campaign.collect_phase ?trace ?store ~jobs ~phase:M.Campaign.phase_collect_rand runs
+    (Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:"rand.")
 
 let experiment ~config ~seed ~frames =
   T.Experiment.create ~frames ~config ~base_seed:seed ()
-
-(* Analysis-phase bracketing for subcommands that call the estimators
-   directly (iid, convergence) rather than through [Campaign.run]; gives
-   the trace digest the same per-phase wall-clock it gets for campaigns. *)
-let in_analysis_phase trace f =
-  let f () = M.Profile.time M.Profile.Analysis f in
-  match trace with
-  | None -> f ()
-  | Some t ->
-      M.Trace.phase_start t "analyze";
-      let v = f () in
-      M.Trace.phase_end t "analyze";
-      v
 
 let base_config ~subcommand ~runs ~seed ~frames =
   [
@@ -627,7 +599,7 @@ let iid runs seed frames jobs trace_path trace_level cache_dir resume no_cache c
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
   with_valid_sample xs @@ fun () ->
   let gate, verdict =
-    in_analysis_phase trace (fun () ->
+    M.Campaign.analysis_phase ?trace (fun () ->
         let gate = M.Iid.gate xs in
         (gate, M.Iid.complete gate xs))
   in
@@ -662,7 +634,9 @@ let convergence runs seed frames probability jobs trace_path trace_level cache_d
   let rand = experiment ~config:P.Config.mbpta_compliant ~seed ~frames in
   let xs = collect_par ?trace ?store ~jobs:(resolve_jobs jobs) rand ~runs in
   with_valid_sample xs @@ fun () ->
-  let c = in_analysis_phase trace (fun () -> E.Convergence.study ~probability xs) in
+  let c =
+    M.Campaign.analysis_phase ?trace (fun () -> E.Convergence.study ~probability xs)
+  in
   (match trace with
   | Some t ->
       M.Trace.Counters.add (M.Trace.counters t) "analysis.convergence_steps"
@@ -1202,7 +1176,8 @@ let shuffle runs seed frames tail no_gates jobs period max_jitter horizon contex
         M.Trace.phase_end t phase
     | None -> ());
     let analysis =
-      in_analysis_phase trace (fun () -> M.Protocol.analyze ~options ~jobs ?trace sample)
+      M.Campaign.analysis_phase ?trace (fun () ->
+          M.Protocol.analyze ~options ~jobs ?trace sample)
     in
     let pwcet_at_1e6, analysis_note =
       match analysis with
@@ -1309,27 +1284,17 @@ let leak runs seed seed_b frames alpha platform_a platform_b fixed_a fixed_b job
   with_trace ~path:trace_path ~level:trace_level ~config @@ fun trace ->
   let collect which ~platform ~fixed ~seed =
     let exp = experiment ~config:(platform_config platform) ~seed ~frames in
-    let phase = "leak_" ^ which in
-    (match trace with Some t -> M.Trace.phase_start t phase | None -> ());
-    let measure =
-      match fixed with
+    M.Campaign.collect_phase ?trace ~jobs ~phase:("leak_" ^ which) runs
+      (match fixed with
       | Some scenario_index ->
           fun i -> T.Experiment.measure_fixed_scenario exp ~scenario_index ~run_index:i
       | None ->
-          Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:(which ^ ".")
-    in
-    let xs = M.Parallel.init ?trace ~jobs runs measure in
-    (match trace with
-    | Some t ->
-        M.Trace.emit_sample t ~phase xs;
-        M.Trace.phase_end t phase
-    | None -> ());
-    xs
+          Cs.measure ?counters:(Option.map M.Trace.counters trace) exp ~prefix:(which ^ "."))
   in
   let xs = collect "a" ~platform:platform_a ~fixed:fixed_a ~seed in
   let ys = collect "b" ~platform:platform_b ~fixed:fixed_b ~seed:seed_b in
   let verdict =
-    in_analysis_phase trace (fun () ->
+    M.Campaign.analysis_phase ?trace (fun () ->
         M.Report.leak_verdict ~alpha ~label_a:(label platform_a fixed_a seed)
           ~label_b:(label platform_b fixed_b seed_b)
           xs ys)

@@ -20,12 +20,12 @@ let outcome_of = function
       M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
   | T.Experiment.Watchdog { cycles; budget; _ } ->
       M.Resilience.Timeout
-        { detail = Printf.sprintf "watchdog at %d cycles (budget %d)" cycles budget }
+        (Printf.sprintf "watchdog at %d cycles (budget %d)" cycles budget)
   | T.Experiment.Runaway { program; _ } ->
-      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
-  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
+      M.Resilience.Timeout ("runaway execution of " ^ program)
+  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed detail
   | T.Experiment.Corrupted { worst_error; _ } ->
-      M.Resilience.Corrupted { detail = Printf.sprintf "worst output error %g" worst_error }
+      M.Resilience.Corrupted (Printf.sprintf "worst output error %g" worst_error)
 
 let () =
   let runs = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 400 in

@@ -62,55 +62,74 @@ let trace_campaign_end trace result =
       in
       Trace.emit t (Trace.Campaign_end { ok; failure })
 
-let finish ?jobs ?trace ~options ~engineering_factor ~det_sample ~rand_sample
-    ~det_resilience ~rand_resilience () =
-  let analysis =
-    in_phase trace phase_analyze (fun () ->
-        Profile.time Profile.Analysis (fun () ->
-            Protocol.analyze ~options ?jobs ?trace rand_sample))
-  in
-  let comparison =
-    match analysis with
-    | Ok a -> Some (Report.compare ~engineering_factor ~analysis:a ~det_sample ())
-    | Error _ -> None
-  in
-  { det_sample; rand_sample; analysis; comparison; det_resilience; rand_resilience }
+let collect_phase ?jobs ?trace ?store ~phase runs measure =
+  in_phase trace phase (fun () ->
+      let sample =
+        match store with
+        | None -> Parallel.init ?trace ?jobs runs measure
+        | Some session -> Store.collect ?trace ?jobs session ~phase runs measure
+      in
+      (match trace with Some t -> Trace.emit_sample t ~phase sample | None -> ());
+      sample)
 
-let run ?jobs ?trace ?store input =
+let analysis_phase ?trace f =
+  in_phase trace phase_analyze (fun () -> Profile.time Profile.Analysis f)
+
+(* The one campaign driver.  [collect phase measure] measures one platform's
+   phase to its sample and, under supervision, its resilience report; runs
+   are independent by construction (per-run seed derivation), so [jobs]
+   only changes wall-clock time, never a bit of the result. *)
+let drive ?jobs ?trace ~resilient (base : input) collect ~det ~rand =
   (match trace with
-  | Some t -> Trace.emit t (Trace.Campaign_start { runs = input.runs; resilient = false })
+  | Some t -> Trace.emit t (Trace.Campaign_start { runs = base.runs; resilient })
   | None -> ());
   let result =
-    if input.runs < 1 then Error (Protocol.Not_enough_runs { have = input.runs; need = 1 })
-    else begin
-      (* Runs are independent by construction (per-run seed derivation), so
-         both platforms' samples fan out over the domain pool; [jobs] only
-         changes wall-clock time, never a bit of the result.  With a store
-         session attached, each phase checkpoints per chunk and replays
-         cached chunks instead of measuring. *)
-      let collect phase measure =
-        in_phase trace phase (fun () ->
-            let sample =
-              match store with
-              | None -> Parallel.init ?trace ?jobs input.runs measure
-              | Some session ->
-                  Store.collect ?trace ?jobs session ~phase input.runs measure
-            in
-            (match trace with
-            | Some t -> Trace.emit_sample t ~phase sample
-            | None -> ());
-            sample)
+    let ( let* ) = Result.bind in
+    if base.runs < 1 then Error (Protocol.Not_enough_runs { have = base.runs; need = 1 })
+    else
+      let* det_sample, det_resilience = collect phase_collect_det det in
+      let* rand_sample, rand_resilience = collect phase_collect_rand rand in
+      let analysis =
+        analysis_phase ?trace (fun () ->
+            Protocol.analyze ~options:base.options ?jobs ?trace rand_sample)
       in
-      let det_sample = collect phase_collect_det input.measure_det in
-      let rand_sample = collect phase_collect_rand input.measure_rand in
-      Ok
-        (finish ?jobs ?trace ~options:input.options
-           ~engineering_factor:input.engineering_factor ~det_sample ~rand_sample
-           ~det_resilience:None ~rand_resilience:None ())
-    end
+      let comparison =
+        match analysis with
+        | Ok a ->
+            Some
+              (Report.compare ~engineering_factor:base.engineering_factor ~analysis:a
+                 ~det_sample ())
+        | Error _ -> None
+      in
+      Ok { det_sample; rand_sample; analysis; comparison; det_resilience; rand_resilience }
   in
   trace_campaign_end trace result;
   result
+
+let run ?jobs ?trace ?store input =
+  drive ?jobs ?trace ~resilient:false input
+    (fun phase measure ->
+      Ok (collect_phase ?jobs ?trace ?store ~phase input.runs measure, None))
+    ~det:input.measure_det ~rand:input.measure_rand
+
+let failure_of_resilience_error : Resilience.error -> Protocol.failure = function
+  | Resilience.Too_few_survivors { survivors; required; total } ->
+      Protocol.Faulted_runs { survivors; required; total }
+  | Resilience.Invalid_policy reason ->
+      Protocol.Invalid_sample { index = -1; value = Float.nan; reason }
+
+let run_resilient ?jobs ?trace ?store input =
+  let { base; policy; measure_det_outcome; measure_rand_outcome } = input in
+  drive ?jobs ?trace ~resilient:true base
+    (fun phase measure ->
+      in_phase trace phase (fun () ->
+          let store = Option.map (fun s -> (s, phase)) store in
+          match
+            Resilience.supervise ?jobs ?trace ?store ~policy ~runs:base.runs ~measure ()
+          with
+          | Ok r -> Ok (r.Resilience.sample, Some r)
+          | Error e -> Error (failure_of_resilience_error e)))
+    ~det:measure_det_outcome ~rand:measure_rand_outcome
 
 (* Shard-worker mode: run only the measurement phases of the campaign,
    restricted to the store session's shard span, and skip analysis — the
@@ -118,70 +137,28 @@ let run ?jobs ?trace ?store input =
    accounting and analysis) over the merged record.  Because chunk layout
    and per-run values are pure functions of the run index, the chunks a
    shard collects are byte-identical to the single-process record's. *)
-let collect_shard ?jobs ?trace ~store input =
-  if input.runs < 1 then
-    Error (Protocol.Not_enough_runs { have = input.runs; need = 1 })
+let shard ?trace ~runs collect ~det ~rand =
+  if runs < 1 then Error (Protocol.Not_enough_runs { have = runs; need = 1 })
   else begin
-    let collect phase measure =
-      in_phase trace phase (fun () ->
-          ignore (Store.collect ?trace ?jobs store ~phase input.runs measure))
-    in
-    collect phase_collect_det input.measure_det;
-    collect phase_collect_rand input.measure_rand;
+    in_phase trace phase_collect_det (fun () -> collect phase_collect_det det);
+    in_phase trace phase_collect_rand (fun () -> collect phase_collect_rand rand);
     Ok ()
   end
+
+let collect_shard ?jobs ?trace ~store input =
+  shard ?trace ~runs:input.runs
+    (fun phase measure ->
+      ignore (Store.collect ?trace ?jobs store ~phase input.runs measure))
+    ~det:input.measure_det ~rand:input.measure_rand
 
 let collect_shard_resilient ?jobs ?trace ~store input =
   let { base; policy; measure_det_outcome; measure_rand_outcome } = input in
-  if base.runs < 1 then Error (Protocol.Not_enough_runs { have = base.runs; need = 1 })
-  else begin
-    let collect phase measure =
-      in_phase trace phase (fun () ->
-          ignore
-            (Store.collect_trails ?trace ?jobs store ~phase base.runs
-               (Resilience.trail ~policy ~measure)))
-    in
-    collect phase_collect_det measure_det_outcome;
-    collect phase_collect_rand measure_rand_outcome;
-    Ok ()
-  end
-
-let failure_of_resilience_error : Resilience.error -> Protocol.failure = function
-  | Resilience.Too_few_survivors { survivors; required; total } ->
-      Protocol.Faulted_runs { survivors; required; total }
-  | Resilience.Retry_budget_exhausted { spent; limit; runs_completed } ->
-      Protocol.Budget_exhausted { spent; limit; runs_completed }
-  | Resilience.Invalid_policy reason ->
-      Protocol.Invalid_sample { index = -1; value = Float.nan; reason }
-
-let run_resilient ?jobs ?trace ?store input =
-  let { base; policy; measure_det_outcome; measure_rand_outcome } = input in
-  (match trace with
-  | Some t -> Trace.emit t (Trace.Campaign_start { runs = base.runs; resilient = true })
-  | None -> ());
-  let supervise phase measure =
-    in_phase trace phase (fun () ->
-        let store = Option.map (fun s -> (s, phase)) store in
-        Resilience.supervise ?jobs ?trace ?store ~policy ~runs:base.runs
-          ~measure ()
-        |> Result.map_error failure_of_resilience_error)
-  in
-  let result =
-    match supervise phase_collect_det measure_det_outcome with
-    | Error _ as e -> e
-    | Ok det_report -> (
-        match supervise phase_collect_rand measure_rand_outcome with
-        | Error _ as e -> e
-        | Ok rand_report ->
-            Ok
-              (finish ?jobs ?trace ~options:base.options
-                 ~engineering_factor:base.engineering_factor
-                 ~det_sample:det_report.Resilience.sample
-                 ~rand_sample:rand_report.Resilience.sample
-                 ~det_resilience:(Some det_report) ~rand_resilience:(Some rand_report) ()))
-  in
-  trace_campaign_end trace result;
-  result
+  shard ?trace ~runs:base.runs
+    (fun phase measure ->
+      ignore
+        (Store.collect_trails ?trace ?jobs store ~phase base.runs
+           (Resilience.trail ~policy ~measure)))
+    ~det:measure_det_outcome ~rand:measure_rand_outcome
 
 let render t =
   match (t.analysis, t.comparison) with

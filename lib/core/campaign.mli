@@ -7,9 +7,10 @@
     library independent of any particular platform or application — like a
     timing-analysis tool attached to a target.
 
-    Two drivers share all analysis code.  {!run} is the fault-free fast
-    path: it computes every run directly (identical to the original seed
-    pipeline).  {!run_resilient} supervises each measurement through
+    Two drivers share one body; only the way a phase is measured differs.
+    {!run} is the fault-free fast path: it computes every run directly
+    (identical to the original seed pipeline).  {!run_resilient}
+    supervises each measurement through
     {!Resilience}: outcomes are classified, transient failures retried
     under a deterministic reseed policy, irrecoverable runs quarantined,
     and the campaign proceeds on the surviving sample when the policy's
@@ -90,15 +91,16 @@ val run :
   input ->
   (t, Protocol.failure) Stdlib.result
 
-(** Supervised campaign on a fault-prone platform; fails with
-    {!Protocol.Faulted_runs} (survival threshold missed) or
-    {!Protocol.Budget_exhausted} (campaign retry budget gone).  [jobs] and
-    [trace] as in {!run}; see {!Resilience.supervise} for the parallel
-    budget semantics and the per-run fault/retry events.  [store] as in
-    {!run}, except the session must be opened with [resilient:true]: whole
-    attempt trails (not just surviving latencies) are checkpointed, so a
-    resumed campaign reproduces retry accounting and fault records
-    bit-identically too. *)
+(** Supervised campaign on a fault-prone platform, driven by the same body
+    as {!run}.  Fails with [Not_enough_runs] when [input.base.runs < 1],
+    with {!Protocol.Faulted_runs} when a phase misses the survival
+    threshold, and with [Invalid_sample] at index [-1] when the policy is
+    invalid ({!Resilience.supervise}'s [Invalid_policy]).  [jobs] and
+    [trace] as in {!run}; see {!Resilience.supervise} for the per-run
+    fault/retry events.  [store] as in {!run}, except the session must be
+    opened with [resilient:true]: whole attempt trails (not just surviving
+    latencies) are checkpointed, so a resumed campaign reproduces retry
+    accounting and fault records bit-identically too. *)
 val run_resilient :
   ?jobs:int ->
   ?trace:Trace.t ->
@@ -126,7 +128,7 @@ val collect_shard :
     session must be opened with [resilient:true].  Retry accounting and
     survival thresholds are {e not} applied here — they replay, in run
     order, in the coordinator's final {!run_resilient} over the merged
-    record, so budget arithmetic stays sequential and bit-identical. *)
+    record. *)
 val collect_shard_resilient :
   ?jobs:int ->
   ?trace:Trace.t ->
@@ -137,6 +139,26 @@ val collect_shard_resilient :
 (** Trace phase and store phase of the randomized-platform measurements
     (["collect_rand"]); warm readers of a record collect under it. *)
 val phase_collect_rand : string
+
+(** [collect_phase ?jobs ?trace ?store ~phase runs measure] — one
+    fault-free measurement phase exactly as {!run} collects each platform:
+    inside trace phase [phase], [runs] runs measured on the domain pool
+    ({!Parallel.init}) or, with [store], through {!Store.collect} under
+    [phase], then one {!Trace.Run} event per run ({!Trace.emit_sample}).
+    The samples and trace are bit-identical at every [jobs] value when
+    [measure] is a pure function of the run index. *)
+val collect_phase :
+  ?jobs:int ->
+  ?trace:Trace.t ->
+  ?store:Store.session ->
+  phase:string ->
+  int ->
+  (int -> float) ->
+  float array
+
+(** [analysis_phase ?trace f] runs [f] as {!run} runs its analysis: inside
+    the ["analyze"] trace phase and the {!Profile.Analysis} stage. *)
+val analysis_phase : ?trace:Trace.t -> (unit -> 'a) -> 'a
 
 (** Render the whole campaign as a text report (all four experiments, plus
     the fault/retry summary when the campaign ran resiliently). *)

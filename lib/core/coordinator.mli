@@ -88,8 +88,10 @@ val supervise :
     line, but tests drive it in-process.  A failed attempt sleeps
     [backoff_delay] and retries, up to [policy.max_retries] extra attempts;
     a shard that exhausts them is reported unrecoverable, never raised.
-    Supervision loops run concurrently (one domain per shard — they block
-    in process polls, not compute).
+    Supervision loops run on the domain pool ({!Parallel.init} with one
+    chunk per shard — they block in process polls, not compute), which
+    caps live loops at [Domain.recommended_domain_count ()]: with more
+    shards than that, the later shards start as earlier loops finish.
 
     With [trace] attached, bumps [campaign.worker_retries] /
     [campaign.shards_failed] and emits one {!Trace.Note} per failed

@@ -69,7 +69,6 @@ type failure =
   | Not_converged of Evt.Convergence.result
   | Invalid_sample of { index : int; value : float; reason : string }
   | Faulted_runs of { survivors : int; required : int; total : int }
-  | Budget_exhausted of { spent : int; limit : int; runs_completed : int }
 
 let pp_failure ppf = function
   | Not_enough_runs { have; need } ->
@@ -86,9 +85,6 @@ let pp_failure ppf = function
       Format.fprintf ppf
         "too many faulted runs: only %d of %d survived, need at least %d" survivors total
         required
-  | Budget_exhausted { spent; limit; runs_completed } ->
-      Format.fprintf ppf "retry budget exhausted: %d of %d retries spent after %d runs"
-        spent limit runs_completed
 
 let min_runs = 100
 

@@ -107,8 +107,6 @@ type failure =
   | Faulted_runs of { survivors : int; required : int; total : int }
       (** resilient campaign: too many runs were quarantined for the
           surviving sample to meet the {!Resilience.policy} threshold *)
-  | Budget_exhausted of { spent : int; limit : int; runs_completed : int }
-      (** resilient campaign: the campaign-wide retry budget ran out *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

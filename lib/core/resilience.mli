@@ -16,34 +16,30 @@
     fault seed for each retry while keeping the run's input scenario
     fixed. *)
 
-(** Classified result of one measurement attempt. *)
-type outcome =
+(** Classified result of one measurement attempt: the store's own type, so
+    the attempt trail a run is measured to is the trail the store persists
+    and the report lists. *)
+type outcome = Store.outcome =
   | Completed of float  (** execution time, cycles *)
-  | Timeout of { detail : string }
+  | Timeout of string
       (** watchdog budget exceeded or executor runaway — the run diverged *)
-  | Crashed of { detail : string }  (** the run trapped (e.g. wild access) *)
-  | Corrupted of { detail : string }
-      (** the run completed but its output failed validation *)
+  | Crashed of string  (** the run trapped (e.g. wild access) *)
+  | Corrupted of string  (** the run completed but its output failed validation *)
 
 type policy = {
   max_retries : int;  (** extra attempts allowed per run after the first *)
-  max_total_retries : int option;
-      (** campaign-wide retry budget; [None] = unbounded.  Exhausting it
-          aborts with [`Retry_budget_exhausted] — the signal that the fault
-          rate is far beyond what retrying can absorb. *)
   min_survival : float;
       (** fraction of runs (in [[0, 1]]) that must yield a measurement for
           the campaign to proceed *)
 }
 
-(** [{ max_retries = 2; max_total_retries = None; min_survival = 0.9 }] *)
+(** [{ max_retries = 2; min_survival = 0.9 }] *)
 val default_policy : policy
 
-type attempt = { attempt : int; outcome : outcome }
-
-(** Per-run audit trail; only runs with at least one failed attempt are
-    retained (clean runs would make the log 3,000 entries of noise). *)
-type record = { run_index : int; attempts : attempt list; survived : bool }
+(** Per-run audit trail, attempt [i] at position [i]; only runs with at
+    least one failed attempt are retained (clean runs would make the log
+    3,000 entries of noise). *)
+type record = { run_index : int; attempts : Store.trail; survived : bool }
 
 type report = {
   sample : float array;  (** surviving measurements, in run order *)
@@ -57,7 +53,6 @@ type report = {
 
 type error =
   | Too_few_survivors of { survivors : int; required : int; total : int }
-  | Retry_budget_exhausted of { spent : int; limit : int; runs_completed : int }
   | Invalid_policy of string
 
 (** [supervise ?jobs ?trace ~policy ~runs ~measure] drives the whole
@@ -74,12 +69,7 @@ type error =
     determinism contract — its outcome is a pure function of
     [(run_index, attempt)], which {!Repro_tvca.Experiment}'s seed derivation
     guarantees — the report is {e bit-identical} for every [jobs] value;
-    [jobs:1] spawns no domains and is the sequential reference.  The
-    campaign-wide retry budget keeps its sequential meaning: it is replayed
-    over the attempt trails in run order, so [Retry_budget_exhausted] carries
-    the same fields at any job count (under [jobs > 1], runs past the point
-    of exhaustion may have been measured speculatively — wasted work, never
-    a different answer).
+    [jobs:1] spawns no domains and is the sequential reference.
 
     With [store] attached — an open {!Store.session} (opened with
     [resilient:true] and the same run count) plus the phase name to file
@@ -87,7 +77,7 @@ type error =
     barrier and previously recorded trails are replayed instead of
     re-measured.  Because the accounting phase runs over the trails either
     way, a resumed or fully cached campaign reproduces the report (sample,
-    records, budget arithmetic) bit-identically. *)
+    records, retry counts) bit-identically. *)
 val supervise :
   ?jobs:int ->
   ?trace:Trace.t ->
@@ -99,11 +89,11 @@ val supervise :
   (report, error) Stdlib.result
 
 (** [trail ~policy ~measure run_index] — one run measured to completion or
-    quarantine (local retries up to [policy.max_retries]), as the attempt
-    trail the measurement store persists.  This is exactly what
-    {!supervise}'s measurement phase checkpoints; shard workers use it to
-    collect trails without the accounting phase, which the coordinator's
-    final campaign replays over the merged record. *)
+    quarantine (local retries up to [policy.max_retries]), attempt 0
+    first.  This is exactly what {!supervise}'s measurement phase measures
+    and checkpoints; shard workers use it to collect trails without the
+    accounting phase, which the coordinator's final campaign replays over
+    the merged record. *)
 val trail :
   policy:policy ->
   measure:(run_index:int -> attempt:int -> outcome) ->

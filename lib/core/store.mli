@@ -142,9 +142,9 @@ end
 
 (** {1 Sessions} *)
 
-(** One measurement attempt as persisted — mirrors
-    {!Resilience.outcome} without depending on it (the supervisor converts
-    at its boundary). *)
+(** One measurement attempt as persisted.  This is the supervisor's own
+    outcome type — {!Resilience.outcome} re-exports it — so a trail is
+    stored and replayed without conversion. *)
 type outcome =
   | Completed of float
   | Timeout of string

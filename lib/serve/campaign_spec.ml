@@ -229,29 +229,23 @@ let record_metrics counters ~prefix (m : P.Metrics.t) =
   add "dram_row_misses" m.P.Metrics.dram_row_misses;
   add "faults_injected" m.P.Metrics.faults_injected
 
-(* [Experiment.measure] is [cycles (run ...)], so both branches measure the
-   same value bit for bit. *)
-let measure ?counters exp ~prefix =
-  match counters with
-  | None -> fun i -> T.Experiment.measure exp ~run_index:i
-  | Some counters ->
-      fun i ->
-        let m = T.Experiment.run exp ~run_index:i in
-        record_metrics counters ~prefix m;
-        float_of_int (P.Metrics.cycles m)
+let measure ?counters exp ~prefix i =
+  let m = T.Experiment.run exp ~run_index:i in
+  (match counters with Some c -> record_metrics c ~prefix m | None -> ());
+  float_of_int (P.Metrics.cycles m)
 
 let resilience_outcome_of = function
   | T.Experiment.Completed { metrics; _ } ->
       M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
   | T.Experiment.Watchdog { cycles; budget; _ } ->
       M.Resilience.Timeout
-        { detail = Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget }
+        (Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget)
   | T.Experiment.Runaway { program; _ } ->
-      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
-  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
+      M.Resilience.Timeout ("runaway execution of " ^ program)
+  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed detail
   | T.Experiment.Corrupted { worst_error; _ } ->
       M.Resilience.Corrupted
-        { detail = Printf.sprintf "worst output error %g" worst_error }
+        (Printf.sprintf "worst output error %g" worst_error)
 
 let input ?counters s =
   let experiment config =
@@ -282,11 +276,7 @@ let input ?counters s =
       resilience_outcome_of outcome
     in
     let policy =
-      {
-        M.Resilience.default_policy with
-        max_retries = s.max_retries;
-        min_survival = s.min_survival;
-      }
+      { M.Resilience.max_retries = s.max_retries; min_survival = s.min_survival }
     in
     `Resilient
       (M.Campaign.resilient_input ~policy ~base

@@ -206,15 +206,19 @@ let mean xs =
   done;
   !sum /. float_of_int (Array.length xs)
 
-(* k-th central moment about a precomputed mean: [summarize] computes the
-   mean once. *)
-let centered_moment_about m xs k =
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** float_of_int k)) 0. xs
-  /. float_of_int (Array.length xs)
-
+(* About a precomputed mean: [summarize] computes the mean once.  A loop,
+   like [mean].  The square stays [** 2.]: [pow] is not correctly rounded
+   on every double, so [d *. d] would move the last bit of some variances
+   of arbitrary floats (of cycle counts, none).  The sum is scaled as
+   [((sum / n) * n) / (n - 1)], the order of the second central moment it
+   once went through. *)
 let sample_variance_about m xs =
   let n = Array.length xs in
-  centered_moment_about m xs 2 *. float_of_int n /. float_of_int (n - 1)
+  let sum = ref 0. in
+  for i = 0 to n - 1 do
+    sum := !sum +. ((Array.unsafe_get xs i -. m) ** 2.)
+  done;
+  !sum /. float_of_int n *. float_of_int n /. float_of_int (n - 1)
 
 let sample_variance xs =
   let n = Array.length xs in

@@ -367,6 +367,17 @@ let test_study_words () =
   if words >= 25_000. then
     Alcotest.failf "Convergence.study on 10^5 runs allocated %.0f words, want < 25,000" words
 
+(* [summarize] on the same sample copies and sorts it once: the copy,
+   the radix sort's scratch and its 2,048 counts, 202,056 words.  A boxed
+   float per element on top breaks the bound: the fold that summed the
+   squared deviations, boxing every partial sum, made 481,433. *)
+let test_summarize_words () =
+  let xs = splitmix_sample ~seed:2017L 100_000 in
+  let words = allocated_words (fun () -> S.Descriptive.summarize xs) in
+  if words >= 250_000. then
+    Alcotest.failf "Descriptive.summarize on 10^5 runs allocated %.0f words, want < 250,000"
+      words
+
 let digest_bits xs =
   let b = Buffer.create (8 * Array.length xs) in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
@@ -592,6 +603,8 @@ let () =
             test_gate_words;
           Alcotest.test_case "Convergence.study at 10^5 allocates < 25,000 words" `Quick
             test_study_words;
+          Alcotest.test_case "Descriptive.summarize at 10^5 allocates < 250,000 words" `Quick
+            test_summarize_words;
         ] );
       ( "protocol",
         [

@@ -249,8 +249,8 @@ let test_unrecoverable_shard_degrades () =
 
 let outcome_of ~base ~run_index ~attempt : M.Resilience.outcome =
   match ((run_index * 7) + attempt) mod 11 with
-  | 0 when attempt < 2 -> Timeout { detail = Printf.sprintf "wd %d/%d" run_index attempt }
-  | 5 when attempt < 1 -> Crashed { detail = Printf.sprintf "trap %d" run_index }
+  | 0 when attempt < 2 -> Timeout (Printf.sprintf "wd %d/%d" run_index attempt)
+  | 5 when attempt < 1 -> Crashed (Printf.sprintf "trap %d" run_index)
   | _ -> Completed (base +. (float_of_int run_index *. 9.5) +. (float_of_int attempt *. 0.25))
 
 let resilient_input =

@@ -170,11 +170,11 @@ let test_campaign_analysis_identical () =
 let outcome_of = function
   | T.Experiment.Completed { metrics; _ } ->
       R.Completed (float_of_int (P.Metrics.cycles metrics))
-  | T.Experiment.Watchdog _ -> R.Timeout { detail = "watchdog" }
-  | T.Experiment.Runaway _ -> R.Timeout { detail = "runaway" }
-  | T.Experiment.Crashed { detail; _ } -> R.Crashed { detail }
+  | T.Experiment.Watchdog _ -> R.Timeout "watchdog"
+  | T.Experiment.Runaway _ -> R.Timeout "runaway"
+  | T.Experiment.Crashed { detail; _ } -> R.Crashed detail
   | T.Experiment.Corrupted { worst_error; _ } ->
-      R.Corrupted { detail = Printf.sprintf "error %g" worst_error }
+      R.Corrupted (Printf.sprintf "error %g" worst_error)
 
 let test_resilient_campaign_bit_identical () =
   let det = T.Experiment.create ~frames ~config:P.Config.deterministic ~base_seed:77L () in
@@ -185,7 +185,7 @@ let test_resilient_campaign_bit_identical () =
   let measure exp ~run_index ~attempt =
     outcome_of (T.Experiment.run_faulty exp ~fault ~attempt ~run_index ())
   in
-  let policy = { R.default_policy with R.max_retries = 3; R.min_survival = 0.5 } in
+  let policy = { R.max_retries = 3; R.min_survival = 0.5 } in
   let input =
     M.Campaign.resilient_input ~policy ~base:(campaign_input ())
       ~measure_det_outcome:(measure det) ~measure_rand_outcome:(measure rand) ()
@@ -219,12 +219,12 @@ let test_resilient_campaign_bit_identical () =
 let synthetic_outcome ~run_index ~attempt =
   let h = (run_index * 1103515245) + (attempt * 12345) in
   let h = h land 0xFF in
-  if h < 24 && attempt = 0 then R.Timeout { detail = "transient" }
-  else if h < 6 then R.Crashed { detail = "hard" }
+  if h < 24 && attempt = 0 then R.Timeout "transient"
+  else if h < 6 then R.Crashed "hard"
   else R.Completed (float_of_int (1000 + h))
 
 let test_supervise_identical_across_jobs () =
-  let policy = { R.default_policy with R.max_retries = 2; R.min_survival = 0.5 } in
+  let policy = { R.max_retries = 2; R.min_survival = 0.5 } in
   let supervise jobs =
     match R.supervise ~jobs ~policy ~runs:200 ~measure:synthetic_outcome () with
     | Ok r -> r
@@ -237,26 +237,6 @@ let test_supervise_identical_across_jobs () =
       let r = supervise jobs in
       checkb (Printf.sprintf "report identical jobs=%d" jobs) true (r = reference))
     [ 3; 8 ]
-
-let test_budget_exhaustion_identical_across_jobs () =
-  (* every attempt times out; the campaign-wide budget is replayed in run
-     order, so the error fields must not depend on the job count *)
-  let measure ~run_index:_ ~attempt:_ = R.Timeout { detail = "dead" } in
-  let policy =
-    { R.max_retries = 5; R.max_total_retries = Some 7; R.min_survival = 0.1 }
-  in
-  let supervise jobs = R.supervise ~jobs ~policy ~runs:10 ~measure () in
-  match (supervise 1, supervise 5) with
-  | ( Error
-        (R.Retry_budget_exhausted
-           { spent = s1; limit = l1; runs_completed = r1 }),
-      Error
-        (R.Retry_budget_exhausted
-           { spent = s5; limit = l5; runs_completed = r5 }) ) ->
-      checki "spent" s1 s5;
-      checki "limit" l1 l5;
-      checki "runs_completed" r1 r5
-  | _ -> Alcotest.fail "both job counts must exhaust the budget identically"
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-randomization and fixed-input campaigns: the [mbpta shuffle]
@@ -322,7 +302,5 @@ let () =
         [
           Alcotest.test_case "report identical across jobs" `Quick
             test_supervise_identical_across_jobs;
-          Alcotest.test_case "budget exhaustion identical" `Quick
-            test_budget_exhaustion_identical_across_jobs;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Tests for the robustness layer: the widened Protocol failure taxonomy
    (invalid samples rejected with typed errors, not undefined behavior),
    the Resilience run supervisor (classify / retry / quarantine / survival
-   threshold / retry budget), SEU fault-injection determinism on the real
-   TVCA workload, and the resilient campaign end to end. *)
+   threshold), SEU fault-injection determinism on the real TVCA workload,
+   and the resilient campaign end to end. *)
 
 module Prng = Repro_rng.Prng
 module S = Repro_stats
@@ -15,6 +15,20 @@ module R = M.Resilience
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf tol = Alcotest.check (Alcotest.float tol)
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* [f dir] on a fresh store root, removed afterwards. *)
+let with_store_root f =
+  let dir = Filename.temp_file "test_resilience" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir (M.Store.open_root ~dir))
 
 let gumbel_sample seed ~mu ~beta n =
   let g = Prng.create seed in
@@ -118,13 +132,47 @@ let test_pwcet_guards_are_not_asserts () =
     (Invalid_argument "Pwcet.estimate: cutoff_probability must lie in (0, 1)") (fun () ->
       ignore (E.Pwcet.estimate curve ~cutoff_probability:1.5))
 
+(* Every campaign driver answers [runs = 0] with the same typed failure. *)
 let test_campaign_rejects_zero_runs () =
   let input =
-    M.Campaign.default_input ~measure_det:(fun _ -> 1.) ~measure_rand:(fun _ -> 1.)
+    {
+      (M.Campaign.default_input ~measure_det:(fun _ -> 1.) ~measure_rand:(fun _ -> 1.))
+      with
+      M.Campaign.runs = 0;
+    }
   in
-  match M.Campaign.run { input with M.Campaign.runs = 0 } with
-  | Error (M.Protocol.Not_enough_runs { have; _ }) -> checki "have" 0 have
-  | _ -> Alcotest.fail "runs = 0 must be a typed failure"
+  let resilient =
+    M.Campaign.resilient_input ~base:input
+      ~measure_det_outcome:(fun ~run_index:_ ~attempt:_ -> R.Completed 1.)
+      ~measure_rand_outcome:(fun ~run_index:_ ~attempt:_ -> R.Completed 1.) ()
+  in
+  with_store_root @@ fun _ root ->
+  let store =
+    match
+      M.Store.open_session root ~key:(M.Store.key []) ~config:[] ~runs:0 ~resilient:false
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "open_session: %s" e
+  in
+  let drivers =
+    [
+      ("run", fun () -> M.Campaign.run input |> Result.map ignore);
+      ("run_resilient", fun () -> M.Campaign.run_resilient resilient |> Result.map ignore);
+      ("collect_shard", fun () -> M.Campaign.collect_shard ~store input);
+      ( "collect_shard_resilient",
+        fun () -> M.Campaign.collect_shard_resilient ~store resilient );
+    ]
+  in
+  List.iter
+    (fun (name, drive) ->
+      match drive () with
+      | Error (M.Protocol.Not_enough_runs { have; need }) ->
+          checki (name ^ ": have") 0 have;
+          checki (name ^ ": need") 1 need
+      | Error f -> Alcotest.failf "%s: wrong failure: %a" name M.Protocol.pp_failure f
+      | Ok () -> Alcotest.failf "%s: runs = 0 must be a typed failure" name)
+    drivers;
+  M.Store.close store
 
 (* ------------------------------------------------------------------ *)
 (* Resilience supervisor *)
@@ -154,7 +202,7 @@ let test_supervise_clean_campaign () =
 let test_supervise_retries_transients () =
   (* every third run fails its first attempt, then recovers *)
   let measure ~run_index ~attempt =
-    if run_index mod 3 = 0 && attempt = 0 then R.Timeout { detail = "transient" }
+    if run_index mod 3 = 0 && attempt = 0 then R.Timeout "transient"
     else completed 100.
   in
   match R.supervise ~policy:R.default_policy ~runs:30 ~measure () with
@@ -170,7 +218,7 @@ let test_supervise_retries_transients () =
 let test_supervise_quarantines_and_proceeds () =
   (* runs 0 and 1 are irrecoverable; threshold of 90% still met at 50 runs *)
   let measure ~run_index ~attempt:_ =
-    if run_index < 2 then R.Crashed { detail = "hard fault" } else completed 1.
+    if run_index < 2 then R.Crashed "hard fault" else completed 1.
   in
   match R.supervise ~policy:R.default_policy ~runs:50 ~measure () with
   | Error e -> Alcotest.failf "unexpected error: %a" R.pp_error e
@@ -191,7 +239,7 @@ let test_supervise_quarantines_and_proceeds () =
 
 let test_supervise_survival_threshold () =
   let measure ~run_index ~attempt:_ =
-    if run_index mod 2 = 0 then R.Corrupted { detail = "flipped" } else completed 1.
+    if run_index mod 2 = 0 then R.Corrupted "flipped" else completed 1.
   in
   match R.supervise ~policy:R.default_policy ~runs:40 ~measure () with
   | Error (R.Too_few_survivors { survivors; required; total }) ->
@@ -200,18 +248,6 @@ let test_supervise_survival_threshold () =
       checki "required = ceil(0.9 * 40)" 36 required
   | Error e -> Alcotest.failf "wrong error: %a" R.pp_error e
   | Ok _ -> Alcotest.fail "50% survival must fail a 90% threshold"
-
-let test_supervise_retry_budget () =
-  let policy =
-    { R.max_retries = 5; max_total_retries = Some 7; min_survival = 0. }
-  in
-  let measure ~run_index:_ ~attempt:_ = R.Timeout { detail = "always" } in
-  match R.supervise ~policy ~runs:10 ~measure () with
-  | Error (R.Retry_budget_exhausted { spent; limit; _ }) ->
-      checki "spent = limit" 7 spent;
-      checki "limit" 7 limit
-  | Error e -> Alcotest.failf "wrong error: %a" R.pp_error e
-  | Ok _ -> Alcotest.fail "retry budget must abort the campaign"
 
 let test_supervise_invalid_policy () =
   let measure ~run_index:_ ~attempt:_ = completed 1. in
@@ -327,11 +363,11 @@ let test_watchdog_budget_fires () =
 let outcome_of = function
   | T.Experiment.Completed { metrics; _ } ->
       R.Completed (float_of_int (P.Metrics.cycles metrics))
-  | T.Experiment.Watchdog _ -> R.Timeout { detail = "watchdog" }
-  | T.Experiment.Runaway _ -> R.Timeout { detail = "runaway" }
-  | T.Experiment.Crashed { detail; _ } -> R.Crashed { detail }
+  | T.Experiment.Watchdog _ -> R.Timeout "watchdog"
+  | T.Experiment.Runaway _ -> R.Timeout "runaway"
+  | T.Experiment.Crashed { detail; _ } -> R.Crashed detail
   | T.Experiment.Corrupted { worst_error; _ } ->
-      R.Corrupted { detail = Printf.sprintf "error %g" worst_error }
+      R.Corrupted (Printf.sprintf "error %g" worst_error)
 
 let test_resilient_campaign_on_tvca () =
   let runs = 150 in
@@ -356,7 +392,7 @@ let test_resilient_campaign_on_tvca () =
         };
     }
   in
-  let policy = { R.default_policy with R.max_retries = 3; R.min_survival = 0.5 } in
+  let policy = { R.max_retries = 3; R.min_survival = 0.5 } in
   match
     M.Campaign.run_resilient
       (M.Campaign.resilient_input ~policy ~base ~measure_det_outcome:(measure det)
@@ -411,37 +447,26 @@ let golden_outcome ~base ~run_index ~attempt =
   let detail what = Printf.sprintf "%s run=%d attempt=%d" what run_index attempt in
   if run_index mod 29 = 0 then
     match attempt mod 3 with
-    | 0 -> R.Timeout { detail = detail "watchdog" }
-    | 1 -> R.Crashed { detail = detail "trap" }
-    | _ -> R.Corrupted { detail = detail "checksum" }
-  else if run_index mod 7 = 3 && attempt = 0 then R.Timeout { detail = detail "watchdog" }
-  else if run_index mod 11 = 5 && attempt = 0 then R.Crashed { detail = detail "trap" }
+    | 0 -> R.Timeout (detail "watchdog")
+    | 1 -> R.Crashed (detail "trap")
+    | _ -> R.Corrupted (detail "checksum")
+  else if run_index mod 7 = 3 && attempt = 0 then R.Timeout (detail "watchdog")
+  else if run_index mod 11 = 5 && attempt = 0 then R.Crashed (detail "trap")
   else if run_index mod 11 = 5 && attempt = 1 then
-    R.Corrupted { detail = detail "checksum" }
+    R.Corrupted (detail "checksum")
   else if run_index mod 13 = 6 && attempt = 0 then
-    R.Corrupted { detail = detail "checksum" }
+    R.Corrupted (detail "checksum")
   else
     let h = ((run_index * 131) + attempt + int_of_float base) * 0x2545F4914F6CDD1D in
     let h = (h lxor (h lsr 29)) * 0x2545F4914F6CDD1D in
     let u = (float_of_int ((h lsr 23) land 0xFFFFF) +. 0.5) /. 1048576. in
     R.Completed (Float.round (base +. (800. *. -.log (-.log u))))
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
 (* One supervised campaign into a fresh store directory: the rendered
    report (or the failure line), every runs-level trace event, and the md5
    of the record the session wrote. *)
 let golden_campaign ~jobs ~min_survival =
-  let dir = Filename.temp_file "resilience_golden" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let root = M.Store.open_root ~dir in
+  with_store_root @@ fun dir root ->
   let config = [ ("test", "resilience-golden"); ("runs", string_of_int golden_runs) ] in
   let key = M.Store.key ~chunk_size:64 config in
   let session =
@@ -465,7 +490,7 @@ let golden_campaign ~jobs ~min_survival =
         };
     }
   in
-  let policy = { R.default_policy with R.max_retries = 2; R.min_survival } in
+  let policy = { R.max_retries = 2; R.min_survival } in
   let input =
     M.Campaign.resilient_input ~policy ~base
       ~measure_det_outcome:(golden_outcome ~base:90_000.)
@@ -567,7 +592,6 @@ let () =
           Alcotest.test_case "quarantines and proceeds" `Quick
             test_supervise_quarantines_and_proceeds;
           Alcotest.test_case "survival threshold" `Quick test_supervise_survival_threshold;
-          Alcotest.test_case "retry budget" `Quick test_supervise_retry_budget;
           Alcotest.test_case "invalid policy" `Quick test_supervise_invalid_policy;
         ] );
       ( "fault injection",

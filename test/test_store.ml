@@ -289,8 +289,8 @@ let outcome_of ~base ~run_index ~attempt : M.Resilience.outcome =
   (* Deterministic fault pattern in (run_index, attempt): some runs time
      out or trap on their first attempts, then recover. *)
   match ((run_index * 7) + attempt) mod 11 with
-  | 0 when attempt < 2 -> Timeout { detail = Printf.sprintf "wd run=%d a=%d" run_index attempt }
-  | 5 when attempt < 1 -> Crashed { detail = Printf.sprintf "trap run=%d" run_index }
+  | 0 when attempt < 2 -> Timeout (Printf.sprintf "wd run=%d a=%d" run_index attempt)
+  | 5 when attempt < 1 -> Crashed (Printf.sprintf "trap run=%d" run_index)
   | _ ->
       Completed (base +. (float_of_int run_index *. 11.5) +. (float_of_int attempt *. 0.125))
 
