@@ -75,7 +75,7 @@ let collect_phase ?jobs ?trace ?store ~phase runs measure =
 let analysis_phase ?trace f =
   in_phase trace phase_analyze (fun () -> Profile.time Profile.Analysis f)
 
-(* The one campaign driver.  [collect phase measure] measures one platform's
+(* The one campaign body.  [collect phase measure] measures one platform's
    phase to its sample and, under supervision, its resilience report; runs
    are independent by construction (per-run seed derivation), so [jobs]
    only changes wall-clock time, never a bit of the result. *)

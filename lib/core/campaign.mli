@@ -7,10 +7,10 @@
     library independent of any particular platform or application — like a
     timing-analysis tool attached to a target.
 
-    Two drivers share one body; only the way a phase is measured differs.
-    {!run} is the fault-free fast path: it computes every run directly
-    (identical to the original seed pipeline).  {!run_resilient}
-    supervises each measurement through
+    {!run} and {!run_resilient} share one body; only the way a phase is
+    measured differs.  {!run} is the fault-free fast path: it computes
+    every run directly (identical to the original seed pipeline).
+    {!run_resilient} supervises each measurement through
     {!Resilience}: outcomes are classified, transient failures retried
     under a deterministic reseed policy, irrecoverable runs quarantined,
     and the campaign proceeds on the surviving sample when the policy's

@@ -207,11 +207,11 @@ let mean xs =
   !sum /. float_of_int (Array.length xs)
 
 (* About a precomputed mean: [summarize] computes the mean once.  A loop,
-   like [mean].  The square stays [** 2.]: [pow] is not correctly rounded
-   on every double, so [d *. d] would move the last bit of some variances
-   of arbitrary floats (of cycle counts, none).  The sum is scaled as
-   [((sum / n) * n) / (n - 1)], the order of the second central moment it
-   once went through. *)
+   like [mean].  The square is [** 2.] and the sum is scaled as
+   [((sum / n) * n) / (n - 1)], so that every variance keeps the bits
+   test_stats's multi-pass reference pins: [pow] is not correctly rounded
+   on every double, and [d *. d] moves the last bit of some variances of
+   arbitrary floats (of cycle counts, none seen). *)
 let sample_variance_about m xs =
   let n = Array.length xs in
   let sum = ref 0. in

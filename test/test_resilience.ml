@@ -132,7 +132,8 @@ let test_pwcet_guards_are_not_asserts () =
     (Invalid_argument "Pwcet.estimate: cutoff_probability must lie in (0, 1)") (fun () ->
       ignore (E.Pwcet.estimate curve ~cutoff_probability:1.5))
 
-(* Every campaign driver answers [runs = 0] with the same typed failure. *)
+(* Every campaign entry point answers [runs = 0] with the same typed
+   failure. *)
 let test_campaign_rejects_zero_runs () =
   let input =
     {
@@ -154,7 +155,7 @@ let test_campaign_rejects_zero_runs () =
     | Ok s -> s
     | Error e -> Alcotest.failf "open_session: %s" e
   in
-  let drivers =
+  let campaigns =
     [
       ("run", fun () -> M.Campaign.run input |> Result.map ignore);
       ("run_resilient", fun () -> M.Campaign.run_resilient resilient |> Result.map ignore);
@@ -164,14 +165,14 @@ let test_campaign_rejects_zero_runs () =
     ]
   in
   List.iter
-    (fun (name, drive) ->
-      match drive () with
+    (fun (name, campaign) ->
+      match campaign () with
       | Error (M.Protocol.Not_enough_runs { have; need }) ->
           checki (name ^ ": have") 0 have;
           checki (name ^ ": need") 1 need
       | Error f -> Alcotest.failf "%s: wrong failure: %a" name M.Protocol.pp_failure f
       | Ok () -> Alcotest.failf "%s: runs = 0 must be a typed failure" name)
-    drivers;
+    campaigns;
   M.Store.close store
 
 (* ------------------------------------------------------------------ *)
